@@ -14,14 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .errors import ConfigError, PoissonMalliavinError
 from .montecarlo import SamplerConfig, mc_expectation, sample_counts
 from .registry import functional_from_spec
-from .suite import load_config, run_suite, summarize, write_report
+from .suite import default_config, load_config, run_suite, summarize, write_report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,7 +39,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--seed", type=int, help="override the Monte Carlo seed")
     verify.add_argument("--samples", type=int, help="override the sample count")
-    verify.add_argument("--workers", type=int, help="override the worker count")
+    verify.add_argument(
+        "--workers", type=int,
+        help="override the worker count: workers partition the sample stream"
+        " and run one after another in this process; each worker's block is"
+        " drawn once per backend and deduplicated on its own, so results merge"
+        " bitwise in worker order, and is held in memory for the whole run",
+    )
     verify.add_argument("--report", help="write the JSON report to this path")
     verify.add_argument(
         "--dump-config", action="store_true",
@@ -78,9 +84,12 @@ def _cmd_verify(args) -> int:
     cfg = load_config(args.config)
     cfg = replace(cfg, mc=_override_mc(cfg.mc, args))
     if args.dump_config:
-        from .suite import default_config
-
-        obj = default_config() if args.config is None else json.load(open(args.config))
+        if args.config is None:
+            obj = default_config()
+        else:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+        obj["mc"] = asdict(cfg.mc)
         json.dump(obj, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return 0

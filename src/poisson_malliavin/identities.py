@@ -133,7 +133,7 @@ class VerificationReport:
         return out
 
 
-def _gate_for(pv, backend, gates: Gates) -> float:
+def _gate_for(pv, gates: Gates) -> float:
     if pv.std_error is not None:
         return gates.mc_z * pv.std_error
     return gates.exact + (pv.error_bound or 0.0)
@@ -149,7 +149,7 @@ def _diagnostics(backend) -> dict:
 def _paired_report(case: str, kernel, backend, gates: Gates) -> VerificationReport:
     t0 = time.perf_counter()
     pv = backend.paired(kernel)
-    gate = _gate_for(pv, backend, gates)
+    gate = _gate_for(pv, gates)
     return VerificationReport(
         case=case,
         lhs=pv.lhs,
@@ -375,7 +375,7 @@ def bracket_expectation_check(
             )
 
         pv = backend.paired(kernel)
-        return pv, _gate_for(pv, backend, gates)
+        return pv, _gate_for(pv, gates)
 
     pv_plus, gate_plus = against(BracketKind.PLUS)
     pv_minus, gate_minus = against(BracketKind.MINUS)

@@ -11,6 +11,14 @@ distribution (not bitwise).  The PCG64 bit generator behind
 its Poisson sampler is exact (inversion for small means, transformed
 rejection above numpy's internal switchover near lambda = 10).
 
+Workers are stream partitions, not processes: they run one after another in
+the calling process.  A ``MonteCarloBackend`` draws each worker's block once,
+on first use, and deduplicates it on its own into distinct rows plus an
+inverse index.  Kernels are evaluated on the distinct rows only and scattered
+back to one value per sample, so every estimate is computed from the same
+per-sample arrays, in the same worker order, as a sweep over the full block.
+The backend holds the deduplicated blocks in memory for its lifetime.
+
 Identity defects are always estimated as paired per-sample differences, one
 stream of LHS - RHS values per draw, never as two independently estimated
 expectations subtracted, so the reported standard error gates the quantity
@@ -18,6 +26,7 @@ actually under test.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,31 +99,22 @@ def _worker_sizes(samples: int, workers: int) -> list[int]:
     return [base + (1 if j < rem else 0) for j in range(workers)]
 
 
-def _sweep(kernel, space: GroundSpace, cfg: SamplerConfig, n_outputs: int):
-    """Run ``kernel(counts) -> tuple of (m,) arrays`` over the worker streams.
+def _distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split an (m, n) counts block into ``(distinct_rows, inverse)``.
 
-    Returns the concatenated output arrays in worker-index order.
+    ``distinct_rows[inverse]`` rebuilds the block row for row.  Rows are keyed
+    by one mixed-radix int64 per row when the radix product fits in int64;
+    otherwise the rows are compared whole.
     """
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.workers)
-    chunks: list[tuple[np.ndarray, ...]] = []
-    for child, m in zip(children, _worker_sizes(cfg.samples, cfg.workers)):
-        if m == 0:
-            continue
-        counts = sample_counts(space, np.random.default_rng(child), m)
-        out = kernel(counts)
-        out = tuple(np.asarray(a, dtype=np.float64).reshape(m) for a in out)
-        for arr in out:
-            finite = np.isfinite(arr)
-            if not finite.all():
-                bad = int(np.argmin(finite))
-                raise NonFiniteValueError(
-                    "non-finite sample value at configuration"
-                    f" counts={counts[bad].tolist()}"
-                )
-        chunks.append(out)
-    return tuple(
-        np.concatenate([c[i] for c in chunks]) for i in range(n_outputs)
-    )
+    radix = counts.max(axis=0) + 1
+    if math.prod(radix.tolist()) <= np.iinfo(np.int64).max:
+        place = np.concatenate(([1], np.cumprod(radix[:-1])))
+        _, first, inverse = np.unique(
+            counts @ place, return_index=True, return_inverse=True
+        )
+        return counts[first], inverse
+    rows, inverse = np.unique(counts, axis=0, return_inverse=True)
+    return rows, inverse.reshape(-1)
 
 
 def _estimate(values: np.ndarray) -> Estimate:
@@ -126,10 +126,7 @@ def _estimate(values: np.ndarray) -> Estimate:
 
 def mc_expectation(F: Functional, space: GroundSpace, cfg: SamplerConfig) -> Estimate:
     """Monte Carlo estimate of E[F] with its standard error."""
-    if cfg.samples < 2:
-        raise ValueError("mc_expectation needs at least 2 samples")
-    (values,) = _sweep(lambda c: (F.batch(c),), space, cfg, 1)
-    return _estimate(values)
+    return MonteCarloBackend(space, cfg).expectation(F)
 
 
 def mc_mecke_defect(u, space: GroundSpace, cfg: SamplerConfig) -> Estimate:
@@ -141,15 +138,16 @@ def mc_mecke_defect(u, space: GroundSpace, cfg: SamplerConfig) -> Estimate:
     """
     from .identities import mecke_kernel  # local import avoids a cycle
 
-    if cfg.samples < 2:
-        raise ValueError("mc_mecke_defect needs at least 2 samples")
-    kernel = mecke_kernel(u)
-    (lhs, rhs) = _sweep(lambda c: kernel(c), space, cfg, 2)
-    return _estimate(lhs - rhs)
+    pv = MonteCarloBackend(space, cfg).paired(mecke_kernel(u))
+    return Estimate(pv.defect, pv.std_error, pv.n)
 
 
 class MonteCarloBackend:
-    """Expectation engine backed by the seeded Poisson sampler."""
+    """Expectation engine backed by the seeded Poisson sampler.
+
+    Each worker's block is drawn once, on first use, and kept deduplicated
+    for the backend's lifetime.
+    """
 
     label = "mc"
 
@@ -158,17 +156,52 @@ class MonteCarloBackend:
             raise ValueError("the Monte Carlo backend needs at least 2 samples")
         self.space = space
         self.cfg = cfg
+        self._blocks: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     @property
     def seed(self) -> int:
         return self.cfg.seed
 
+    def _worker_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(distinct_rows, inverse)`` per worker stream, in worker order."""
+        if self._blocks is None:
+            children = np.random.SeedSequence(self.cfg.seed).spawn(self.cfg.workers)
+            sizes = _worker_sizes(self.cfg.samples, self.cfg.workers)
+            self._blocks = [
+                _distinct_rows(sample_counts(self.space, np.random.default_rng(child), m))
+                for child, m in zip(children, sizes)
+                if m > 0
+            ]
+        return self._blocks
+
+    def _sweep(self, kernel) -> tuple[np.ndarray, ...]:
+        """Run ``kernel(counts) -> tuple of arrays`` over the worker blocks.
+
+        The kernel sees each distinct row once; its outputs are scattered back
+        to one value per sample and concatenated in worker-index order.
+        """
+        chunks: list[tuple[np.ndarray, ...]] = []
+        for rows, inverse in self._worker_blocks():
+            out = kernel(rows)
+            out = tuple(np.asarray(a, dtype=np.float64).reshape(len(rows)) for a in out)
+            for arr in out:
+                finite = np.isfinite(arr)
+                if not finite.all():
+                    bad = inverse[int(np.argmin(finite[inverse]))]
+                    raise NonFiniteValueError(
+                        "non-finite sample value at configuration"
+                        f" counts={rows[bad].tolist()}"
+                    )
+            chunks.append(tuple(a[inverse] for a in out))
+        return tuple(np.concatenate(arrs) for arrs in zip(*chunks))
+
     def expectation(self, F: Functional) -> Estimate:
-        return mc_expectation(F, self.space, self.cfg)
+        (values,) = self._sweep(lambda c: (F.batch(c),))
+        return _estimate(values)
 
     def paired(self, kernel) -> PairedValue:
         """Sweep a paired LHS/RHS kernel; the defect is estimated per sample."""
-        lhs, rhs = _sweep(lambda c: kernel(c), self.space, self.cfg, 2)
+        lhs, rhs = self._sweep(kernel)
         diff = lhs - rhs
         est = _estimate(diff)
         return PairedValue(

@@ -69,7 +69,6 @@ _REQUIRED_BINDINGS = {
     "non_diffusion": ("phis", "Fs", "Gs"),
     "non_diffusion_control": ("F", "G"),
 }
-_FIELD_KEYS = {"u", "v"}
 # identities that are pathwise statements: no expectation backend involved
 _POINTWISE = {"commutation", "product_formula"}
 # identities that only make sense on the exact backend

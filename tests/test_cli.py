@@ -76,6 +76,14 @@ class TestVerify:
         obj = json.loads(capsys.readouterr().out)
         assert obj["space"]["weights"] == [0.5, 1.0, 1.5]
 
+    def test_dump_config_applies_mc_overrides(self, tiny_config, capsys):
+        argv = ["verify", "--dump-config", "--seed", "7", "--samples", "1000"]
+        for config, workers in (([], 1), (["--config", tiny_config], 2)):
+            assert main(argv + config) == 0
+            out = capsys.readouterr().out
+            assert '"seed": 7' in out and '"samples": 1000' in out
+            assert json.loads(out)["mc"] == {"seed": 7, "samples": 1000, "workers": workers}
+
 
 class TestSample:
     def test_emits_json_lines(self, capsys):

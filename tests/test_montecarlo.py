@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ from poisson_malliavin import (
     product_of,
     sample_configuration,
 )
+from poisson_malliavin import GroundSpace, montecarlo
+from poisson_malliavin.identities import mecke_kernel
 
 CFG = SamplerConfig(seed=424242, samples=100_000, workers=1)
 
@@ -117,9 +121,14 @@ class TestNonFiniteAbort:
             return np.where(vals > 4, np.inf, vals)
 
         F = Functional(space, fn, "explodes")
-        with pytest.raises(NonFiniteValueError) as err:
-            mc_expectation(F, space, SamplerConfig(seed=3, samples=5000))
-        assert "counts=" in str(err.value)
+        for workers in (1, 3):
+            cfg = SamplerConfig(seed=3, samples=5000, workers=workers)
+            with pytest.raises(NonFiniteValueError) as err:
+                mc_expectation(F, space, cfg)
+            # the first offending sample in draw order, not in distinct-row order
+            assert str(err.value) == (
+                "non-finite sample value at configuration counts=[2, 1, 3]"
+            )
 
 
 class TestAgreementWithExact:
@@ -139,3 +148,109 @@ class TestAgreementWithExact:
         est = be.expectation(linear_count(space, [3]))
         assert abs(est.value - 1.5) <= 4.0 * est.std_error
         assert be.seed == CFG.seed
+
+
+def _full_blocks(space, cfg):
+    """Every worker's block drawn in full, as the stream discipline defines it."""
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.workers)
+    base, rem = divmod(cfg.samples, cfg.workers)
+    return [
+        np.random.default_rng(child)
+        .poisson(lam=space.weights_array, size=(base + (j < rem), space.n))
+        .astype(np.int64)
+        for j, child in enumerate(children)
+    ]
+
+
+WIDE = GroundSpace((60.0,) * 12)  # 60^12 > 2^62: rows cannot share an int64 key
+
+
+class TestDedupEquivalence:
+    """Kernels on distinct rows must reproduce a sweep over the full block bitwise."""
+
+    # decreasing weights give the first site the widest radix, which an
+    # off-by-one place value would fold onto the next site
+    @pytest.fixture(params=["canonical", "decreasing", "wide"])
+    def case(self, request, space):
+        if request.param == "canonical":
+            return space, 20_000, [1, 2]
+        if request.param == "decreasing":
+            return GroundSpace((6.0, 1.0, 0.5)), 20_000, [1, 2]
+        return WIDE, 3_001, [1, 5, 12]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_matches_brute_force(self, case, workers):
+        sp, samples, B = case
+        cfg = SamplerConfig(seed=5, samples=samples, workers=workers)
+        blocks = _full_blocks(sp, cfg)
+        fits = [
+            math.prod((b.max(axis=0) + 1).tolist()) <= np.iinfo(np.int64).max
+            for b in blocks
+        ]
+        assert all(fits) if sp.n == 3 else not any(fits)
+
+        F = poly_count(sp, B, 2)
+        values = np.concatenate([F.batch(b) for b in blocks])
+        est = mc_expectation(F, sp, cfg)
+        assert est == Estimate(
+            float(values.mean()),
+            float(values.std(ddof=1) / np.sqrt(values.size)),
+            values.size,
+        )
+
+        u = functional_times_indicator(sp, B, bounded_sigmoid(sp, B, 1.0))
+        kernel = mecke_kernel(u)
+        outs = [kernel(b) for b in blocks]
+        lhs = np.concatenate([o[0] for o in outs])
+        rhs = np.concatenate([o[1] for o in outs])
+        diff = lhs - rhs
+        pv = MonteCarloBackend(sp, cfg).paired(kernel)
+        assert (pv.lhs, pv.rhs, pv.defect, pv.n, pv.std_error) == (
+            float(lhs.mean()),
+            float(rhs.mean()),
+            float(diff.mean()),
+            diff.size,
+            float(diff.std(ddof=1) / np.sqrt(diff.size)),
+        )
+        assert mc_mecke_defect(u, sp, cfg) == Estimate(pv.defect, pv.std_error, pv.n)
+
+    def test_distinct_rows_rebuild_the_block(self, case):
+        sp, samples, _ = case
+        (counts,) = _full_blocks(sp, SamplerConfig(seed=9, samples=samples))
+        rows, inverse = montecarlo._distinct_rows(counts)
+        assert np.array_equal(rows[inverse], counts)
+        assert len(rows) == len(np.unique(counts, axis=0))
+
+
+class TestDrawOnce:
+    def test_one_draw_per_worker_and_distinct_rows_only(self, space, monkeypatch):
+        drawn = []
+        real = montecarlo.sample_counts
+
+        def counting(*args):
+            block = real(*args)
+            drawn.append(block)
+            return block
+
+        monkeypatch.setattr(montecarlo, "sample_counts", counting)
+        seen = []
+
+        def sized(kernel):
+            def wrapped(counts):
+                seen.append(len(counts))
+                return kernel(counts)
+
+            return wrapped
+
+        be = MonteCarloBackend(space, SamplerConfig(seed=1, samples=30_000, workers=3))
+        F = poly_count(space, [1, 2, 3], 2)
+        u = deterministic_field(space, [1.0, -0.5, 2.0])
+        for _ in range(2):
+            be.paired(sized(mecke_kernel(u)))
+            be.expectation(Functional(space, sized(F.batch), "sized"))
+
+        assert len(drawn) == 3
+        distinct = [len(np.unique(block, axis=0)) for block in drawn]
+        assert len(seen) == 4 * 3
+        for i, rows in enumerate(seen):
+            assert rows <= distinct[i % 3]
