@@ -92,7 +92,8 @@ class RandomField:
     """Deterministic, total map u(eta, z) over configurations and sites.
 
     ``fn`` receives counts of shape (..., n) and returns all site values at
-    once, shape (..., n); column z - 1 is u(eta, z).
+    once, shape (..., n); column z - 1 is u(eta, z).  ``gradient_of`` is the
+    functional F when the field is DF (set by ``derivative_field`` only).
     """
 
     space: GroundSpace
@@ -100,6 +101,7 @@ class RandomField:
     name: str
     params: dict = field(default_factory=dict)
     bound: float | None = None
+    gradient_of: Functional | None = None
 
     def values(self, counts) -> np.ndarray:
         """Evaluate on counts of shape (..., n); returns shape (..., n)."""
@@ -157,13 +159,24 @@ def add_diff_all(F: Functional, counts: np.ndarray) -> np.ndarray:
     return F.batch(plus) - F.batch(counts)[..., None]
 
 
+def _drop_each(counts: np.ndarray):
+    """Yield (z - 1, counts with site z lowered by one) for every site z; the
+    clip at 0 keeps evaluation total, callers zero those sites by 1_{z in eta}."""
+    for j in range(counts.shape[-1]):
+        minus = counts.copy()
+        minus[..., j] = np.maximum(minus[..., j] - 1, 0)
+        yield j, minus
+
+
 def drop_diff_all(F: Functional, counts: np.ndarray) -> np.ndarray:
-    """All drop differences at once, indicator included.  Shape (..., n)."""
-    n = F.space.n
-    # clip keeps the evaluation total; the indicator zeroes the clipped rows
-    minus = np.maximum(counts[..., None, :] - _eye(n), 0)
-    present = counts > 0
-    return (F.batch(counts)[..., None] - F.batch(minus)) * present
+    """All drop differences, indicator included, from n + 1 evaluations of F
+    per configuration.  Shape (..., n)."""
+    counts = _as_counts(F.space, counts)
+    here = F.batch(counts)
+    out = np.empty(counts.shape, dtype=np.float64)
+    for j, minus in _drop_each(counts):
+        out[..., j] = here - F.batch(minus)
+    return out * (counts > 0)
 
 
 def derivative_field(F: Functional) -> RandomField:
@@ -184,6 +197,7 @@ def derivative_field(F: Functional) -> RandomField:
         name=f"D({F.name})",
         params=dict(F.params),
         bound=None if F.bound is None else 2.0 * F.bound,
+        gradient_of=F,
     )
 
 
@@ -221,9 +235,15 @@ def field_dropped_diag(u: RandomField, counts: np.ndarray) -> np.ndarray:
     """out[..., z-1] = u(eta - delta_z, z) 1_{z in eta}.  Shape (..., n).
 
     This shifted evaluation is what the eta-integral of the divergence and
-    the minus bracket pair with the multiplicity k_z.
+    the minus bracket pair with the multiplicity k_z.  For a gradient field
+    u = DF it is D+_z F(eta - delta_z) 1_{z in eta} = D-_z F(eta), computed
+    by ``drop_diff_all`` with n + 1 evaluations of F per configuration;
+    any other field is evaluated once per site at eta - delta_z.
     """
-    n = u.space.n
-    minus = np.maximum(counts[..., None, :] - _eye(n), 0)
-    diag = np.diagonal(u.values(minus), axis1=-2, axis2=-1)
-    return diag * (counts > 0)
+    if u.gradient_of is not None:
+        return drop_diff_all(u.gradient_of, counts)
+    counts = _as_counts(u.space, counts)
+    out = np.empty(counts.shape, dtype=np.float64)
+    for j, minus in _drop_each(counts):
+        out[..., j] = u.values(minus)[..., j]
+    return out * (counts > 0)

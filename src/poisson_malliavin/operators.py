@@ -144,11 +144,11 @@ def gamma_batch(F: Functional, G: Functional, counts: np.ndarray) -> np.ndarray:
 def gamma(F: Functional, G: Functional, eta: Configuration) -> float:
     """Carre du champ density
 
-    Gamma(F, G)(eta) = 1/2 sum_z lambda_z D+F D+G
-                     + 1/2 sum_z k_z D+F(eta-delta_z) D+G(eta-delta_z).
+    Gamma(F, G)(eta) = 1/2 sum_z lambda_z D+F D+G + 1/2 sum_z k_z D-F D-G,
 
-    At F = G the second sum equals the drop-operator integral
-    1/2 int (D-F)^2 d eta by the drop/add conjugation identity.
+    i.e. 1/2 int D+F D+G dnu + 1/2 int D-F D-G d eta.  The drop half is
+    D+F(eta - delta_z) at the occupied sites (the drop/add conjugation
+    identity), computed as D-F with n + 1 evaluations of F per configuration.
     """
     _check_same_space(F, eta)
     return float(gamma_batch(F, G, eta.array))

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from poisson_malliavin import (
     ConfigError,
     Configuration,
+    Functional,
+    RandomField,
+    ShapeError,
     add_diff,
     affine_of,
     bounded_sigmoid,
+    compose,
     constant,
     derivative_field,
     deterministic_field,
@@ -16,12 +21,17 @@ from poisson_malliavin import (
     count_times_deterministic,
     field_from_spec,
     functional_from_spec,
+    functional_times_indicator,
     indicator_leq,
     linear_count,
     poly_count,
+    product_field,
     product_of,
+    random_functional_spec,
     second_add_diff,
+    site_indicator_field,
 )
+from poisson_malliavin.functionals import drop_diff_all, field_dropped_diag
 from conftest import functional_pool, sample_batch
 
 
@@ -230,3 +240,98 @@ class TestRegistrySpecs:
         assert F.batch(counts).shape == (17,)
         u = deterministic_field(space, [1.0, 2.0, 3.0])
         assert u.values(counts).shape == (17, 3)
+
+
+# ---------------------------------------------------------------------------
+# drop-side evaluation: site-by-site shifts against the (..., n, n) brute force
+# ---------------------------------------------------------------------------
+
+def dropped_diag_brute_force(u, counts):
+    """u(eta - delta_z, z) 1_{z in eta} by evaluating u at every eta - delta_z
+    as one (..., n, n) array and keeping the diagonal."""
+    eye = np.eye(u.space.n, dtype=np.int64)
+    minus = np.maximum(counts[..., None, :] - eye, 0)
+    return np.diagonal(u.values(minus), axis1=-2, axis2=-1) * (counts > 0)
+
+
+class TestDropSideEquivalence:
+    @pytest.fixture(scope="class")
+    def inputs(self, space, exact):
+        n = space.n
+        return [
+            sample_batch(space, seed=11, m=64),
+            exact.table.states,
+            np.array([2, 0, 1], dtype=np.int64),
+            sample_batch(space, seed=12, m=8 * n).reshape(8, n, n),
+        ]
+
+    @pytest.fixture(scope="class")
+    def random_functionals(self, space):
+        rng = np.random.default_rng(20260811)
+        return [
+            functional_from_spec(space, random_functional_spec(rng, space.n))
+            for _ in range(200)
+        ]
+
+    # The brute force multiplies D+F by the indicator at empty sites, which
+    # leaves -0.0 where D+F < 0; the drop difference there is +0.0.  Values
+    # are equal, bit patterns are not, so compare with np.array_equal.
+
+    def test_gradient_fields(self, space, random_functionals, inputs):
+        # 1 / (1 + eta(Z)) is infinite at a count of -1: the clip must hold
+        reciprocal = Functional(space, lambda c: 1.0 / (1.0 + c.sum(axis=-1)), "1/(1+N)")
+        for F in random_functionals + [reciprocal]:
+            u = derivative_field(F)
+            for counts in inputs:
+                expected = dropped_diag_brute_force(u, counts)
+                assert np.array_equal(field_dropped_diag(u, counts), expected), F
+                assert np.array_equal(drop_diff_all(F, counts), expected), F
+
+    def test_other_fields(self, space, inputs):
+        sig = bounded_sigmoid(space, [1, 2], 1.0)
+        lin = linear_count(space, [1, 3])
+        fields = [
+            deterministic_field(space, [1.0, -0.5, 2.0]),
+            site_indicator_field(space, [1, 3]),
+            functional_times_indicator(space, [1, 2], sig),
+            count_times_deterministic(space, [1, 2, 3], [1.0, -2.0, 0.5]),
+            product_field(lin, derivative_field(sig)),
+            product_field(sig, count_times_deterministic(space, [2], [0.5, 1.0, -1.0])),
+            RandomField(space, lambda c: 1.0 / (1.0 + c), "1/(1+k_z)"),
+        ]
+        for u in fields:
+            for counts in inputs:
+                got = field_dropped_diag(u, counts)
+                assert got.shape == counts.shape
+                assert np.array_equal(got, dropped_diag_brute_force(u, counts)), u
+
+    def test_shape_mismatch_is_typed(self, space):
+        F = linear_count(space, [1])
+        for u in (derivative_field(F), deterministic_field(space, [1.0, 1.0, 1.0])):
+            with pytest.raises(ShapeError):
+                field_dropped_diag(u, np.zeros((4, 2), dtype=np.int64))
+
+    def test_gradient_field_is_not_evaluated_off_support(self, space):
+        # F = 1 / (1 - k_1) is infinite only where k_1 = 1.  At eta = (0, 1, 1)
+        # the drop differences are 0 by definition; evaluating the gradient
+        # field at eta - delta_1 (clipped to eta) would read F(eta + delta_1)
+        # and turn the empty site into 0 * inf = NaN.
+        F = Functional(space, lambda c: 1.0 / (1.0 - c[..., 0]), "inverse")
+        eta = np.array([0, 1, 1], dtype=np.int64)
+        u = derivative_field(F)
+        assert field_dropped_diag(u, eta).tolist() == [0.0, 0.0, 0.0]
+        assert drop_diff_all(F, eta).tolist() == [0.0, 0.0, 0.0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.isnan(dropped_diag_brute_force(u, eta)[0])
+
+
+class TestCompose:
+    def test_tanh_bounds_unbounded_functional(self, space):
+        # bound_map only runs for a bounded F, so this 1.0 comes from tanh
+        # being bounded by 1 whatever its argument
+        assert compose("tanh", linear_count(space, [1, 2])).bound == 1.0
+
+    def test_bounded_functional_maps_its_bound(self, space):
+        F = bounded_sigmoid(space, [1, 2], 1.0)
+        assert compose("tanh", F).bound == float(np.tanh(F.bound))
+        assert compose("square", linear_count(space, [1])).bound is None

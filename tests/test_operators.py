@@ -6,6 +6,7 @@ import pytest
 from poisson_malliavin import (
     BracketKind,
     Configuration,
+    Functional,
     add_diff,
     bracket,
     constant,
@@ -19,9 +20,11 @@ from poisson_malliavin import (
     gamma,
     linear_count,
     ou_generator,
+    poly_count,
     site_indicator_field,
     bounded_sigmoid,
 )
+from poisson_malliavin.operators import gamma_batch
 from conftest import functional_pool, sample_batch
 
 
@@ -186,6 +189,26 @@ class TestGamma:
                 assert gamma(F, F, eta) == pytest.approx(
                     0.5 * plus + 0.5 * minus, abs=1e-11
                 )
+
+    def test_evaluations_per_row(self, space):
+        """D+ reads F at eta and every eta + delta_z, D- at eta and every
+        eta - delta_z: at most 2(n + 1) rows of F per configuration."""
+        m = 40
+        counts = sample_batch(space, seed=31, m=m)
+        rows = {}
+
+        def counted(F):
+            def fn(c):
+                rows[F.name] = rows.get(F.name, 0) + c.size // c.shape[-1]
+                return F.fn(c)
+
+            return Functional(space, fn, F.name)
+
+        F = counted(poly_count(space, [1, 2], 2))
+        G = counted(bounded_sigmoid(space, [2, 3], 1.0))
+        gamma_batch(F, G, counts)
+        assert set(rows) == {F.name, G.name}
+        assert all(r <= 2 * (space.n + 1) * m for r in rows.values()), rows
 
 
 class TestDirichletEnergy:
