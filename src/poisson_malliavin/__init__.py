@@ -70,7 +70,6 @@ from .montecarlo import (
     MonteCarloBackend,
     SamplerConfig,
     mc_expectation,
-    mc_mecke_defect,
     sample_configuration,
 )
 from .operators import (
@@ -112,91 +111,3 @@ from .suite import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundaryLeakError",
-    "BudgetExceededError",
-    "ConfigError",
-    "InvalidSiteError",
-    "NonFiniteValueError",
-    "PointAbsentError",
-    "PoissonMalliavinError",
-    "ShapeError",
-    "SolverError",
-    "ExactBackend",
-    "ExactExpectation",
-    "GeneratorMatrix",
-    "StateTable",
-    "TruncationPlan",
-    "build_generator_matrix",
-    "exact_expectation",
-    "exact_pairing",
-    "ou_pseudo_inverse",
-    "plan_truncation",
-    "state_vector",
-    "Functional",
-    "RandomField",
-    "add_diff",
-    "derivative_field",
-    "drop_diff",
-    "product_field",
-    "second_add_diff",
-    "Configuration",
-    "GroundSpace",
-    "SiteSet",
-    "add_point",
-    "count_of",
-    "drop_point",
-    "measure_of",
-    "DEFAULT_GATES",
-    "Gates",
-    "VerificationReport",
-    "bracket_expectation_check",
-    "chain_rule_control_check",
-    "commutation_check",
-    "duality_check",
-    "energy_derivation_check",
-    "gamma_form_bound_check",
-    "gamma_representation_check",
-    "mecke_check",
-    "non_diffusion_counterexample",
-    "product_formula_check",
-    "skorokhod_check",
-    "Estimate",
-    "MonteCarloBackend",
-    "SamplerConfig",
-    "mc_expectation",
-    "mc_mecke_defect",
-    "sample_configuration",
-    "BracketKind",
-    "bracket",
-    "dirichlet_energy",
-    "divergence",
-    "divergence_product_defect",
-    "gamma",
-    "ou_generator",
-    "affine_of",
-    "bounded_sigmoid",
-    "compose",
-    "constant",
-    "count_times_deterministic",
-    "deterministic_field",
-    "field_from_spec",
-    "functional_from_spec",
-    "functional_times_indicator",
-    "indicator_leq",
-    "linear_count",
-    "poly_count",
-    "product_of",
-    "random_functional_spec",
-    "scalar_map",
-    "site_indicator_field",
-    "SuiteConfig",
-    "default_config",
-    "load_config",
-    "parse_config",
-    "reports_to_json",
-    "run_suite",
-    "summarize",
-    "write_report",
-]

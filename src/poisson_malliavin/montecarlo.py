@@ -41,7 +41,6 @@ __all__ = [
     "Estimate",
     "sample_configuration",
     "mc_expectation",
-    "mc_mecke_defect",
     "MonteCarloBackend",
 ]
 
@@ -127,19 +126,6 @@ def _estimate(values: np.ndarray) -> Estimate:
 def mc_expectation(F: Functional, space: GroundSpace, cfg: SamplerConfig) -> Estimate:
     """Monte Carlo estimate of E[F] with its standard error."""
     return MonteCarloBackend(space, cfg).expectation(F)
-
-
-def mc_mecke_defect(u, space: GroundSpace, cfg: SamplerConfig) -> Estimate:
-    """Paired estimate of the Mecke defect
-
-        E[ sum_z k_z u(eta, z) - sum_z lambda_z u(eta + delta_z, z) ],
-
-    which is zero exactly when the sampler realises the Poisson law.
-    """
-    from .identities import mecke_kernel  # local import avoids a cycle
-
-    pv = MonteCarloBackend(space, cfg).paired(mecke_kernel(u))
-    return Estimate(pv.defect, pv.std_error, pv.n)
 
 
 class MonteCarloBackend:

@@ -278,70 +278,72 @@ def count_times_deterministic(space: GroundSpace, B, values) -> RandomField:
 # spec parsing (the CLI / config file surface)
 # ---------------------------------------------------------------------------
 
-_FUNCTIONAL_BUILDERS: dict[str, Callable] = {}
-_FIELD_BUILDERS: dict[str, Callable] = {}
+# name -> (parameter keys, builder called as builder(space, *values)); nested
+# specs go through the module-level functional_from_spec, looked up per call,
+# so a wrapper installed on it also sees the nested calls
+_FUNCTIONALS: dict[str, tuple[tuple[str, ...], Callable]] = {
+    "constant": (("value",), constant),
+    "linear_count": (("B",), linear_count),
+    "poly_count": (("B", "degree"), poly_count),
+    "bounded_sigmoid": (("B", "scale"), bounded_sigmoid),
+    "indicator_leq": (("B", "m"), indicator_leq),
+    "product": (
+        ("factors",),
+        lambda space, factors: product_of(
+            *[functional_from_spec(space, f) for f in factors]
+        ),
+    ),
+    "affine": (
+        ("terms", "constant"),
+        lambda space, terms, const: affine_of(
+            [(a, functional_from_spec(space, f)) for a, f in terms], const
+        ),
+    ),
+    "compose": (
+        ("phi", "F"),
+        lambda space, phi, f: compose(scalar_map(phi), functional_from_spec(space, f)),
+    ),
+}
+_FIELDS: dict[str, tuple[tuple[str, ...], Callable]] = {
+    "deterministic": (("values",), deterministic_field),
+    "site_indicator": (("B",), site_indicator_field),
+    "functional_times_indicator": (
+        ("B", "F"),
+        lambda space, B, f: functional_times_indicator(
+            space, B, functional_from_spec(space, f)
+        ),
+    ),
+    "count_times_deterministic": (("B", "values"), count_times_deterministic),
+    "derivative": (
+        ("F",),
+        lambda space, f: derivative_field(functional_from_spec(space, f)),
+    ),
+}
+# parameter keys a spec may omit, with the value used then
+_DEFAULTS = {"constant": 0.0}
 
 
-def _params(spec: Mapping, *keys: str) -> list:
-    missing = [k for k in keys if k not in spec]
+def _from_spec(kind: str, table: dict, space: GroundSpace, spec: Mapping):
+    if not isinstance(spec, Mapping) or "name" not in spec:
+        raise ConfigError(f"{kind} spec must be an object with a 'name': {spec!r}")
+    name = spec["name"]
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"unknown {kind} name {name!r}; known: {sorted(table)}")
+    keys, build = table[name]
+    missing = [k for k in keys if k not in spec and k not in _DEFAULTS]
     if missing:
         raise ConfigError(f"spec {dict(spec)!r} is missing keys {missing}")
-    return [spec[k] for k in keys]
+    return build(space, *[spec.get(k, _DEFAULTS.get(k)) for k in keys])
 
 
 def functional_from_spec(space: GroundSpace, spec: Mapping) -> Functional:
     """Build a registry functional from a ``{"name": ..., ...}`` mapping."""
-    if not isinstance(spec, Mapping) or "name" not in spec:
-        raise ConfigError(f"functional spec must be an object with a 'name': {spec!r}")
-    name = spec["name"]
-    if name == "constant":
-        (v,) = _params(spec, "value")
-        return constant(space, v)
-    if name == "linear_count":
-        (B,) = _params(spec, "B")
-        return linear_count(space, B)
-    if name == "poly_count":
-        B, d = _params(spec, "B", "degree")
-        return poly_count(space, B, d)
-    if name == "bounded_sigmoid":
-        B, s = _params(spec, "B", "scale")
-        return bounded_sigmoid(space, B, s)
-    if name == "indicator_leq":
-        B, m = _params(spec, "B", "m")
-        return indicator_leq(space, B, m)
-    if name == "product":
-        (factors,) = _params(spec, "factors")
-        return product_of(*[functional_from_spec(space, f) for f in factors])
-    if name == "affine":
-        terms = [(a, functional_from_spec(space, f)) for a, f in spec.get("terms", [])]
-        return affine_of(terms, spec.get("constant", 0.0))
-    if name == "compose":
-        phi, f = _params(spec, "phi", "F")
-        return compose(scalar_map(phi), functional_from_spec(space, f))
-    raise ConfigError(f"unknown functional name {name!r}")
+    return _from_spec("functional", _FUNCTIONALS, space, spec)
 
 
 def field_from_spec(space: GroundSpace, spec: Mapping) -> RandomField:
     """Build a registry random field from a ``{"name": ..., ...}`` mapping."""
-    if not isinstance(spec, Mapping) or "name" not in spec:
-        raise ConfigError(f"field spec must be an object with a 'name': {spec!r}")
-    name = spec["name"]
-    if name == "deterministic":
-        (values,) = _params(spec, "values")
-        return deterministic_field(space, values)
-    if name == "site_indicator":
-        (B,) = _params(spec, "B")
-        return site_indicator_field(space, B)
-    if name == "functional_times_indicator":
-        B, f = _params(spec, "B", "F")
-        return functional_times_indicator(space, B, functional_from_spec(space, f))
-    if name == "count_times_deterministic":
-        B, values = _params(spec, "B", "values")
-        return count_times_deterministic(space, B, values)
-    if name == "derivative":
-        (f,) = _params(spec, "F")
-        return derivative_field(functional_from_spec(space, f))
-    raise ConfigError(f"unknown field name {name!r}")
+    return _from_spec("field", _FIELDS, space, spec)
 
 
 def random_functional_spec(rng: np.random.Generator, n_sites: int) -> dict:

@@ -15,29 +15,18 @@ produces byte-identical report files.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, replace
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
+from . import identities
 from .errors import ConfigError, PoissonMalliavinError
 from .exact import DEFAULT_BUDGET, ExactBackend
 from .ground import GroundSpace, SiteSet
-from .identities import (
-    Gates,
-    VerificationReport,
-    bracket_expectation_check,
-    chain_rule_control_check,
-    commutation_check,
-    duality_check,
-    energy_derivation_check,
-    gamma_form_bound_check,
-    gamma_representation_check,
-    mecke_check,
-    non_diffusion_counterexample,
-    product_formula_check,
-    skorokhod_check,
-)
+from .identities import Gates, VerificationReport
 from .montecarlo import MonteCarloBackend, SamplerConfig
 from .registry import field_from_spec, functional_from_spec
 
@@ -54,25 +43,51 @@ __all__ = [
 
 _RANDOM_SPACE_SALT = 0x52414E44
 
-# binding keys per identity, in report order; "u"/"v" are fields, the rest
-# functionals
-_REQUIRED_BINDINGS = {
-    "mecke": ("u",),
-    "duality": ("F", "u"),
-    "skorokhod": ("u",),
-    "commutation": ("u",),
-    "product_formula": ("F", "u"),
-    "energy_derivation": ("F", "G", "u"),
-    "gamma_representation": ("F", "Phi"),
-    "gamma_form_bound": ("F", "Phi"),
-    "bracket_expectation": ("u", "v"),
-    "non_diffusion": ("phis", "Fs", "Gs"),
-    "non_diffusion_control": ("F", "G"),
+
+class _Identity(NamedTuple):
+    # name of the check in ``identities``, looked up per call so that code
+    # wrapping the module attribute (a tracer, a test double) sees every call
+    check: str
+    # binding keys in report-id order; the check's parameters have these names
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+    # "pointwise": pathwise, no backend; "either": exact and Monte Carlo;
+    # "exact": needs the enumerated state table
+    mode: str = "either"
+
+
+_IDENTITIES = {
+    "mecke": _Identity("mecke_check", ("u",)),
+    "duality": _Identity("duality_check", ("F", "u")),
+    "skorokhod": _Identity("skorokhod_check", ("u",)),
+    "commutation": _Identity("commutation_check", ("u",), ("sites",), "pointwise"),
+    "product_formula": _Identity("product_formula_check", ("F", "u"), mode="pointwise"),
+    "energy_derivation": _Identity("energy_derivation_check", ("F", "G", "u")),
+    "gamma_representation": _Identity("gamma_representation_check", ("F", "Phi")),
+    "gamma_form_bound": _Identity("gamma_form_bound_check", ("F", "Phi")),
+    "bracket_expectation": _Identity("bracket_expectation_check", ("u", "v")),
+    "non_diffusion": _Identity(
+        "non_diffusion_counterexample", ("phis", "Fs", "Gs"), ("budget",), "exact"
+    ),
+    "non_diffusion_control": _Identity(
+        "chain_rule_control_check", ("F", "G"), mode="exact"
+    ),
 }
-# identities that are pathwise statements: no expectation backend involved
-_POINTWISE = {"commutation", "product_formula"}
-# identities that only make sense on the exact backend
-_EXACT_ONLY = {"non_diffusion", "non_diffusion_control"}
+
+
+def _bind(key: str, value, space: GroundSpace):
+    """The check argument for one binding key, built from the case's value."""
+    if key in ("u", "v"):
+        return field_from_spec(space, value)
+    if key in ("F", "G", "Phi"):
+        return functional_from_spec(space, value)
+    if key in ("Fs", "Gs"):
+        return [functional_from_spec(space, spec) for spec in value]
+    if key == "sites":
+        return SiteSet.of(value)
+    if key == "budget":
+        return int(value)
+    return list(value)  # phis: scalar map names, resolved by the check
 
 
 @dataclass(frozen=True)
@@ -177,12 +192,12 @@ def _validate_case(i: int, case) -> None:
     if not isinstance(case, dict) or "identity" not in case:
         raise ConfigError(f"{where}: must be an object with an 'identity' key")
     identity = case["identity"]
-    if identity not in _REQUIRED_BINDINGS:
+    if not isinstance(identity, str) or identity not in _IDENTITIES:
         raise ConfigError(
             f"{where}.identity: unknown identity {identity!r};"
-            f" known: {sorted(_REQUIRED_BINDINGS)}"
+            f" known: {sorted(_IDENTITIES)}"
         )
-    for key in _REQUIRED_BINDINGS[identity]:
+    for key in _IDENTITIES[identity].required:
         if key not in case:
             raise ConfigError(f"{where}: identity {identity!r} needs binding {key!r}")
     backend = case.get("backend")
@@ -224,110 +239,13 @@ def _describe(value) -> str:
 
 def _case_id(index: int, case: dict, backend_label: str, space_tag: str) -> str:
     identity = case["identity"]
-    bind = ",".join(
-        f"{k}={_describe(case[k])}" for k in _REQUIRED_BINDINGS[identity] if k in case
-    )
+    bind = ",".join(f"{k}={_describe(case[k])}" for k in _IDENTITIES[identity].required)
     return f"{index:02d}:{identity}[{bind}]@{backend_label}#{space_tag}"
 
 
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
-
-def _run_one(
-    case: dict,
-    case_id: str,
-    identity: str,
-    space: GroundSpace,
-    backend,
-    gates: Gates,
-    seed: int,
-    points: int,
-) -> VerificationReport:
-    if identity == "mecke":
-        return mecke_check(field_from_spec(space, case["u"]), backend, gates, case_id)
-    if identity == "duality":
-        return duality_check(
-            functional_from_spec(space, case["F"]),
-            field_from_spec(space, case["u"]),
-            backend,
-            gates,
-            case_id,
-        )
-    if identity == "skorokhod":
-        return skorokhod_check(field_from_spec(space, case["u"]), backend, gates, case_id)
-    if identity == "commutation":
-        sites = SiteSet.of(case["sites"]) if "sites" in case else None
-        return commutation_check(
-            field_from_spec(space, case["u"]),
-            sites,
-            seed=seed,
-            points=points,
-            gates=gates,
-            case=case_id,
-        )
-    if identity == "product_formula":
-        return product_formula_check(
-            functional_from_spec(space, case["F"]),
-            field_from_spec(space, case["u"]),
-            seed=seed,
-            points=points,
-            gates=gates,
-            case=case_id,
-        )
-    if identity == "energy_derivation":
-        return energy_derivation_check(
-            functional_from_spec(space, case["F"]),
-            functional_from_spec(space, case["G"]),
-            field_from_spec(space, case["u"]),
-            backend,
-            gates,
-            case_id,
-        )
-    if identity == "gamma_representation":
-        return gamma_representation_check(
-            functional_from_spec(space, case["F"]),
-            functional_from_spec(space, case["Phi"]),
-            backend,
-            gates,
-            case_id,
-        )
-    if identity == "gamma_form_bound":
-        return gamma_form_bound_check(
-            functional_from_spec(space, case["F"]),
-            functional_from_spec(space, case["Phi"]),
-            backend,
-            gates,
-            case_id,
-        )
-    if identity == "bracket_expectation":
-        return bracket_expectation_check(
-            field_from_spec(space, case["u"]),
-            field_from_spec(space, case["v"]),
-            backend,
-            gates,
-            case_id,
-        )
-    if identity == "non_diffusion":
-        return non_diffusion_counterexample(
-            backend,
-            list(case["phis"]),
-            [functional_from_spec(space, s) for s in case["Fs"]],
-            [functional_from_spec(space, s) for s in case["Gs"]],
-            budget=int(case.get("budget", 100)),
-            gates=gates,
-            case=case_id,
-        )
-    if identity == "non_diffusion_control":
-        return chain_rule_control_check(
-            functional_from_spec(space, case["F"]),
-            functional_from_spec(space, case["G"]),
-            backend,
-            gates,
-            case_id,
-        )
-    raise ConfigError(f"unknown identity {identity!r}")
-
 
 def _failed_report(case_id: str, seed: int, exc: Exception) -> VerificationReport:
     return VerificationReport(
@@ -377,44 +295,43 @@ def run_suite(cfg: SuiteConfig, backend: str = "both") -> list[VerificationRepor
         )
         mc_backend = MonteCarloBackend(space, cfg.mc) if want_mc else None
         for index, case in enumerate(cfg.cases):
-            identity = case["identity"]
+            identity = _IDENTITIES[case["identity"]]
             case_gates = cfg.gates
             if "gates" in case:
                 case_gates = replace(
                     cfg.gates, **{k: float(v) for k, v in case["gates"].items()}
                 )
 
-            if identity in _POINTWISE:
+            if identity.mode == "pointwise":
                 runs = [("pointwise", None)]
             else:
                 allowed = case.get("backend", "both")
-                runs = []
-                if exact_backend is not None and allowed in ("exact", "both"):
-                    runs.append(("exact", exact_backend))
-                if (
-                    mc_backend is not None
-                    and allowed in ("mc", "both")
-                    and identity not in _EXACT_ONLY
-                ):
-                    runs.append(("mc", mc_backend))
+                runs = [
+                    (label, engine)
+                    for label, engine in (("exact", exact_backend), ("mc", mc_backend))
+                    if engine is not None
+                    and allowed in (label, "both")
+                    and identity.mode in (label, "either")
+                ]
 
             for label, engine in runs:
                 case_id = _case_id(index, case, label, space_tag)
+                if engine is None:
+                    run_args = {"seed": cfg.mc.seed, "points": cfg.pointwise_samples}
+                else:
+                    run_args = {"backend": engine}
+                t0 = time.perf_counter()
                 try:
-                    reports.append(
-                        _run_one(
-                            case,
-                            case_id,
-                            identity,
-                            space,
-                            engine,
-                            case_gates,
-                            cfg.mc.seed,
-                            cfg.pointwise_samples,
-                        )
-                    )
+                    args = {
+                        key: _bind(key, case[key], space)
+                        for key in identity.required + identity.optional
+                        if key in case
+                    }
+                    check = getattr(identities, identity.check)
+                    report = check(**args, **run_args, gates=case_gates, case=case_id)
                 except PoissonMalliavinError as exc:
-                    reports.append(_failed_report(case_id, cfg.mc.seed, exc))
+                    report = _failed_report(case_id, cfg.mc.seed, exc)
+                reports.append(replace(report, wall_time=time.perf_counter() - t0))
     return reports
 
 

@@ -216,10 +216,20 @@ class TestRegistrySpecs:
         assert F(eta102) == pytest.approx(1.0 + 0.5 * 3)
 
     def test_unknown_name(self, space):
-        with pytest.raises(ConfigError):
+        functionals = (
+            "['affine', 'bounded_sigmoid', 'compose', 'constant', 'indicator_leq',"
+            " 'linear_count', 'poly_count', 'product']"
+        )
+        with pytest.raises(ConfigError) as err:
             functional_from_spec(space, {"name": "nope"})
-        with pytest.raises(ConfigError):
+        assert str(err.value) == f"unknown functional name 'nope'; known: {functionals}"
+        fields = (
+            "['count_times_deterministic', 'derivative', 'deterministic',"
+            " 'functional_times_indicator', 'site_indicator']"
+        )
+        with pytest.raises(ConfigError) as err:
             field_from_spec(space, {"name": "nope"})
+        assert str(err.value) == f"unknown field name 'nope'; known: {fields}"
 
     def test_missing_param(self, space):
         with pytest.raises(ConfigError):

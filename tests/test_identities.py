@@ -5,8 +5,11 @@ import json
 import pytest
 
 from poisson_malliavin import (
+    ConfigError,
+    GroundSpace,
     MonteCarloBackend,
     SamplerConfig,
+    ShapeError,
     bounded_sigmoid,
     bracket_expectation_check,
     chain_rule_control_check,
@@ -262,6 +265,30 @@ class TestNonDiffusion:
         Fs = [linear_count(space, [1]), linear_count(space, [2])]
         r = non_diffusion_counterexample(exact, ["identity"], Fs, Fs, budget=0)
         assert not r.passed  # nothing evaluated, nothing exhibited
+
+    def test_search_needs_exact_backend(self, space, mc):
+        F = [linear_count(space, [1])]
+        with pytest.raises(ConfigError) as err:
+            non_diffusion_counterexample(mc, ["square"], F, F)
+        assert str(err.value) == (
+            "non_diffusion_counterexample enumerates the state table, so it"
+            " needs an ExactBackend, not a MonteCarloBackend"
+        )
+
+    def test_control_needs_exact_backend(self, space, mc):
+        F = linear_count(space, [1])
+        with pytest.raises(ConfigError) as err:
+            chain_rule_control_check(F, F, mc)
+        assert str(err.value) == (
+            "chain_rule_control_check enumerates the state table, so it"
+            " needs an ExactBackend, not a MonteCarloBackend"
+        )
+
+    def test_search_checks_binding_space(self, exact):
+        # on the wrong space the identity map would "exhibit" a defect of 0.75
+        Fs = [linear_count(GroundSpace((2.0, 2.0, 2.0)), [1])]
+        with pytest.raises(ShapeError):
+            non_diffusion_counterexample(exact, ["identity"], Fs, Fs)
 
 
 class TestReports:
