@@ -17,6 +17,7 @@ from .errors import (
     PoissonMalliavinError,
     ShapeError,
     SolverError,
+    TruncationError,
 )
 from .exact import (
     ExactBackend,
@@ -26,10 +27,8 @@ from .exact import (
     TruncationPlan,
     build_generator_matrix,
     exact_expectation,
-    exact_pairing,
     ou_pseudo_inverse,
     plan_truncation,
-    state_vector,
 )
 from .functionals import (
     Functional,

@@ -32,6 +32,10 @@ class BudgetExceededError(PoissonMalliavinError):
         )
 
 
+class TruncationError(PoissonMalliavinError):
+    """A truncated state table's probability mass contradicts its tail bound."""
+
+
 class BoundaryLeakError(PoissonMalliavinError):
     """Generator truncation leaks too much probability mass for a reliable solve."""
 

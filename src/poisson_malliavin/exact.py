@@ -22,6 +22,7 @@ and reports are byte-reproducible run to run.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,8 +35,9 @@ from .errors import (
     BudgetExceededError,
     NonFiniteValueError,
     SolverError,
+    TruncationError,
 )
-from .functionals import Functional, RandomField, add_diff_all
+from .functionals import Functional, _sweep_rows
 from .ground import GroundSpace
 from .operators import PairedValue
 
@@ -45,10 +47,8 @@ __all__ = [
     "plan_truncation",
     "ExactExpectation",
     "exact_expectation",
-    "exact_pairing",
     "GeneratorMatrix",
     "build_generator_matrix",
-    "state_vector",
     "ou_pseudo_inverse",
     "ExactBackend",
     "DEFAULT_BUDGET",
@@ -56,14 +56,61 @@ __all__ = [
 
 DEFAULT_BUDGET = 4_000_000
 _MAX_CAP = 100_000
+# exp(x) is subnormal or zero below this, so a pmf recursion started there
+# has lost its relative precision
+_LOG_TINY = math.log(sys.float_info.min)
+# Stirling series coefficients of Loader's stirlerr, for k > 15
+_STIRLING = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
+
+
+def _bd0(x: float, mu: float) -> float:
+    """x log(x / mu) + mu - x without cancellation near x = mu (Loader 2000)."""
+    if abs(x - mu) < 0.1 * (x + mu):
+        v = (x - mu) / (x + mu)
+        s = (x - mu) * v
+        ej = 2.0 * x * v
+        j = 1
+        while True:
+            ej *= v * v
+            s1 = s + ej / (2 * j + 1)
+            if s1 == s:
+                return s1
+            s = s1
+            j += 1
+    return x * math.log(x / mu) + mu - x
+
+
+def _log_pmf(k: int, lam: float) -> float:
+    """log P(Poisson(lam) = k), for k > 15 in Loader's saddle-point form,
+    accurate to a few ulps where -lam + k log(lam) - lgamma(k + 1) loses
+    digits to cancellation."""
+    if k <= 15:
+        return -lam + k * math.log(lam) - math.lgamma(k + 1)
+    s0, s1, s2, s3, s4 = _STIRLING
+    k2 = 1.0 / (k * k)
+    stirlerr = (s0 - (s1 - (s2 - (s3 - s4 * k2) * k2) * k2) * k2) / k
+    return -stirlerr - _bd0(k, lam) - 0.5 * math.log(2 * math.pi * k)
 
 
 def _poisson_pmf_vector(lam: float, cap: int) -> np.ndarray:
-    """pmf(0..cap) of Poisson(lam), by the stable multiplicative recursion."""
+    """pmf(0..cap) of Poisson(lam), by the stable multiplicative recursion.
+
+    The recursion starts at exp(-lam).  Where that start underflows (lam
+    above about 708) it starts instead at the mode, or at the cap below it,
+    from a log-space value, and runs outward both ways.
+    """
     out = np.empty(cap + 1, dtype=np.float64)
-    out[0] = math.exp(-lam)
-    for k in range(1, cap + 1):
+    if -lam >= _LOG_TINY:
+        out[0] = math.exp(-lam)
+        for k in range(1, cap + 1):
+            out[k] = out[k - 1] * lam / k
+        return out
+    start = min(cap, int(lam))
+    out[start] = math.exp(_log_pmf(start, lam))
+    for k in range(start + 1, cap + 1):
         out[k] = out[k - 1] * lam / k
+    for k in range(start, 0, -1):
+        out[k - 1] = out[k] * k / lam
     return out
 
 
@@ -71,9 +118,19 @@ def _poisson_tail(lam: float, cap: int) -> float:
     """P(Poisson(lam) > cap) by forward summation of the tail terms.
 
     Summing the tail directly (rather than 1 - cdf) keeps tiny tails accurate
-    in absolute terms; terms decay superexponentially past the mode.
+    in absolute terms; terms decay superexponentially past the mode.  Where
+    the first term underflows, the pmf vector is summed instead, up to where
+    its terms underflow too; for weights whose exp(-lam) underflows it starts
+    at the mode, so the result never falls below the true tail by more than
+    rounding.
     """
     log_term = -lam + (cap + 1) * math.log(lam) - math.lgamma(cap + 2)
+    if log_term < _LOG_TINY:
+        # reached only with cap far below the mode (tail about 1) or far
+        # above it (tail below the double range); past lam + 40 sqrt(lam) the
+        # terms are below exp(-500) for every weight whose exp(-lam) underflows
+        last = max(cap + 1, int(lam + 40.0 * math.sqrt(lam) + 40.0))
+        return float(_poisson_pmf_vector(lam, last)[cap + 1 :].sum())
     term = math.exp(log_term)
     total = 0.0
     k = cap + 1
@@ -143,7 +200,8 @@ class StateTable:
     """All configurations under the caps with their product-Poisson weights.
 
     ``states`` has shape (S, n) in fixed lexicographic order, ``probs`` the
-    matching probabilities; their sum is at least 1 - tail_bound.
+    matching probabilities; their sum is at least 1 - tail_bound, and
+    ``build`` checks that up to rounding.
     """
 
     space: GroundSpace
@@ -161,6 +219,18 @@ class StateTable:
         for lam, cap in zip(space.weights, plan.caps):
             probs = np.multiply.outer(probs, _poisson_pmf_vector(lam, cap))
         probs = probs.reshape(-1)
+        # each pmf entry and tail comes out of O(cap + lam) roundings, the box
+        # product and the pairwise sum add O(n + log S); 64 ulps per unit of
+        # that count is the rounding allowance
+        total = float(probs.sum())
+        eps = 64 * sys.float_info.epsilon * (
+            sum(plan.caps) + space.total_mass + space.n + math.log2(probs.size)
+        )
+        if not 1.0 - plan.tail_bound - eps <= total <= 1.0 + eps:
+            raise TruncationError(
+                f"box mass {total!r} is outside [1 - tail_bound, 1] ="
+                f" [{1.0 - plan.tail_bound!r}, 1] by more than rounding ({eps:.1e})"
+            )
         states.setflags(write=False)
         probs.setflags(write=False)
         return cls(space, plan, states, probs)
@@ -209,23 +279,18 @@ def _check_finite(values: np.ndarray, states: np.ndarray, what: str) -> None:
 def exact_expectation(F: Functional, table: StateTable) -> ExactExpectation:
     """E[F] = sum_s probs(s) F(s) over the truncated table.
 
-    The error bound is tail_bound times the certified sup-norm bound when F
-    carries one, and tail_bound times the enumerated sup otherwise (heuristic
-    for unbounded F, reported as such).
+    F is evaluated in fixed-size slices of the table (``_sweep_rows``), so
+    memory is one (S,) value array plus a fixed 8 MiB of slice temporaries;
+    the sum and the sup run once over the full array.  The error bound is
+    tail_bound times the certified sup-norm bound when F carries one, and
+    tail_bound times the enumerated sup otherwise (heuristic for unbounded F,
+    reported as such).
     """
-    values = F.batch(table.states)
+    (values,) = _sweep_rows(lambda counts: (F.batch(counts),), table.states)
     _check_finite(values, table.states, F.name)
     value = float(table.probs @ values)
     sup = F.bound if F.bound is not None else float(np.abs(values).max())
     return ExactExpectation(value, table.plan.tail_bound * sup)
-
-
-def exact_pairing(F: Functional, u: RandomField, table: StateTable) -> float:
-    """E[ int u D+F dnu ] = sum_s probs(s) sum_z lambda_z u(s,z) D+_z F(s)."""
-    w = table.space.weights_array
-    vals = (w * u.values(table.states) * add_diff_all(F, table.states)).sum(axis=-1)
-    _check_finite(vals, table.states, f"pairing[{F.name},{u.name}]")
-    return float(table.probs @ vals)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +359,6 @@ def build_generator_matrix(table: StateTable) -> GeneratorMatrix:
     return GeneratorMatrix(matrix, leak, table.interior)
 
 
-def state_vector(F: Functional, table: StateTable) -> np.ndarray:
-    """F evaluated at every enumerated state, aligned with the table order."""
-    return F.batch(table.states)
-
-
 def ou_pseudo_inverse(
     F: Functional,
     table: StateTable,
@@ -328,7 +388,7 @@ def ou_pseudo_inverse(
             f"boundary leak {gen.boundary_leak:.3e} exceeds {max_leak:.3e};"
             f" tighten the truncation before inverting the generator"
         )
-    f = state_vector(F, table)
+    f = F.batch(table.states)
     centered = f - float(table.probs @ f) / table.total_prob
     S = table.state_count
     # Solve on the censored (conservative) variant: adding the killed rates
@@ -391,14 +451,17 @@ class ExactBackend:
     def paired(self, kernel) -> PairedValue:
         """Sweep a paired LHS/RHS kernel over the table.
 
-        ``kernel(states) -> (lhs_values, rhs_values)``; the defect expectation
-        is accumulated from the per-state differences.
+        ``kernel(counts) -> (lhs_values, rhs_values)`` is called on
+        consecutive fixed-size slices of the states (``_sweep_rows``), so
+        memory is the (S,) value arrays plus a fixed 8 MiB of slice
+        temporaries.  The expectations, the defect from the per-state
+        differences, the truncation term and the non-finite check all run
+        once over the full arrays, in table order.
         """
-        lhs, rhs = kernel(self.table.states)
-        lhs = np.asarray(lhs, dtype=np.float64)
-        rhs = np.asarray(rhs, dtype=np.float64)
-        _check_finite(lhs, self.table.states, "paired lhs")
-        _check_finite(rhs, self.table.states, "paired rhs")
+        states = self.table.states
+        lhs, rhs = _sweep_rows(kernel, states)
+        _check_finite(lhs, states, "paired lhs")
+        _check_finite(rhs, states, "paired rhs")
         diff = lhs - rhs
         sup = float(np.abs(diff).max()) if diff.size else 0.0
         return PairedValue(

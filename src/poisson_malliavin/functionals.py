@@ -10,9 +10,10 @@ identity suite only needs evaluation.
 
 Everything evaluates on batches.  A counts array of shape (..., n) maps to
 values of shape (...) for functionals and (..., n) for fields (one value per
-site), so the exact oracle can sweep a whole truncated state table and the
-Monte Carlo engine a whole sample block in single numpy calls.  Evaluations
-are pure, hence safe for concurrent use.
+site), so the exact oracle sweeps its truncated state table and the Monte Carlo
+engine its distinct sample rows in a few numpy calls, one per fixed-size
+slice of rows (``_sweep_rows``).  Evaluations are pure, hence safe for
+concurrent use.
 """
 from __future__ import annotations
 
@@ -224,6 +225,36 @@ def product_field(F: Functional, u: RandomField) -> RandomField:
 # ---------------------------------------------------------------------------
 # batch helpers used by the divergence, brackets, and engines
 # ---------------------------------------------------------------------------
+
+# byte budget of one (rows, n, n) float64 slab, the largest temporary an
+# add-side kernel builds
+_SWEEP_BYTES = 8 << 20
+
+
+def _sweep_rows(kernel, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Run ``kernel(counts) -> tuple of per-row values`` over the (m, n)
+    ``rows`` in consecutive slices of at most ``_SWEEP_BYTES // (8 n^2)``
+    rows, writing each output into a preallocated (m,) float64 array.
+
+    Kernels are row-wise, so every value equals a one-call sweep's bit for
+    bit, and callers reduce the returned full arrays: results do not depend
+    on the slice size.  Memory is the (m,) outputs plus one slice's
+    temporaries, whatever m is.
+    """
+    m, n = rows.shape
+    step = max(1, _SWEEP_BYTES // (8 * n * n))
+    outs: tuple[np.ndarray, ...] = ()
+    for start in range(0, m, step):
+        part = rows[start : start + step]
+        values = kernel(part)
+        if not outs:
+            outs = tuple(np.empty(m, dtype=np.float64) for _ in values)
+        for out, v in zip(outs, values):
+            out[start : start + len(part)] = np.asarray(v, dtype=np.float64).reshape(
+                len(part)
+            )
+    return outs
+
 
 def field_add_tensor(u: RandomField, counts: np.ndarray) -> np.ndarray:
     """T[..., z-1, zp-1] = u(eta + delta_z, zp).  Shape (..., n, n)."""

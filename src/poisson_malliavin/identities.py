@@ -521,18 +521,17 @@ def _chain_rule_defects(phi: ScalarMap, F: Functional, G: Functional, backend):
     """
     phiF = compose(phi, F)
     energy_fun = dirichlet_integrand(phiF, G)
-    states = backend.table.states
-    # phi'(F) Gamma(F, G) is both the paired right-hand side and the
-    # pointwise comparand, so it is evaluated once on the table
-    rhs = phi.deriv(F.batch(states)) * gamma_batch(F, G, states)
+    worst: list[float] = []
 
     def kernel(counts: np.ndarray):
-        assert counts is states, "the exact backend sweeps its own table"
+        # phi'(F) Gamma(F, G) is both the paired right-hand side and the
+        # pointwise comparand, so it is evaluated once per slice of states
+        rhs = phi.deriv(F.batch(counts)) * gamma_batch(F, G, counts)
+        worst.append(np.abs(gamma_batch(phiF, G, counts) - rhs).max())
         return energy_fun.batch(counts), rhs
 
     pv = backend.paired(kernel)
-    pointwise = float(np.abs(gamma_batch(phiF, G, states) - rhs).max())
-    return pv, pointwise
+    return pv, float(np.max(worst))
 
 
 def non_diffusion_counterexample(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteValueError
-from .functionals import Functional
+from .functionals import Functional, _sweep_rows
 from .ground import Configuration, GroundSpace
 from .operators import PairedValue
 
@@ -163,13 +163,15 @@ class MonteCarloBackend:
     def _sweep(self, kernel) -> tuple[np.ndarray, ...]:
         """Run ``kernel(counts) -> tuple of arrays`` over the worker blocks.
 
-        The kernel sees each distinct row once; its outputs are scattered back
-        to one value per sample and concatenated in worker-index order.
+        The kernel sees each distinct row once, in fixed-size slices of the
+        block (``_sweep_rows``), so memory is the per-row and per-sample
+        arrays plus a fixed 8 MiB of slice temporaries.  Outputs are checked
+        for non-finite values in draw order, scattered back to one value per
+        sample and concatenated in worker-index order.
         """
         chunks: list[tuple[np.ndarray, ...]] = []
         for rows, inverse in self._worker_blocks():
-            out = kernel(rows)
-            out = tuple(np.asarray(a, dtype=np.float64).reshape(len(rows)) for a in out)
+            out = _sweep_rows(kernel, rows)
             for arr in out:
                 finite = np.isfinite(arr)
                 if not finite.all():

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from typing import NamedTuple
 
@@ -145,12 +145,7 @@ def parse_config(obj: dict) -> SuiteConfig:
     except ValueError as exc:
         raise ConfigError(f"mc: {exc}") from exc
 
-    gates_obj = obj.get("gates", {})
-    known = {"exact", "mc_z", "pointwise", "counterexample_factor"}
-    unknown = set(gates_obj) - known
-    if unknown:
-        raise ConfigError(f"gates: unknown keys {sorted(unknown)}")
-    gates = Gates(**{k: float(v) for k, v in gates_obj.items()})
+    gates = Gates(**_parse_gates("gates", obj.get("gates", {})))
 
     points = int(obj.get("pointwise_samples", 200))
     if points < 1:
@@ -187,6 +182,41 @@ def parse_config(obj: dict) -> SuiteConfig:
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_gates(where: str, obj) -> dict[str, float]:
+    """Gate overrides by name; every value must be a JSON number."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: must be an object")
+    known = [f.name for f in fields(Gates)]
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; known: {known}")
+    for key, value in obj.items():
+        if not (_is_int(value) or isinstance(value, float)):
+            raise ConfigError(f"{where}.{key}: must be a number, got {value!r}")
+    return {key: float(value) for key, value in obj.items()}
+
+
+# binding values whose shape is checked at parse time: (accepts, what it
+# must be); the registry specs themselves are built per run
+_SHAPES = {
+    "Fs": (lambda v: isinstance(v, list), "a list of functional specs"),
+    "Gs": (lambda v: isinstance(v, list), "a list of functional specs"),
+    "sites": (
+        lambda v: isinstance(v, list) and all(_is_int(z) for z in v),
+        "a list of site numbers",
+    ),
+    "budget": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "phis": (
+        lambda v: isinstance(v, list) and all(isinstance(p, str) for p in v),
+        "a list of scalar map names",
+    ),
+}
+
+
 def _validate_case(i: int, case) -> None:
     where = f"cases[{i}]"
     if not isinstance(case, dict) or "identity" not in case:
@@ -197,9 +227,17 @@ def _validate_case(i: int, case) -> None:
             f"{where}.identity: unknown identity {identity!r};"
             f" known: {sorted(_IDENTITIES)}"
         )
-    for key in _IDENTITIES[identity].required:
+    entry = _IDENTITIES[identity]
+    for key in entry.required:
         if key not in case:
             raise ConfigError(f"{where}: identity {identity!r} needs binding {key!r}")
+    for key in entry.required + entry.optional:
+        if key in _SHAPES and key in case:
+            accepts, what = _SHAPES[key]
+            if not accepts(case[key]):
+                raise ConfigError(f"{where}.{key}: must be {what}, got {case[key]!r}")
+    if "gates" in case:
+        _parse_gates(f"{where}.gates", case["gates"])
     backend = case.get("backend")
     if backend not in (None, "exact", "mc", "both"):
         raise ConfigError(f"{where}.backend: must be 'exact', 'mc', or 'both'")

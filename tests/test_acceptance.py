@@ -52,7 +52,6 @@ from poisson_malliavin import (
     reports_to_json,
     run_suite,
     skorokhod_check,
-    state_vector,
     SiteSet,
 )
 from conftest import functional_pool, sample_batch
@@ -185,7 +184,7 @@ def test_spectral_sanity(space, exact):
     B = [1, 2]
     nuB = measure_of(space, SiteSet.of(B))
     centered = affine_of([(1.0, linear_count(space, B))], -nuB)
-    f = state_vector(centered, exact.table)
+    f = centered.batch(exact.table.states)
     eigen_defect = float(np.abs((gen.matrix @ f + f)[gen.interior]).max())
     if eigen_defect > 1e-10:
         issues.append(f"eigenvalue defect {eigen_defect:.3e}")

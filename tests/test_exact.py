@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson as poisson_dist
 
 from poisson_malliavin import (
@@ -11,13 +12,15 @@ from poisson_malliavin import (
     GroundSpace,
     SiteSet,
     StateTable,
+    TruncationError,
+    TruncationPlan,
     affine_of,
     bounded_sigmoid,
     build_generator_matrix,
     constant,
     deterministic_field,
+    duality_check,
     exact_expectation,
-    exact_pairing,
     functional_times_indicator,
     linear_count,
     measure_of,
@@ -25,7 +28,6 @@ from poisson_malliavin import (
     plan_truncation,
     poly_count,
     site_indicator_field,
-    state_vector,
 )
 
 
@@ -69,6 +71,44 @@ class TestPlanTruncation:
             plan_truncation(space, 1e-12, budget=10)
         assert err.value.required > 10
         assert err.value.budget == 10
+
+
+class TestLargeWeights:
+    """exp(-lam) underflows above lam ~ 708; the tails and the pmf must not."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        lam=st.floats(min_value=1e-3, max_value=300.0),
+        tol=st.sampled_from([1e-12, 1e-9, 1e-4, 0.5]),
+    )
+    def test_tail_and_box_mass_against_scipy(self, lam, tol):
+        space = GroundSpace((lam,))
+        table = StateTable.from_tolerance(space, tol)
+        (cap,) = table.plan.caps
+        tail = table.plan.tail_bound
+        # the tail bound never falls below the true tail by more than rounding
+        assert tail >= poisson_dist.sf(cap, lam) * (1.0 - 1e-10)
+        assert tail <= tol
+        if cap > 1:
+            assert poisson_dist.sf(cap - 1, lam) > tol * (1.0 - 1e-10)
+        assert table.total_prob == pytest.approx(poisson_dist.cdf(cap, lam), rel=1e-11)
+
+    @pytest.mark.parametrize("lam", [740.0, 760.0])
+    def test_weight_past_exp_underflow(self, lam):
+        table = StateTable.from_tolerance(GroundSpace((lam,)), 1e-12)
+        (cap,) = table.plan.caps
+        assert cap > lam
+        assert 0.0 < table.plan.tail_bound <= 1e-12
+        assert table.plan.tail_bound >= poisson_dist.sf(cap, lam) * (1.0 - 1e-10)
+        assert 1.0 - table.plan.tail_bound - 1e-14 <= table.total_prob <= 1.0
+        for k in [int(lam) - 100, int(lam), int(lam) + 100, cap]:
+            assert table.probs[k] == pytest.approx(poisson_dist.pmf(k, lam), rel=1e-11)
+
+    def test_build_rejects_mass_below_tail_bound(self):
+        # caps (1,) on weight 5 keep P(N <= 1) = 6 e^-5, far below 1 - 0
+        plan = TruncationPlan((1,), (0.0,), 0.0)
+        with pytest.raises(TruncationError):
+            StateTable.build(GroundSpace((5.0,)), plan)
 
 
 class TestStateTable:
@@ -130,21 +170,24 @@ class TestExactExpectation:
 
 
 class TestExactPairing:
+    """The pairing E int u D+F dnu is the right-hand side of the duality
+    check's paired sweep."""
+
     def test_zero_field(self, space, exact):
         u = deterministic_field(space, [0.0, 0.0, 0.0])
         F = poly_count(space, [1, 2], 2)
-        assert exact_pairing(F, u, exact.table) == 0.0
+        assert duality_check(F, u, exact).rhs == 0.0
 
     def test_indicator_pairing_equals_measure(self, space, exact):
         B = [1, 2]
         F = linear_count(space, B)
         u = site_indicator_field(space, B)
-        assert exact_pairing(F, u, exact.table) == pytest.approx(1.5, abs=1e-10)
+        assert duality_check(F, u, exact).rhs == pytest.approx(1.5, abs=1e-10)
 
     def test_pairing_matches_divergence_expectation(self, space, exact):
         """Duality at the oracle level: E[F delta u] computed as a plain
         expectation agrees with the pairing sweep."""
-        from poisson_malliavin import Functional, divergence_product_defect  # noqa: F401
+        from poisson_malliavin.functionals import add_diff_all
         from poisson_malliavin.operators import divergence_batch
 
         sig = bounded_sigmoid(space, [1, 2], 1.0)
@@ -155,18 +198,20 @@ class TestExactPairing:
         ]
         w = space.weights_array
         for F, u in pairs:
-            pairing = exact_pairing(F, u, exact.table)
+            report = duality_check(F, u, exact)
+            pairing = report.rhs
             vals = F.batch(exact.table.states) * divergence_batch(
                 u, exact.table.states
             )
             direct = float(exact.table.probs @ vals)
-            # duality holds in full expectation; on the box the sides differ
-            # by at most the omitted mass times the kernels' enumerated sups
-            from poisson_malliavin.functionals import add_diff_all
-
             pair_vals = (
                 w * u.values(exact.table.states) * add_diff_all(F, exact.table.states)
             ).sum(-1)
+            # the paired sweep reduces exactly these per-state values
+            assert report.lhs == direct
+            assert pairing == float(exact.table.probs @ pair_vals)
+            # duality holds in full expectation; on the box the sides differ
+            # by at most the omitted mass times the kernels' enumerated sups
             slack = exact.tail_bound * (
                 float(np.abs(vals).max()) + float(np.abs(pair_vals).max())
             )
@@ -216,7 +261,7 @@ class TestGeneratorMatrix:
         nuB = measure_of(space, SiteSet.of(B))
         F = affine_of([(1.0, linear_count(space, B))], -nuB)
         gen = build_generator_matrix(exact.table)
-        f = state_vector(F, exact.table)
+        f = F.batch(exact.table.states)
         applied = gen.matrix @ f
         assert np.abs(applied[gen.interior] + f[gen.interior]).max() <= 1e-10
 
@@ -248,7 +293,7 @@ class TestOuPseudoInverse:
         nuB = measure_of(space, SiteSet.of(B))
         F = linear_count(space, B)
         g = ou_pseudo_inverse(F, exact.table, tol=1e-9)
-        centered = state_vector(F, exact.table) - nuB
+        centered = F.batch(exact.table.states) - nuB
         # pi-weighted RMS distance to -centered; boundary states carry
         # negligible mass so the distance is tiny
         err = float(np.sqrt(exact.table.probs @ (g + centered) ** 2))
@@ -262,7 +307,7 @@ class TestOuPseudoInverse:
         gen = build_generator_matrix(exact.table)
         F = bounded_sigmoid(space, [1, 2], 1.0)
         g = ou_pseudo_inverse(F, exact.table, tol=1e-9, generator=gen)
-        f = state_vector(F, exact.table)
+        f = F.batch(exact.table.states)
         centered = f - float(exact.table.probs @ f)
         residual = gen.matrix @ g - centered
         assert np.abs(residual[gen.interior]).max() <= 1e-9

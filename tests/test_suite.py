@@ -4,9 +4,11 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poisson_malliavin import (
     ConfigError,
+    VerificationReport,
     identities,
     load_config,
     parse_config,
@@ -89,3 +91,90 @@ def test_checks_and_nested_specs_resolved_per_call(monkeypatch):
     (report,) = run_suite(parse_config(_config({"identity": "mecke", "u": u})), "exact")
     assert report.passed
     assert calls == ["functional_from_spec", "mecke_check"]
+
+
+LINEAR = [{"name": "linear_count", "B": [1]}]
+NON_DIFFUSION = {"identity": "non_diffusion", "phis": ["square"], "Fs": LINEAR, "Gs": LINEAR}
+BAD_VALUES = [
+    ("gates-unknown", {"identity": "mecke", "u": UNIT_FIELD, "gates": {"exactt": 1e-9}}, "cases[0].gates: unknown keys ['exactt']"),
+    ("gates-string", {"identity": "mecke", "u": UNIT_FIELD, "gates": {"exact": "1e-9"}}, "cases[0].gates.exact: must be a number"),
+    ("gates-bool", {"identity": "mecke", "u": UNIT_FIELD, "gates": {"exact": True}}, "cases[0].gates.exact: must be a number"),
+    ("gates-list", {"identity": "mecke", "u": UNIT_FIELD, "gates": [1e-9]}, "cases[0].gates: must be an object"),
+    ("sites-int", {"identity": "commutation", "u": UNIT_FIELD, "sites": 3}, "cases[0].sites: must be a list"),
+    ("sites-float", {"identity": "commutation", "u": UNIT_FIELD, "sites": [1.5]}, "cases[0].sites: must be a list"),
+    ("budget-float", dict(NON_DIFFUSION, budget=2.5), "cases[0].budget: must be a non-negative integer"),
+    ("budget-string", dict(NON_DIFFUSION, budget="3"), "cases[0].budget: must be a non-negative integer"),
+    ("budget-negative", dict(NON_DIFFUSION, budget=-1), "cases[0].budget: must be a non-negative integer"),
+    ("phis-string", dict(NON_DIFFUSION, phis="square"), "cases[0].phis: must be a list of scalar map names"),
+    ("phis-int", dict(NON_DIFFUSION, phis=[1]), "cases[0].phis: must be a list of scalar map names"),
+    ("Fs-spec", dict(NON_DIFFUSION, Fs=LINEAR[0]), "cases[0].Fs: must be a list of functional specs"),
+]
+
+
+@pytest.mark.parametrize("name, case, message", BAD_VALUES, ids=[b[0] for b in BAD_VALUES])
+def test_bad_case_value_is_config_error(name, case, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(_config(case))
+    assert str(err.value).startswith(message)
+
+
+def test_bad_top_level_gate_is_config_error():
+    with pytest.raises(ConfigError, match=r"^gates\.pointwise: must be a number"):
+        parse_config(dict(_config({"identity": "mecke", "u": UNIT_FIELD}), gates={"pointwise": "x"}))
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 5)
+    | st.floats(-2.0, 2.0)
+    | st.sampled_from(["", "square", "exact", "mc", "both", "x"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["exact", "mc_z", "pointwise", "counterexample_factor", "exactt"]),
+        inner,
+        max_size=2,
+    ),
+    max_leaves=4,
+)
+# valid registry specs per binding key; the registry's own spec checks are
+# tested in test_functionals
+_SPECS = {
+    "u": st.sampled_from([UNIT_FIELD, {"name": "site_indicator", "B": [1, 3]}]),
+    "v": st.just({"name": "site_indicator", "B": [2]}),
+    "F": st.sampled_from([{"name": "bounded_sigmoid", "B": [1, 2], "scale": 1.0}, LINEAR[0]]),
+    "G": st.just({"name": "indicator_leq", "B": [2, 3], "m": 1}),
+    "Phi": st.just({"name": "indicator_leq", "B": [1], "m": 1}),
+    "Fs": st.just(LINEAR),
+    "Gs": st.just(LINEAR),
+    "phis": st.just(["square"]),
+}
+_PER_CASE = ("gates", "sites", "budget", "phis", "backend")
+
+
+@st.composite
+def _json_cases(draw):
+    identity = draw(st.sampled_from(sorted(_IDENTITIES)))
+    case = {"identity": identity}
+    for key in _IDENTITIES[identity].required:
+        case[key] = draw(_SPECS[key])
+    for key in _PER_CASE:
+        if draw(st.booleans()):
+            case[key] = draw(_JSON)
+    return case
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_json_cases())
+def test_json_case_reports_or_config_error(case):
+    """Whatever JSON a case's per-case values hold, the suite either runs
+    it, failed checks included, or rejects it with a ConfigError naming the
+    case; no other exception escapes."""
+    obj = dict(_config(case), truncation={"tol": 1e-6}, pointwise_samples=20)
+    try:
+        cfg = parse_config(obj)
+    except ConfigError as err:
+        assert str(err).startswith("cases[0]")
+        return
+    reports = run_suite(cfg, "exact")
+    assert all(isinstance(r, VerificationReport) for r in reports)
