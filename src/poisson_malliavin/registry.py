@@ -12,6 +12,8 @@ exact oracle's rigorous truncation error bounds and the boundedness checks.
 """
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -323,6 +325,44 @@ _FIELDS: dict[str, tuple[tuple[str, ...], Callable]] = {
 _DEFAULTS = {"constant": 0.0}
 
 
+def _is_real(value) -> bool:
+    """A number within the double range; bools, inf and nan are not."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and _is_real(value)
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, (list, tuple))
+
+
+# parameter key -> (accepts, what it must be), shared by every spec name that
+# takes the key; nested specs are checked when they are built
+_PARAMS: dict[str, tuple[Callable[[object], bool], str]] = {
+    "B": (lambda v: _is_list(v) and all(map(_is_int, v)), "a list of site numbers"),
+    "degree": (_is_int, "an integer"),
+    "m": (_is_int, "an integer"),
+    "value": (_is_real, "a number"),
+    "scale": (_is_real, "a number"),
+    "constant": (_is_real, "a number"),
+    "values": (lambda v: _is_list(v) and all(map(_is_real, v)), "a list of numbers"),
+    "phi": (lambda v: isinstance(v, str), "a scalar map name"),
+    "F": (lambda v: isinstance(v, Mapping), "a functional spec"),
+    "factors": (_is_list, "a list of functional specs"),
+    "terms": (
+        lambda v: _is_list(v)
+        and all(_is_list(t) and len(t) == 2 and _is_real(t[0]) for t in v),
+        "a list of [coefficient, functional spec] pairs",
+    ),
+}
+
+
 def _from_spec(kind: str, table: dict, space: GroundSpace, spec: Mapping):
     if not isinstance(spec, Mapping) or "name" not in spec:
         raise ConfigError(f"{kind} spec must be an object with a 'name': {spec!r}")
@@ -333,7 +373,14 @@ def _from_spec(kind: str, table: dict, space: GroundSpace, spec: Mapping):
     missing = [k for k in keys if k not in spec and k not in _DEFAULTS]
     if missing:
         raise ConfigError(f"spec {dict(spec)!r} is missing keys {missing}")
-    return build(space, *[spec.get(k, _DEFAULTS.get(k)) for k in keys])
+    values = [spec.get(k, _DEFAULTS.get(k)) for k in keys]
+    for key, value in zip(keys, values):
+        accepts, what = _PARAMS[key]
+        if not accepts(value):
+            raise ConfigError(
+                f"{kind} spec {name!r}: {key!r} must be {what}, got {value!r}"
+            )
+    return build(space, *values)
 
 
 def functional_from_spec(space: GroundSpace, spec: Mapping) -> Functional:

@@ -28,7 +28,7 @@ from .exact import DEFAULT_BUDGET, ExactBackend
 from .ground import GroundSpace, SiteSet
 from .identities import Gates, VerificationReport
 from .montecarlo import MonteCarloBackend, SamplerConfig
-from .registry import field_from_spec, functional_from_spec
+from .registry import _is_int, _is_real, field_from_spec, functional_from_spec
 
 __all__ = [
     "SuiteConfig",
@@ -182,12 +182,8 @@ def parse_config(obj: dict) -> SuiteConfig:
     )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_gates(where: str, obj) -> dict[str, float]:
-    """Gate overrides by name; every value must be a JSON number."""
+    """Gate overrides by name; every value must be a finite JSON number."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: must be an object")
     known = [f.name for f in fields(Gates)]
@@ -195,7 +191,7 @@ def _parse_gates(where: str, obj) -> dict[str, float]:
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; known: {known}")
     for key, value in obj.items():
-        if not (_is_int(value) or isinstance(value, float)):
+        if not _is_real(value):
             raise ConfigError(f"{where}.{key}: must be a number, got {value!r}")
     return {key: float(value) for key, value in obj.items()}
 

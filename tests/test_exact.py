@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import poisson as poisson_dist
 
 from poisson_malliavin import (
@@ -21,12 +24,14 @@ from poisson_malliavin import (
     deterministic_field,
     duality_check,
     exact_expectation,
+    functional_from_spec,
     functional_times_indicator,
     linear_count,
     measure_of,
     ou_pseudo_inverse,
     plan_truncation,
     poly_count,
+    random_functional_spec,
     site_indicator_field,
 )
 
@@ -124,6 +129,29 @@ class TestStateTable:
         assert states[1].tolist() == [0, 0, 1]  # last site varies fastest
         flat = [tuple(s) for s in states]
         assert flat == sorted(flat)
+
+    @pytest.mark.parametrize("weights, tol", [((0.5, 1.0, 1.5), 1e-12), ((0.7, 2.3, 0.05, 1.1), 1e-6)])
+    def test_states_equal_meshgrid(self, weights, tol):
+        table = StateTable.from_tolerance(GroundSpace(weights), tol)
+        grids = np.meshgrid(
+            *[np.arange(cap + 1, dtype=np.int64) for cap in table.plan.caps], indexing="ij"
+        )
+        expected = np.stack(grids, axis=-1).reshape(-1, len(weights))
+        assert table.states.dtype == expected.dtype
+        assert table.states.tobytes() == expected.tobytes()
+
+    def test_build_peak_is_the_table(self):
+        # 5 unit-weight sites at tol 1e-9: 13^5 = 371,293 states
+        space = GroundSpace((1.0,) * 5)
+        plan = plan_truncation(space, 1e-9)
+        tracemalloc.start()
+        try:
+            table = StateTable.build(space, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.state_count == 371_293
+        assert peak <= 1.15 * (table.states.nbytes + table.probs.nbytes)
 
     def test_probs_match_independent_pmf_product(self, space):
         table = StateTable.from_tolerance(space, 1e-8)
@@ -313,6 +341,79 @@ class TestOuPseudoInverse:
         assert np.abs(residual[gen.interior]).max() <= 1e-9
         # centering constraint holds exactly up to rounding
         assert abs(float(exact.table.probs @ g)) <= 1e-12
+
+    def test_contract_measured_against_solved_vector(self):
+        # 4,096 states: the box-normalised and the enumerated mean differ by
+        # 1.8e-9 here, more than the solve tolerance, while the solve itself
+        # is exact to rounding
+        table = StateTable.from_tolerance(GroundSpace((0.3,) * 4), 1e-8)
+        F = bounded_sigmoid(table.space, [1, 2], 1.0)
+        gen = build_generator_matrix(table)
+        g = ou_pseudo_inverse(F, table, tol=1e-9, generator=gen)
+        f = F.batch(table.states)
+        shift = float(table.probs @ f) * (1.0 / table.total_prob - 1.0)
+        assert shift > 1e-9
+        residual = gen.matrix @ g - (f - float(table.probs @ f) / table.total_prob)
+        assert np.abs(residual[gen.interior]).max() <= 1e-12
+
+    def test_mean_shift_beyond_tail_bound_raises(self, space, exact):
+        t = exact.table
+        halved = StateTable(t.space, t.plan, t.states, t.probs * 0.5)
+        with pytest.raises(TruncationError, match="box-normalised mean"):
+            ou_pseudo_inverse(linear_count(space, [1]), halved, tol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        weights=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=3),
+        tol=st.floats(1e-10, 1e-4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_solve_of_grounded_system(self, weights, tol, seed):
+        space = GroundSpace(tuple(weights))
+        try:
+            table = StateTable.build(space, plan_truncation(space, tol, budget=2000))
+        except BudgetExceededError:
+            assume(False)
+        F = functional_from_spec(
+            space, random_functional_spec(np.random.default_rng(seed), space.n)
+        )
+        gen = build_generator_matrix(table)
+        g = ou_pseudo_inverse(F, table, tol=tol, max_leak=1.0, generator=gen)
+
+        # reference: the conservative generator grounded at the mode, dense
+        f = F.batch(table.states)
+        centered = f - float(table.probs @ f) / table.total_prob
+        caps = np.asarray(table.plan.caps)
+        killed = (table.states == caps) @ space.weights_array
+        A = gen.matrix.toarray() + np.diag(killed)
+        keep = np.arange(table.state_count) != np.argmax(table.probs)
+        y = np.zeros(table.state_count)
+        y[keep] = np.linalg.solve(A[np.ix_(keep, keep)], centered[keep])
+        ref = y - float(table.probs @ y) / table.total_prob
+
+        scale = max(np.abs(ref).max(), np.abs(f).max())
+        assert np.abs(g - ref).max() <= 1e-10 * scale
+        residual = gen.matrix @ g - centered
+        assert np.abs(residual[gen.interior]).max() <= tol
+
+    def test_factor_keeps_diagonal_pivots_and_low_fill(self, monkeypatch):
+        # the largest table of the ou_solve benchmark: 4 sites at weight 0.3
+        table = StateTable.from_tolerance(GroundSpace((0.3,) * 4), 1e-10)
+        assert table.state_count == 10_000
+        factors = []
+        splu = spla.splu
+
+        def recording_splu(*args, **kwargs):
+            factors.append(splu(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(spla, "splu", recording_splu)
+        ou_pseudo_inverse(bounded_sigmoid(table.space, [1, 2], 1.0), table, tol=1e-9)
+        (lu,) = factors
+        # minimum degree on A + A^T: 6.1e6; COLAMD with partial pivoting: 15.4e6
+        assert lu.L.nnz + lu.U.nnz <= 7e6
+        # SuperLU kept every pivot on the diagonal
+        assert (lu.perm_r == lu.perm_c).all()
 
     def test_refuses_excessive_leak(self, space):
         loose = ExactBackend(space, tol=0.2)

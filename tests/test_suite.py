@@ -1,6 +1,7 @@
 """The suite runner: one identity table drives validation, case ids and runs."""
 from __future__ import annotations
 
+import copy
 import hashlib
 
 import pytest
@@ -99,6 +100,7 @@ BAD_VALUES = [
     ("gates-unknown", {"identity": "mecke", "u": UNIT_FIELD, "gates": {"exactt": 1e-9}}, "cases[0].gates: unknown keys ['exactt']"),
     ("gates-string", {"identity": "mecke", "u": UNIT_FIELD, "gates": {"exact": "1e-9"}}, "cases[0].gates.exact: must be a number"),
     ("gates-bool", {"identity": "mecke", "u": UNIT_FIELD, "gates": {"exact": True}}, "cases[0].gates.exact: must be a number"),
+    ("gates-nan", {"identity": "mecke", "u": UNIT_FIELD, "gates": {"exact": float("nan")}}, "cases[0].gates.exact: must be a number"),
     ("gates-list", {"identity": "mecke", "u": UNIT_FIELD, "gates": [1e-9]}, "cases[0].gates: must be an object"),
     ("sites-int", {"identity": "commutation", "u": UNIT_FIELD, "sites": 3}, "cases[0].sites: must be a list"),
     ("sites-float", {"identity": "commutation", "u": UNIT_FIELD, "sites": [1.5]}, "cases[0].sites: must be a list"),
@@ -123,6 +125,29 @@ def test_bad_top_level_gate_is_config_error():
         parse_config(dict(_config({"identity": "mecke", "u": UNIT_FIELD}), gates={"pointwise": "x"}))
 
 
+BAD_SPEC_PARAMS = [
+    ("B-int", {"identity": "mecke", "u": {"name": "site_indicator", "B": 3}},
+     "field spec 'site_indicator': 'B' must be a list of site numbers, got 3"),
+    ("values-string", {"identity": "mecke", "u": {"name": "deterministic", "values": "ab"}},
+     "field spec 'deterministic': 'values' must be a list of numbers, got 'ab'"),
+    ("nested-degree-string",
+     {"identity": "mecke", "u": {"name": "functional_times_indicator", "B": [1],
+                                 "F": {"name": "poly_count", "B": [1], "degree": "x"}}},
+     "functional spec 'poly_count': 'degree' must be an integer, got 'x'"),
+    ("scale-past-double-range",
+     {"identity": "mecke", "u": {"name": "functional_times_indicator", "B": [1],
+                                 "F": {"name": "bounded_sigmoid", "B": [1], "scale": 10**400}}},
+     f"functional spec 'bounded_sigmoid': 'scale' must be a number, got {10**400!r}"),
+]
+
+
+@pytest.mark.parametrize("name, case, message", BAD_SPEC_PARAMS, ids=[b[0] for b in BAD_SPEC_PARAMS])
+def test_bad_spec_param_is_failed_report(name, case, message):
+    (report,) = run_suite(parse_config(_config(case)), "exact")
+    assert not report.passed
+    assert report.error == f"ConfigError: {message}"
+
+
 _JSON = st.recursive(
     st.none()
     | st.booleans()
@@ -137,12 +162,24 @@ _JSON = st.recursive(
     ),
     max_leaves=4,
 )
-# valid registry specs per binding key; the registry's own spec checks are
-# tested in test_functionals
+# valid registry specs per binding key, nested ones included; the property
+# below replaces one of their parameters, at any depth, by any JSON value
+POLY = {"name": "poly_count", "B": [1, 3], "degree": 2}
 _SPECS = {
-    "u": st.sampled_from([UNIT_FIELD, {"name": "site_indicator", "B": [1, 3]}]),
+    "u": st.sampled_from([
+        UNIT_FIELD,
+        {"name": "site_indicator", "B": [1, 3]},
+        {"name": "functional_times_indicator", "B": [1, 2], "F": POLY},
+        {"name": "count_times_deterministic", "B": [2], "values": [1.0, 0.5, 0.0]},
+        {"name": "derivative", "F": {"name": "compose", "phi": "tanh", "F": POLY}},
+    ]),
     "v": st.just({"name": "site_indicator", "B": [2]}),
-    "F": st.sampled_from([{"name": "bounded_sigmoid", "B": [1, 2], "scale": 1.0}, LINEAR[0]]),
+    "F": st.sampled_from([
+        {"name": "bounded_sigmoid", "B": [1, 2], "scale": 1.0},
+        LINEAR[0],
+        {"name": "affine", "terms": [[0.5, LINEAR[0]]], "constant": 1.0},
+        {"name": "product", "factors": [POLY, {"name": "constant", "value": 2.0}]},
+    ]),
     "G": st.just({"name": "indicator_leq", "B": [2, 3], "m": 1}),
     "Phi": st.just({"name": "indicator_leq", "B": [1], "m": 1}),
     "Fs": st.just(LINEAR),
@@ -152,12 +189,35 @@ _SPECS = {
 _PER_CASE = ("gates", "sites", "budget", "phis", "backend")
 
 
+def _param_paths(value, path=()):
+    """Paths to every value inside a spec (or list of specs) but the names."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, inner in items:
+        if key != "name":
+            yield path + (key,)
+        if isinstance(inner, (dict, list)):
+            yield from _param_paths(inner, path + (key,))
+
+
+@st.composite
+def _json_spec(draw, key):
+    spec = copy.deepcopy(draw(_SPECS[key]))
+    paths = list(_param_paths(spec))
+    if paths and draw(st.booleans()):
+        *outer, last = draw(st.sampled_from(paths))
+        parent = spec
+        for step in outer:
+            parent = parent[step]
+        parent[last] = draw(_JSON)
+    return spec
+
+
 @st.composite
 def _json_cases(draw):
     identity = draw(st.sampled_from(sorted(_IDENTITIES)))
     case = {"identity": identity}
     for key in _IDENTITIES[identity].required:
-        case[key] = draw(_SPECS[key])
+        case[key] = draw(_json_spec(key))
     for key in _PER_CASE:
         if draw(st.booleans()):
             case[key] = draw(_JSON)
@@ -167,9 +227,10 @@ def _json_cases(draw):
 @settings(max_examples=40, deadline=None)
 @given(case=_json_cases())
 def test_json_case_reports_or_config_error(case):
-    """Whatever JSON a case's per-case values hold, the suite either runs
-    it, failed checks included, or rejects it with a ConfigError naming the
-    case; no other exception escapes."""
+    """Whatever JSON a case's per-case values or its registry spec
+    parameters hold, the suite either runs it, failed checks included, or
+    rejects it with a ConfigError naming the case; no other exception
+    escapes."""
     obj = dict(_config(case), truncation={"tol": 1e-6}, pointwise_samples=20)
     try:
         cfg = parse_config(obj)
