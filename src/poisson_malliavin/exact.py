@@ -15,6 +15,11 @@ diagonal keeps the full outflow rate, so the matrix is the honest restriction
 of the generator with out-of-box jumps killed; the killed mass is surfaced as
 ``boundary_leak`` rather than silently folded back in.  Rows at interior
 states (no site at its cap) agree with the untruncated operator exactly.
+``ou_pseudo_inverse`` inverts it on centred vectors through the
+conservative generator, a Kronecker sum of per-site birth-death chains: the
+widest site's chain is put in real Schur form, and block back-substitution
+over that site's levels factors one sparse M-matrix over the other sites per
+level.
 
 State enumeration order is lexicographic in the counts and fixed, so values
 and reports are byte-reproducible run to run.
@@ -27,12 +32,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
     BoundaryLeakError,
     BudgetExceededError,
+    ConfigError,
     NonFiniteValueError,
     SolverError,
     TruncationError,
@@ -40,6 +47,7 @@ from .errors import (
 from .functionals import Functional, _sweep_rows
 from .ground import GroundSpace
 from .operators import PairedValue
+from .registry import _is_real
 
 __all__ = [
     "TruncationPlan",
@@ -375,6 +383,97 @@ def build_generator_matrix(table: StateTable) -> GeneratorMatrix:
     return GeneratorMatrix(matrix, leak, table.interior)
 
 
+# sites with more levels are not diagonalised: a dense Schur form and its
+# application cost m^3 and m S flops
+_MAX_SCHUR_LEVELS = 256
+# minimum degree on the pattern of A + A^T with diagonal pivots, for the
+# M-matrix blocks of the generator solve (see ``ou_pseudo_inverse``)
+_LU_OPTIONS = {
+    "permc_spec": "MMD_AT_PLUS_A",
+    "diag_pivot_thresh": 0.0,
+    "options": {"SymmetricMode": True},
+}
+
+
+def _site_chain(lam: float, cap: int) -> sp.csr_matrix:
+    """Conservative generator of one site on {0..cap}: birth rate lam below
+    the cap, death rate k at level k, reflected at the cap."""
+    k = np.arange(cap + 1, dtype=np.float64)
+    outflow = k + np.where(k < cap, lam, 0.0)
+    return sp.diags([k[1:], -outflow, np.full(cap, lam)], [-1, 0, 1], format="csr")
+
+
+def _site_schur(lam: float, cap: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Real Schur form A = U R U^T of one site's chain, zero eigenvalue first.
+
+    The chain is reversible, so its spectrum is real: 0, then values at or
+    below -1 (gap 1.000 measured for weights 0.05-120).  From weight about
+    150 on, rounding of the strongly non-normal chain splits eigenvalues into
+    complex pairs and leaves 2x2 blocks in R; the site is then not
+    diagonalised (None).
+    """
+    R, U, sorted_count = sla.schur(
+        _site_chain(lam, cap).toarray(), output="real", sort=lambda re, im: re > -0.5
+    )
+    if np.tril(R, -1).any():
+        return None
+    if sorted_count != 1:
+        raise SolverError(
+            f"chain of a site at weight {lam} with cap {cap} has {sorted_count}"
+            f" eigenvalues above -0.5, not the zero eigenvalue alone"
+        )
+    return U, R
+
+
+def _solve_conservative(table: StateTable, rhs: np.ndarray) -> np.ndarray:
+    """A solution y of A y = rhs, A the conservative generator of the box,
+    for a right-hand side with sum_s probs(s) rhs(s) = 0 up to rounding.
+
+    A = A_c (x) I + I (x) A_rest, with c the widest site (ties: lowest index)
+    with at most ``_MAX_SCHUR_LEVELS`` levels whose Schur form is triangular.
+    With A_c = U R U^T and the site's levels as rows, A y = rhs reads
+    R Y + Y A_rest^T = U^T rhs, solved block row by block row from the last.
+    Without such a site the whole box is the grounded block.
+    """
+    caps = table.plan.caps
+    weights = table.space.weights
+    site, U, R = None, np.ones((1, 1)), np.zeros((1, 1))
+    for z in sorted(range(len(caps)), key=lambda z: -caps[z]):
+        schur = _site_schur(weights[z], caps[z]) if caps[z] < _MAX_SCHUR_LEVELS else None
+        if schur is not None:
+            site, (U, R) = z, schur
+            break
+    others = [z for z in range(len(caps)) if z != site]
+    rest = sp.csr_matrix((1, 1))
+    for z in others:  # the last site varies fastest, as in the table
+        rest = sp.kronsum(_site_chain(weights[z], caps[z]), rest, format="csr")
+
+    shape = tuple(cap + 1 for cap in caps)
+    m = U.shape[0]
+
+    def site_first(v: np.ndarray) -> np.ndarray:
+        grid = v.reshape(shape)
+        return (grid if site is None else np.moveaxis(grid, site, 0)).reshape(m, -1)
+
+    B = U.T @ site_first(rhs)
+    # the rest's mode: the site's marginal factors out of the box probs
+    keep = np.ones(B.shape[1], dtype=bool)
+    keep[int(np.argmax(site_first(table.probs).sum(axis=0)))] = False
+    eye = sp.identity(B.shape[1], format="csr")
+    Y = np.zeros_like(B)
+    for j in range(m - 1, -1, -1):
+        b = B[j] - R[j, j + 1 :] @ Y[j + 1 :]
+        if j:
+            Y[j] = spla.splu((rest + R[j, j] * eye).tocsc(), **_LU_OPTIONS).solve(b)
+        elif keep.any():
+            grounded = rest[keep][:, keep].tocsc()
+            Y[0, keep] = spla.splu(grounded, **_LU_OPTIONS).solve(b[keep])
+    X = U @ Y
+    if site is not None:
+        X = np.moveaxis(X.reshape((m,) + tuple(shape[z] for z in others)), 0, site)
+    return X.reshape(-1)
+
+
 def ou_pseudo_inverse(
     F: Functional,
     table: StateTable,
@@ -392,28 +491,41 @@ def ou_pseudo_inverse(
 
     The solve runs on the censored (conservative) generator: adding the
     killed rates back to the diagonal makes its kernel exactly the constants,
-    and its interior rows still agree with the untruncated generator.  The
-    equation at the most probable state is dropped and g fixed to 0 there
-    (the chain returns to it at an O(1) rate, so the reduced matrix is well
-    conditioned); the centred right-hand side makes the dropped equation hold
-    automatically, and g is re-centred afterwards.
+    and its interior rows still agree with the untruncated generator.  That
+    generator is a Kronecker sum A = A_c (x) I + I (x) A_rest of per-site
+    birth-death chains.  The widest site c (ties: lowest index) is
+    diagonalised by a real Schur form A_c = U R U^T, zero eigenvalue first,
+    and the rest is solved block by block, one level of c at a time from the
+    last: (A_rest + R[j, j] I) y_j = (U^T b)_j - sum_{k > j} R[j, k] y_k.
+    Each R[j, j] with j >= 1 is at most -0.5 by the sort (-1 measured), so
+    minus the block is a strictly diagonally dominant M-matrix; the j = 0
+    block is the singular generator of the other sites, grounded at their
+    most probable state (the chain returns to it at an O(1) rate, so the
+    grounded block is well conditioned) and an irreducibly diagonally
+    dominant M-matrix too.  Every symmetric permutation of an M-matrix is
+    one, so elimination in any symmetric order needs no pivoting: SuperLU
+    factors each block with a minimum-degree order on the pattern of
+    A + A^T and diagonal pivots (``perm_r == perm_c``).  The centred
+    right-hand side makes the dropped grounding equation hold
+    automatically; g = U Y is re-centred afterwards.  A site whose chain
+    rounds into complex eigenvalue pairs (weights above about 150) or that
+    has more than ``_MAX_SCHUR_LEVELS`` levels is not diagonalised; with no
+    other site left, the whole box is the grounded block.
 
-    Minus the reduced matrix is an irreducibly diagonally dominant,
-    nonsingular M-matrix, and every symmetric permutation of it is one too,
-    so Gaussian elimination in any symmetric order needs no pivoting and
-    stays stable.  The generator is a Kronecker sum of birth-death chains,
-    so its pattern is symmetric.  SuperLU therefore factors it with a
-    minimum-degree order on the pattern of A + A^T and diagonal pivots
-    (``perm_r == perm_c``).  On 4 sites at weight 0.3 that is 6.1 M L+U
-    nonzeros at 10,000 states, against 15.4 M with the default COLAMD order
-    and partial pivoting, and 1.2 s against 4.4 s; solving the 4,096-,
-    6,561- and 10,000-state boxes in one process peaks at 151 MiB RSS,
-    against 343 MiB.
+    On 4 sites at weight 0.3, the boxes of 4,096, 6,561 and 10,000 states
+    take 8, 9 and 10 factors holding 0.19 M, 0.34 M and 0.67 M L+U nonzeros
+    and solve in 0.03, 0.03 and 0.06 s; one factor of the whole grounded box
+    holds 1.37 M, 3.16 M and 6.11 M and takes 0.14, 0.52 and 1.25 s.
 
-    Refuses to solve when the boundary leak exceeds ``max_leak``, and reports
-    the achieved residual if the interior contract
-    ``|L g - (F - E_box F)| <= tol`` is missed.
+    Refuses a ``tol`` that is not a finite number > 0 or a ``max_leak`` that
+    is not a finite number >= 0 (``ConfigError``), refuses to solve when the
+    boundary leak exceeds ``max_leak``, and reports the achieved residual if
+    the interior contract ``|L g - (F - E_box F)| <= tol`` is missed.
     """
+    if not (_is_real(tol) and tol > 0.0):
+        raise ConfigError(f"solve tol must be a finite number > 0, got {tol!r}")
+    if not (_is_real(max_leak) and max_leak >= 0.0):
+        raise ConfigError(f"max_leak must be a finite number >= 0, got {max_leak!r}")
     gen = generator if generator is not None else build_generator_matrix(table)
     if gen.boundary_leak > max_leak:
         raise BoundaryLeakError(
@@ -435,22 +547,7 @@ def ou_pseudo_inverse(
             f" more than tail_bound * max|F| allows ({allowed:.3e})"
         )
     centered = f - box_mean
-    S = table.state_count
-    caps = np.asarray(table.plan.caps, dtype=np.int64)
-    killed_rate = (table.states == caps) @ table.space.weights_array
-    conservative = (gen.matrix + sp.diags(killed_rate)).tocsr()
-    mode = int(np.argmax(table.probs))
-    keep = np.ones(S, dtype=bool)
-    keep[mode] = False
-    reduced = conservative[keep][:, keep].tocsc()
-    lu = spla.splu(
-        reduced,
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-    y = np.zeros(S)
-    y[keep] = lu.solve(centered[keep])
+    y = _solve_conservative(table, centered)
     g = y - float(table.probs @ y) / table.total_prob
     residual = gen.matrix @ g - centered
     worst = float(np.abs(residual[gen.interior]).max())

@@ -190,7 +190,7 @@ def derivative_field(F: Functional) -> RandomField:
 
     def fn(counts: np.ndarray) -> np.ndarray:
         plus = counts[..., None, :] + _eye(n)
-        return F.fn(plus) - np.asarray(F.fn(counts))[..., None]
+        return F.batch(plus) - F.batch(counts)[..., None]
 
     return RandomField(
         space=F.space,
@@ -208,7 +208,7 @@ def product_field(F: Functional, u: RandomField) -> RandomField:
         raise ShapeError("functional and field live on different ground spaces")
 
     def fn(counts: np.ndarray) -> np.ndarray:
-        return np.asarray(F.fn(counts))[..., None] * np.asarray(u.fn(counts))
+        return F.batch(counts)[..., None] * u.values(counts)
 
     bound = None
     if F.bound is not None and u.bound is not None:

@@ -412,7 +412,7 @@ def _shifted_diff_field(u: RandomField, z_index: int) -> RandomField:
     row = _eye(u.space.n)[z_index]
 
     def fn(counts: np.ndarray) -> np.ndarray:
-        return np.asarray(u.fn(counts + row)) - np.asarray(u.fn(counts))
+        return u.values(counts + row) - u.values(counts)
 
     return RandomField(u.space, fn, f"D+_{z_index + 1}({u.name})", {})
 

@@ -122,9 +122,9 @@ def product_of(*factors: Functional) -> Functional:
             raise ConfigError("product factors must share one ground space")
 
     def fn(c: np.ndarray) -> np.ndarray:
-        out = np.asarray(factors[0].fn(c), dtype=np.float64)
+        out = factors[0].batch(c)
         for f in factors[1:]:
-            out = out * f.fn(c)
+            out = out * f.batch(c)
         return out
 
     bound = None
@@ -150,7 +150,7 @@ def affine_of(
     def fn(c: np.ndarray) -> np.ndarray:
         out = np.full(c.shape[:-1], c0)
         for a, f in coeffs:
-            out = out + a * f.fn(c)
+            out = out + a * f.batch(c)
         return out
 
     bound = None
@@ -200,7 +200,7 @@ def compose(phi: ScalarMap | str, F: Functional) -> Functional:
         phi = scalar_map(phi)
 
     def fn(c: np.ndarray) -> np.ndarray:
-        return phi.fn(np.asarray(F.fn(c), dtype=np.float64))
+        return phi.fn(F.batch(c))
 
     bound = None if F.bound is None else float(phi.bound_map(F.bound))
     if phi.name == "tanh":
@@ -244,7 +244,7 @@ def functional_times_indicator(space: GroundSpace, B, F: Functional) -> RandomFi
     mask = B.mask(space)
 
     def fn(c: np.ndarray) -> np.ndarray:
-        return np.asarray(F.fn(c), dtype=np.float64)[..., None] * mask
+        return F.batch(c)[..., None] * mask
 
     return RandomField(
         space,

@@ -34,6 +34,36 @@ from poisson_malliavin import (
     random_functional_spec,
     site_indicator_field,
 )
+from poisson_malliavin import exact as exact_module
+from poisson_malliavin.errors import ConfigError, SolverError
+from poisson_malliavin.exact import _site_chain, _site_schur
+
+
+def _record_factors(monkeypatch) -> list:
+    """Keep every LU factor ``spla.splu`` returns while the test runs."""
+    factors = []
+    splu = spla.splu
+
+    def recording_splu(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    return factors
+
+
+def _dense_grounded_reference(F, table):
+    """The conservative generator grounded at the mode, solved dense and
+    re-centred; returns it with F's state vector."""
+    gen = build_generator_matrix(table)
+    f = F.batch(table.states)
+    centered = f - float(table.probs @ f) / table.total_prob
+    killed = (table.states == np.asarray(table.plan.caps)) @ table.space.weights_array
+    A = gen.matrix.toarray() + np.diag(killed)
+    keep = np.arange(table.state_count) != np.argmax(table.probs)
+    y = np.zeros(table.state_count)
+    y[keep] = np.linalg.solve(A[np.ix_(keep, keep)], centered[keep])
+    return y - float(table.probs @ y) / table.total_prob, f
 
 
 class TestPlanTruncation:
@@ -400,20 +430,84 @@ class TestOuPseudoInverse:
         # the largest table of the ou_solve benchmark: 4 sites at weight 0.3
         table = StateTable.from_tolerance(GroundSpace((0.3,) * 4), 1e-10)
         assert table.state_count == 10_000
-        factors = []
-        splu = spla.splu
-
-        def recording_splu(*args, **kwargs):
-            factors.append(splu(*args, **kwargs))
-            return factors[-1]
-
-        monkeypatch.setattr(spla, "splu", recording_splu)
+        factors = _record_factors(monkeypatch)
         ou_pseudo_inverse(bounded_sigmoid(table.space, [1, 2], 1.0), table, tol=1e-9)
-        (lu,) = factors
-        # minimum degree on A + A^T: 6.1e6; COLAMD with partial pivoting: 15.4e6
-        assert lu.L.nnz + lu.U.nnz <= 7e6
+        # one block per level of the diagonalised site (caps 9: 10 levels)
+        assert len(factors) == 10
+        # blocks: 0.67e6; one factor of the whole grounded box: 6.1e6
+        assert sum(lu.L.nnz + lu.U.nnz for lu in factors) <= 1.5e6
         # SuperLU kept every pivot on the diagonal
-        assert (lu.perm_r == lu.perm_c).all()
+        for lu in factors:
+            assert (lu.perm_r == lu.perm_c).all()
+
+    @pytest.mark.parametrize("lam", [0.05, 0.3, 1.0, 5.0])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-12])
+    def test_site_schur_factor(self, lam, tol):
+        table = StateTable.from_tolerance(GroundSpace((lam,)), tol)
+        (cap,) = table.plan.caps
+        chain = _site_chain(lam, cap).toarray()
+        # the one-site box's generator with the killed birth rate put back
+        killed = np.diag(np.where(table.states[:, 0] == cap, lam, 0.0))
+        assert np.abs(build_generator_matrix(table).matrix.toarray() + killed - chain).max() <= 1e-14
+        U, R = _site_schur(lam, cap)
+        assert np.abs(U.T @ U - np.eye(cap + 1)).max() <= 1e-14
+        assert np.abs(U @ R @ U.T - chain).max() <= 1e-12
+        assert (np.tril(R, -1) == 0.0).all()
+        assert abs(R[0, 0]) <= 1e-12
+        assert np.abs(chain @ U[:, 0]).max() <= 1e-12
+        assert (np.diag(R)[1:] <= -1.0 + 1e-9).all()
+
+    def test_site_schur_refuses_a_second_sorted_eigenvalue(self, monkeypatch):
+        schur = exact_module.sla.schur
+
+        def two_sorted(*args, **kwargs):
+            R, U, _ = schur(*args, **kwargs)
+            return R, U, 2
+
+        monkeypatch.setattr(exact_module.sla, "schur", two_sorted)
+        with pytest.raises(SolverError, match="eigenvalues above"):
+            _site_schur(0.3, 6)
+
+    @pytest.mark.parametrize(
+        "weights, tol, splu_calls",
+        [
+            # one site, 17 levels: its j = 0 block is empty and has no factor
+            ((2.0,), 1e-10, 16),
+            # caps (7, 18, 4): the widest site is not first, 19 blocks
+            ((0.3, 3.0, 0.05), 1e-8, 19),
+            # rounding splits the weight-170 chain into complex pairs: the
+            # whole box is the grounded block
+            ((170.0,), 1e-4, 1),
+            # more levels than a dense Schur form is built for
+            ((1000.0,), 1e-6, 1),
+            # caps (273, 6): the widest site is passed over, 7 blocks
+            ((200.0, 0.3), 1e-6, 7),
+        ],
+    )
+    def test_matches_dense_reference(self, monkeypatch, weights, tol, splu_calls):
+        table = StateTable.from_tolerance(GroundSpace(weights), tol)
+        space = table.space
+        F = affine_of(
+            [(1.0, bounded_sigmoid(space, [1], 0.5)), (0.25, linear_count(space, [space.n]))]
+        )
+        factors = _record_factors(monkeypatch)
+        g = ou_pseudo_inverse(F, table, tol=1e-9, max_leak=1.0)
+        ref, f = _dense_grounded_reference(F, table)
+        assert np.abs(g - ref).max() <= 1e-12 * max(np.abs(ref).max(), np.abs(f).max())
+        assert len(factors) == splu_calls
+        for lu in factors:
+            assert (lu.perm_r == lu.perm_c).all()
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9, True])
+    def test_rejects_solve_tol_outside_finite_positive(self, space, exact, tol):
+        with pytest.raises(ConfigError, match="solve tol"):
+            ou_pseudo_inverse(linear_count(space, [1]), exact.table, tol=tol)
+
+    @pytest.mark.parametrize("max_leak", [float("nan"), float("inf"), -1.0])
+    def test_rejects_max_leak_outside_finite_nonnegative(self, space, max_leak):
+        loose = ExactBackend(space, tol=0.2)
+        with pytest.raises(ConfigError, match="max_leak"):
+            ou_pseudo_inverse(linear_count(space, [1]), loose.table, max_leak=max_leak)
 
     def test_refuses_excessive_leak(self, space):
         loose = ExactBackend(space, tol=0.2)

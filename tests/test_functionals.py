@@ -32,6 +32,7 @@ from poisson_malliavin import (
     site_indicator_field,
 )
 from poisson_malliavin.functionals import drop_diff_all, field_dropped_diag
+from poisson_malliavin.identities import _shifted_diff_field
 from conftest import functional_pool, sample_batch
 
 
@@ -345,3 +346,53 @@ class TestCompose:
         F = bounded_sigmoid(space, [1, 2], 1.0)
         assert compose("tanh", F).bound == float(np.tanh(F.bound))
         assert compose("square", linear_count(space, [1])).bound is None
+
+
+# ---------------------------------------------------------------------------
+# every evaluation of an inner functional or field goes through batch/values
+# ---------------------------------------------------------------------------
+
+_COMBINATORS = {
+    "derivative_field": lambda F, G, u: derivative_field(F),
+    "product_field": lambda F, G, u: product_field(F, u),
+    "product_of": lambda F, G, u: product_of(F, G),
+    "affine_of": lambda F, G, u: affine_of([(0.5, F), (2.0, G)], 1.0),
+    "compose": lambda F, G, u: compose("tanh", F),
+    "functional_times_indicator": lambda F, G, u: functional_times_indicator(SPACE, [1, 3], F),
+    "shifted_diff_field": lambda F, G, u: _shifted_diff_field(u, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMBINATORS))
+def test_batch_and_values_see_every_row_fn_sees(monkeypatch, name):
+    fn_rows: dict[str, int] = {}
+    batch_rows: dict[int, int] = {}
+
+    def counting(label, fn):
+        def counted(c):
+            fn_rows[label] = fn_rows.get(label, 0) + int(np.prod(c.shape[:-1]))
+            return fn(c)
+
+        return counted
+
+    for cls, method in ((Functional, "batch"), (RandomField, "values")):
+        def wrapper(self, c, _raw=getattr(cls, method)):
+            batch_rows[id(self)] = batch_rows.get(id(self), 0) + int(np.prod(np.shape(c)[:-1]))
+            return _raw(self, c)
+
+        monkeypatch.setattr(cls, method, wrapper)
+
+    sig, poly = bounded_sigmoid(SPACE, [1, 2], 1.0), poly_count(SPACE, [2, 3], 2)
+    field = count_times_deterministic(SPACE, [1], [1.0, -0.5, 2.0])
+    F = Functional(SPACE, counting("F", sig.fn), "F")
+    G = Functional(SPACE, counting("G", poly.fn), "G")
+    u = RandomField(SPACE, counting("u", field.fn), "u")
+    combined = _COMBINATORS[name](F, G, u)
+    counts = sample_batch(SPACE, 11, 50).reshape(5, 10, 3)
+    if isinstance(combined, Functional):
+        combined.batch(counts)
+    else:
+        combined.values(counts)
+    assert fn_rows
+    for label, leaf in (("F", F), ("G", G), ("u", u)):
+        assert batch_rows.get(id(leaf), 0) == fn_rows.get(label, 0), label
