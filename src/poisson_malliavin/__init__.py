@@ -69,14 +69,12 @@ from .montecarlo import (
     MonteCarloBackend,
     SamplerConfig,
     mc_expectation,
-    sample_configuration,
 )
 from .operators import (
     BracketKind,
     bracket,
     dirichlet_energy,
     divergence,
-    divergence_product_defect,
     gamma,
     ou_generator,
 )

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.linalg as sla
@@ -44,8 +44,9 @@ from .errors import (
     SolverError,
     TruncationError,
 )
-from .functionals import Functional, _sweep_rows
+from .functionals import Functional, _sweep_box
 from .ground import GroundSpace
+from .lattice import _box_rows, _box_strides
 from .operators import PairedValue
 from .registry import _is_real
 
@@ -203,38 +204,43 @@ def plan_truncation(
     return plan
 
 
-@dataclass(frozen=True, eq=False)
 class StateTable:
     """All configurations under the caps with their product-Poisson weights.
 
     ``states`` has shape (S, n) in fixed lexicographic order, ``probs`` the
     matching probabilities; their sum is at least 1 - tail_bound, and
-    ``build`` checks that up to rounding.
+    ``build`` checks that up to rounding.  ``build`` leaves ``states`` to be
+    filled on first use: the exact sweeps make each slice's counts
+    themselves (``_sweep_box``), so they never hold the (S, n) array.
     """
 
-    space: GroundSpace
-    plan: TruncationPlan
-    states: np.ndarray
-    probs: np.ndarray
+    def __init__(
+        self,
+        space: GroundSpace,
+        plan: TruncationPlan,
+        states: np.ndarray | None,
+        probs: np.ndarray,
+    ):
+        self.space = space
+        self.plan = plan
+        self.probs = probs
+        if states is not None:
+            self.states = states
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        states = _box_rows((0,) * self.space.n, tuple(cap + 1 for cap in self.plan.caps))
+        states.setflags(write=False)
+        return states
 
     @classmethod
     def build(cls, space: GroundSpace, plan: TruncationPlan) -> "StateTable":
-        shape = tuple(cap + 1 for cap in plan.caps)
-        # one (S, n) array filled column by column from broadcast views of
-        # arange(cap + 1): no per-site (S,) grids on the way
-        states = np.empty((plan.state_count, space.n), dtype=np.int64)
-        grid = states.reshape(shape + (space.n,))
-        for z, size in enumerate(shape):
-            grid[..., z] = np.arange(size, dtype=np.int64).reshape(
-                (size,) + (1,) * (space.n - 1 - z)
-            )
         probs = np.ones(1, dtype=np.float64)
         for lam, cap in zip(space.weights, plan.caps):
             probs = np.multiply.outer(probs, _poisson_pmf_vector(lam, cap))
         probs = probs.reshape(-1)
-        states.setflags(write=False)
         probs.setflags(write=False)
-        table = cls(space, plan, states, probs)
+        table = cls(space, plan, None, probs)
         total = table.total_prob
         eps = table.mass_rounding
         if not 1.0 - plan.tail_bound - eps <= total <= 1.0 + eps:
@@ -252,13 +258,13 @@ class StateTable:
 
     @property
     def state_count(self) -> int:
-        return self.states.shape[0]
+        return self.plan.state_count
 
     @cached_property
     def interior(self) -> np.ndarray:
         """Mask of states with every site strictly below its cap."""
-        caps = np.asarray(self.plan.caps, dtype=np.int64)
-        mask = (self.states < caps).all(axis=1)
+        below = [np.arange(cap + 1) < cap for cap in self.plan.caps]
+        mask = reduce(np.logical_and.outer, below).reshape(-1)
         mask.setflags(write=False)
         return mask
 
@@ -290,28 +296,29 @@ class ExactExpectation:
     error_bound: float
 
 
-def _check_finite(values: np.ndarray, states: np.ndarray, what: str) -> None:
+def _check_finite(values: np.ndarray, table: StateTable, what: str) -> None:
     finite = np.isfinite(values)
     if not finite.all():
-        bad = int(np.argmin(finite.reshape(-1)))
+        bad = np.unravel_index(int(np.argmin(finite)), [cap + 1 for cap in table.plan.caps])
         raise NonFiniteValueError(
             f"{what} produced a non-finite value at configuration"
-            f" counts={states.reshape(-1, states.shape[-1])[bad].tolist()}"
+            f" counts={[int(k) for k in bad]}"
         )
 
 
 def exact_expectation(F: Functional, table: StateTable) -> ExactExpectation:
     """E[F] = sum_s probs(s) F(s) over the truncated table.
 
-    F is evaluated in fixed-size slices of the table (``_sweep_rows``), so
-    memory is one (S,) value array plus a fixed 8 MiB of slice temporaries;
-    the sum and the sup run once over the full array.  The error bound is
-    tail_bound times the certified sup-norm bound when F carries one, and
+    F is evaluated on runs of table rows (``_sweep_box``): box slices of
+    whole levels of one site, F once per slice, or plain counts where those
+    evaluate less.  Memory is one (S,) value array plus a fixed 8 MiB of
+    slice temporaries; the sum and the sup run once over the full array.
+    The error bound is tail_bound times the certified sup-norm bound when F carries one, and
     tail_bound times the enumerated sup otherwise (heuristic for unbounded F,
     reported as such).
     """
-    (values,) = _sweep_rows(lambda counts: (F.batch(counts),), table.states)
-    _check_finite(values, table.states, F.name)
+    (values,) = _sweep_box(lambda counts: (F.batch(counts),), table.plan.caps)
+    _check_finite(values, table, F.name)
     value = float(table.probs @ values)
     sup = F.bound if F.bound is not None else float(np.abs(values).max())
     return ExactExpectation(value, table.plan.tail_bound * sup)
@@ -348,10 +355,7 @@ def build_generator_matrix(table: StateTable) -> GeneratorMatrix:
     counts = table.states
     S, n = counts.shape
     idx = np.arange(S, dtype=np.int64)
-    # lexicographic mixed-radix strides: last site varies fastest
-    strides = np.ones(n, dtype=np.int64)
-    for z in range(n - 2, -1, -1):
-        strides[z] = strides[z + 1] * (caps[z + 1] + 1)
+    strides = _box_strides(caps + 1)
 
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
@@ -593,16 +597,19 @@ class ExactBackend:
         """Sweep a paired LHS/RHS kernel over the table.
 
         ``kernel(counts) -> (lhs_values, rhs_values)`` is called on
-        consecutive fixed-size slices of the states (``_sweep_rows``), so
-        memory is the (S,) value arrays plus a fixed 8 MiB of slice
-        temporaries.  The expectations, the defect from the per-state
+        consecutive runs of the states (``_sweep_box``): box slices of whole
+        levels of one site where their halos evaluate no more rows than
+        plain counts would, plain counts otherwise.  On a box slice every
+        functional and field is evaluated once, on the slice grown by one
+        level per site when it is shifted, and D+ / D- are stride offsets
+        into those values, bit for bit the plain evaluation's.  Memory is the (S,) value arrays plus a fixed 8 MiB of
+        slice temporaries.  The expectations, the defect from the per-state
         differences, the truncation term and the non-finite check all run
         once over the full arrays, in table order.
         """
-        states = self.table.states
-        lhs, rhs = _sweep_rows(kernel, states)
-        _check_finite(lhs, states, "paired lhs")
-        _check_finite(rhs, states, "paired rhs")
+        lhs, rhs = _sweep_box(kernel, self.plan.caps)
+        _check_finite(lhs, self.table, "paired lhs")
+        _check_finite(rhs, self.table, "paired rhs")
         diff = lhs - rhs
         sup = float(np.abs(diff).max()) if diff.size else 0.0
         return PairedValue(

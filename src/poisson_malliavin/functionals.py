@@ -12,17 +12,23 @@ Everything evaluates on batches.  A counts array of shape (..., n) maps to
 values of shape (...) for functionals and (..., n) for fields (one value per
 site), so the exact oracle sweeps its truncated state table and the Monte Carlo
 engine its distinct sample rows in a few numpy calls, one per fixed-size
-slice of rows (``_sweep_rows``).  Evaluations are pure, hence safe for
-concurrent use.
+slice of rows (``_sweep_rows``).  The exact oracle's slices are box slices
+where they evaluate less (``_sweep_box``): counts rows tagged with their
+place in the box, which ``Functional.batch``, ``RandomField.values`` and the
+shift helpers hand to ``lattice``, to evaluate each functional once per
+slice and read eta +- delta_z as a stride offset.  Evaluations are pure,
+hence safe for concurrent use.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
+from . import lattice
 from .errors import ShapeError
 from .ground import Configuration, GroundSpace
 
@@ -75,8 +81,11 @@ class Functional:
     bound: float | None = None
 
     def batch(self, counts) -> np.ndarray:
-        """Evaluate on a counts array of shape (..., n); returns shape (...)."""
+        """Evaluate on a counts array of shape (..., n); returns shape (...).
+        Rows of a box slice are evaluated once per slice (``lattice``)."""
         arr = _as_counts(self.space, counts)
+        if lattice.is_tagged(counts):
+            return lattice.values(self, counts)
         return np.asarray(self.fn(arr), dtype=np.float64)
 
     def __call__(self, eta: Configuration) -> float:
@@ -105,8 +114,12 @@ class RandomField:
     gradient_of: Functional | None = None
 
     def values(self, counts) -> np.ndarray:
-        """Evaluate on counts of shape (..., n); returns shape (..., n)."""
+        """Evaluate on counts of shape (..., n); returns shape (..., n).
+        Rows of a box slice are evaluated once per slice (``lattice``); a
+        gradient field there reads its functional's halo."""
         arr = _as_counts(self.space, counts)
+        if lattice.is_tagged(counts):
+            return lattice.field_values(self, counts)
         return np.asarray(self.fn(arr), dtype=np.float64)
 
     def __call__(self, eta: Configuration, z: int) -> float:
@@ -154,7 +167,10 @@ def second_add_diff(u: RandomField, eta: Configuration, z: int, zp: int) -> floa
 
 
 def add_diff_all(F: Functional, counts: np.ndarray) -> np.ndarray:
-    """All add differences at once: out[..., z-1] = D+_z F.  Shape (..., n)."""
+    """All add differences at once: out[..., z-1] = D+_z F.  Shape (..., n).
+    On a box slice they are stride offsets into F's halo."""
+    if lattice.is_slice(counts):
+        return lattice.add_diff_all(F, counts)
     n = F.space.n
     plus = counts[..., None, :] + _eye(n)
     return F.batch(plus) - F.batch(counts)[..., None]
@@ -171,7 +187,9 @@ def _drop_each(counts: np.ndarray):
 
 def drop_diff_all(F: Functional, counts: np.ndarray) -> np.ndarray:
     """All drop differences, indicator included, from n + 1 evaluations of F
-    per configuration.  Shape (..., n)."""
+    per configuration, or from F's halo on a box slice.  Shape (..., n)."""
+    if lattice.is_slice(counts):
+        return lattice.drop_diff_all(F, counts)
     counts = _as_counts(F.space, counts)
     here = F.batch(counts)
     out = np.empty(counts.shape, dtype=np.float64)
@@ -227,8 +245,23 @@ def product_field(F: Functional, u: RandomField) -> RandomField:
 # ---------------------------------------------------------------------------
 
 # byte budget of one (rows, n, n) float64 slab, the largest temporary an
-# add-side kernel builds
+# add-side kernel builds; a box slice's halo holds (rows, n) values, and
+# keeps them within the same budget
 _SWEEP_BYTES = 8 << 20
+
+
+def _sweep(kernel, m: int, parts) -> tuple[np.ndarray, ...]:
+    """Run ``kernel(counts) -> tuple of per-row values`` on each
+    ``(start, stop, counts)`` of ``parts``, writing each output into a
+    preallocated (m,) float64 array at [start, stop)."""
+    outs: tuple[np.ndarray, ...] = ()
+    for start, stop, counts in parts:
+        values = kernel(counts)
+        if not outs:
+            outs = tuple(np.empty(m, dtype=np.float64) for _ in values)
+        for out, v in zip(outs, values):
+            out[start:stop] = np.asarray(v, dtype=np.float64).reshape(stop - start)
+    return outs
 
 
 def _sweep_rows(kernel, rows: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -243,21 +276,32 @@ def _sweep_rows(kernel, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     m, n = rows.shape
     step = max(1, _SWEEP_BYTES // (8 * n * n))
-    outs: tuple[np.ndarray, ...] = ()
-    for start in range(0, m, step):
-        part = rows[start : start + step]
-        values = kernel(part)
-        if not outs:
-            outs = tuple(np.empty(m, dtype=np.float64) for _ in values)
-        for out, v in zip(outs, values):
-            out[start : start + len(part)] = np.asarray(v, dtype=np.float64).reshape(
-                len(part)
-            )
-    return outs
+    parts = ((a, min(a + step, m), rows[a : a + step]) for a in range(0, m, step))
+    return _sweep(kernel, m, parts)
+
+
+def _sweep_box(kernel, caps) -> tuple[np.ndarray, ...]:
+    """``_sweep_rows`` over the exact engine's box of per-site ``caps`` in
+    table order, without its (S, n) counts: each run of rows is made when
+    the kernel gets it (``lattice.sweep_parts``).  Where they evaluate less
+    than plain rows, the runs are box slices, on which each functional and
+    field is evaluated once and shifts are stride offsets.  Every value is
+    the one a plain evaluation gives, bit for bit, so results are those of
+    ``_sweep_rows`` over the table's states."""
+    n = len(caps)
+    step = max(1, _SWEEP_BYTES // (8 * n * n))
+    return _sweep(kernel, math.prod(cap + 1 for cap in caps), lattice.sweep_parts(caps, step))
 
 
 def field_add_tensor(u: RandomField, counts: np.ndarray) -> np.ndarray:
-    """T[..., z-1, zp-1] = u(eta + delta_z, zp).  Shape (..., n, n)."""
+    """T[..., z-1, zp-1] = u(eta + delta_z, zp).  Shape (..., n, n).
+
+    On a box slice it is read off u's halo; for a gradient field u = DF it
+    is F(eta + delta_z + delta_zp) - F(eta + delta_z), read off F's halo and
+    the second-order points past it.
+    """
+    if lattice.is_slice(counts):
+        return lattice.field_add_tensor(u, counts)
     n = u.space.n
     return u.values(counts[..., None, :] + _eye(n))
 
@@ -268,11 +312,13 @@ def field_dropped_diag(u: RandomField, counts: np.ndarray) -> np.ndarray:
     This shifted evaluation is what the eta-integral of the divergence and
     the minus bracket pair with the multiplicity k_z.  For a gradient field
     u = DF it is D+_z F(eta - delta_z) 1_{z in eta} = D-_z F(eta), computed
-    by ``drop_diff_all`` with n + 1 evaluations of F per configuration;
-    any other field is evaluated once per site at eta - delta_z.
+    by ``drop_diff_all``; any other field is evaluated once per site at
+    eta - delta_z, or read off its halo on a box slice.
     """
     if u.gradient_of is not None:
         return drop_diff_all(u.gradient_of, counts)
+    if lattice.is_slice(counts):
+        return lattice.field_dropped_diag(u, counts)
     counts = _as_counts(u.space, counts)
     out = np.empty(counts.shape, dtype=np.float64)
     for j, minus in _drop_each(counts):

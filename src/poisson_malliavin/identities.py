@@ -22,7 +22,7 @@ yield byte-identical report files.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .operators import (
     divergence_batch,
     gamma_batch,
 )
-from .registry import ScalarMap, compose, product_of, scalar_map
+from .registry import ScalarMap, _is_real, compose, product_of, scalar_map
 
 __all__ = [
     "Gates",
@@ -75,13 +75,22 @@ class Gates:
     bounds are added on top per check); ``mc_z`` multiplies the paired
     standard error (4 sigma is roughly a 6e-5 false-alarm rate per check);
     ``pointwise`` gates pathwise identities; the counterexample must exceed
-    ``counterexample_factor * exact``.
+    ``counterexample_factor * exact``.  Every gate is a finite number > 0
+    (``ConfigError`` otherwise).
     """
 
     exact: float = 1e-10
     mc_z: float = 4.0
     pointwise: float = 1e-12
     counterexample_factor: float = 10.0
+
+    def __post_init__(self):
+        # no defect carrying rounding meets an upper gate <= 0, and a lower
+        # gate < 0 lets the counterexample search pass on a zero defect
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (_is_real(value) and value > 0):
+                raise ConfigError(f"gate {f.name} must be a number > 0, got {value!r}")
 
 
 DEFAULT_GATES = Gates()

@@ -33,13 +33,12 @@ import numpy as np
 
 from .errors import NonFiniteValueError
 from .functionals import Functional, _sweep_rows
-from .ground import Configuration, GroundSpace
+from .ground import GroundSpace
 from .operators import PairedValue
 
 __all__ = [
     "SamplerConfig",
     "Estimate",
-    "sample_configuration",
     "mc_expectation",
     "MonteCarloBackend",
 ]
@@ -78,12 +77,6 @@ class Estimate:
     def value(self) -> float:
         """Alias so exact and Monte Carlo results share one accessor."""
         return self.mean
-
-
-def sample_configuration(space: GroundSpace, rng: np.random.Generator) -> Configuration:
-    """Draw one configuration: independent Poisson(lambda_i) count per site."""
-    counts = rng.poisson(lam=space.weights_array)
-    return Configuration(space, tuple(int(k) for k in counts))
 
 
 def sample_counts(

@@ -41,7 +41,6 @@ from .functionals import (
     add_diff_all,
     derivative_field,
     field_dropped_diag,
-    product_field,
 )
 from .ground import Configuration
 
@@ -57,7 +56,6 @@ __all__ = [
     "gamma_batch",
     "dirichlet_integrand",
     "dirichlet_energy",
-    "divergence_product_defect",
     "PairedValue",
 ]
 
@@ -177,23 +175,6 @@ def dirichlet_energy(F: Functional, G: Functional, backend) -> float:
     expose ``expectation(functional).value``.
     """
     return float(backend.expectation(dirichlet_integrand(F, G)).value)
-
-
-def divergence_product_defect(
-    F: Functional, u: RandomField, eta: Configuration
-) -> float:
-    """Pathwise defect of the product formula delta(Fu) = F delta u - [DF, u]_-.
-
-    Returns delta(Fu)(eta) - F(eta) delta u(eta) + [DF, u]_-(eta); identically
-    zero on a finite ground set.
-    """
-    _check_same_space(F, u)
-    _check_same_space(F, eta)
-    c = eta.array
-    lhs = divergence_batch(product_field(F, u), c)
-    rhs = F.batch(c) * divergence_batch(u, c)
-    correction = bracket_batch(derivative_field(F), u, BracketKind.MINUS, c)
-    return float(lhs - rhs + correction)
 
 
 class PairedValue:

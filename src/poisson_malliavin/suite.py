@@ -183,7 +183,7 @@ def parse_config(obj: dict) -> SuiteConfig:
 
 
 def _parse_gates(where: str, obj) -> dict[str, float]:
-    """Gate overrides by name; every value must be a finite JSON number."""
+    """Gate overrides by name; every value must be a finite JSON number > 0."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: must be an object")
     known = [f.name for f in fields(Gates)]
@@ -191,8 +191,8 @@ def _parse_gates(where: str, obj) -> dict[str, float]:
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; known: {known}")
     for key, value in obj.items():
-        if not _is_real(value):
-            raise ConfigError(f"{where}.{key}: must be a number, got {value!r}")
+        if not (_is_real(value) and value > 0):
+            raise ConfigError(f"{where}.{key}: must be a number > 0, got {value!r}")
     return {key: float(value) for key, value in obj.items()}
 
 

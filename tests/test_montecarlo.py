@@ -21,9 +21,9 @@ from poisson_malliavin import (
     mc_expectation,
     poly_count,
     product_of,
-    sample_configuration,
 )
-from poisson_malliavin import GroundSpace, montecarlo
+from poisson_malliavin import Configuration, GroundSpace, montecarlo
+from poisson_malliavin.montecarlo import sample_counts
 from poisson_malliavin.identities import mecke_kernel
 
 CFG = SamplerConfig(seed=424242, samples=100_000, workers=1)
@@ -32,7 +32,10 @@ CFG = SamplerConfig(seed=424242, samples=100_000, workers=1)
 class TestSampler:
     def test_single_draw_counts(self, space):
         rng = np.random.default_rng(1)
-        eta = sample_configuration(space, rng)
+        counts = sample_counts(space, rng, 1)
+        assert counts.shape == (1, space.n)
+        assert counts.dtype == np.int64
+        eta = Configuration(space, tuple(int(k) for k in counts[0]))
         assert eta.space == space
         assert all(k >= 0 for k in eta.counts)
 

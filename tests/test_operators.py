@@ -15,15 +15,16 @@ from poisson_malliavin import (
     deterministic_field,
     dirichlet_energy,
     divergence,
-    divergence_product_defect,
     functional_times_indicator,
     gamma,
     linear_count,
     ou_generator,
     poly_count,
+    product_formula_check,
     site_indicator_field,
     bounded_sigmoid,
 )
+from poisson_malliavin import identities
 from poisson_malliavin.operators import gamma_batch
 from conftest import functional_pool, sample_batch
 
@@ -229,27 +230,30 @@ class TestDirichletEnergy:
 
 
 class TestDivergenceProductFormula:
-    def test_constant_functional(self, space, eta102):
+    """delta(F u) = F delta u - [DF, u]_-, through ``product_formula_check``
+    on its 200 seeded configurations (eta102 among them)."""
+
+    def test_constant_functional(self, space):
+        points = identities._pointwise_counts(space, 0, "product_formula", 200)
+        assert (points == [1, 0, 2]).all(axis=1).any()
         u = count_times_deterministic(space, [1, 2, 3], [1.0, 1.0, 1.0])
         F = constant(space, 2.5)
-        assert divergence_product_defect(F, u, eta102) == pytest.approx(0.0, abs=1e-12)
+        report = product_formula_check(F, u)
+        assert report.passed
+        assert report.defect == pytest.approx(0.0, abs=1e-12)
 
-    def test_zero_field(self, space, eta102):
+    def test_zero_field(self, space):
         u = deterministic_field(space, [0.0, 0.0, 0.0])
         F = linear_count(space, [1])
-        assert divergence_product_defect(F, u, eta102) == 0.0
+        assert product_formula_check(F, u).defect == 0.0
 
     def test_random_triples_vanish(self, space):
-        counts = sample_batch(space, seed=31, m=30)
         pool = functional_pool(space)
         fields = field_pool(space)
         for i, F in enumerate(pool):
             u = fields[i % len(fields)]
-            for row in counts[:8]:
-                eta = Configuration(space, tuple(int(k) for k in row))
-                assert divergence_product_defect(F, u, eta) == pytest.approx(
-                    0.0, abs=1e-12
-                )
+            report = product_formula_check(F, u, seed=31, points=30)
+            assert report.defect == pytest.approx(0.0, abs=1e-12)
 
 
 class TestHeisenbergPathwise:

@@ -1,5 +1,5 @@
-"""The ou_solve benchmark child on a tiny config: the traced run must fire
-every span the workload declares and pass its own output checks."""
+"""Benchmark children on tiny configs: the traced run must fire every span
+the workload declares and pass its own output checks."""
 from __future__ import annotations
 
 import json
@@ -12,24 +12,13 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_traced_ou_solve_fires_every_span(tmp_path):
-    config = tmp_path / "ou.json"
-    # truncation tol 1e-10 (100 states): the child's residual check subtracts
-    # the unnormalised mean, so the box's missing mass must stay below the
-    # solve tol
-    config.write_text(
-        json.dumps(
-            {
-                "weights": [0.3, 0.3],
-                "tols": [1e-10],
-                "solve_tol": 1e-9,
-                "F": {"name": "bounded_sigmoid", "B": [1, 2], "scale": 1.0},
-            }
-        ),
-        encoding="utf-8",
-    )
+def _traced_child(tmp_path, workload: str, config: dict):
+    """Run ``child.py trace`` on ``config``; its output line and the names of
+    the spans that fired."""
+    path = tmp_path / f"{workload}.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
     spans = tmp_path / "spans.json"
-    cmd = [sys.executable, str(PERFBENCH / "child.py"), "trace", "ou_solve", str(config)]
+    cmd = [sys.executable, str(PERFBENCH / "child.py"), "trace", workload, str(path)]
     proc = subprocess.run(
         cmd + [str(time.monotonic_ns()), str(spans)],
         stdout=subprocess.PIPE,
@@ -39,8 +28,68 @@ def test_traced_ou_solve_fires_every_span(tmp_path):
     )
     out = json.loads(proc.stdout.splitlines()[-1])
     fired = {name for name, *_ in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
-    declared = runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"]["ou_solve"].spans
+    return out, fired
+
+
+def _declared(workload: str):
+    return runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"][workload].spans
+
+
+def test_traced_ou_solve_fires_every_span(tmp_path):
+    # truncation tol 1e-10 (100 states): the child's residual check subtracts
+    # the unnormalised mean, so the box's missing mass must stay below the
+    # solve tol
+    out, fired = _traced_child(
+        tmp_path,
+        "ou_solve",
+        {
+            "weights": [0.3, 0.3],
+            "tols": [1e-10],
+            "solve_tol": 1e-9,
+            "F": {"name": "bounded_sigmoid", "B": [1, 2], "scale": 1.0},
+        },
+    )
+    declared = _declared("ou_solve")
     assert [s for s in declared if s not in fired] == []
     assert all(out["layers"][f"{s}.calls"] > 0 for s in declared)
     assert out["bad_outputs"] == []
+    assert out["failed"] == 0
+
+
+def test_traced_exact_scale_fires_every_span(tmp_path):
+    """exact_scale's five identities on 3 sites at a loose truncation (7^3
+    states), swept in box slices."""
+
+    def sigmoid(B):
+        return {"name": "bounded_sigmoid", "B": B, "scale": 1.0}
+
+    def fti(B, F):
+        return {"name": "functional_times_indicator", "B": B, "F": F}
+
+    values = {"name": "deterministic", "values": [1.0, -0.5, 2.0]}
+    out, fired = _traced_child(
+        tmp_path,
+        "exact_scale",
+        {
+            "space": {"weights": [1.0, 1.0, 1.0]},
+            "truncation": {"tol": 1e-3},
+            "cases": [
+                {"identity": "mecke", "u": fti([1, 2], sigmoid([1, 2]))},
+                {"identity": "duality", "F": sigmoid([1, 2, 3]), "u": fti([2, 3], sigmoid([3]))},
+                {"identity": "skorokhod", "u": fti([1, 2], sigmoid([1, 2]))},
+                {"identity": "bracket_expectation", "u": values, "v": fti([1, 3], sigmoid([2, 3]))},
+                {
+                    "identity": "energy_derivation",
+                    "F": sigmoid([1, 2]),
+                    "G": {"name": "indicator_leq", "B": [2, 3], "m": 3},
+                    "u": values,
+                },
+            ],
+        },
+    )
+    declared = _declared("exact_scale")
+    assert [s for s in declared if s not in fired] == []
+    assert all(out["layers"][f"{s}.calls"] > 0 for s in declared)
+    assert out["layers"]["exact.states"] == 7**3
+    assert out["ops"] == 5
     assert out["failed"] == 0

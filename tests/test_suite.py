@@ -125,6 +125,50 @@ def test_bad_top_level_gate_is_config_error():
         parse_config(dict(_config({"identity": "mecke", "u": UNIT_FIELD}), gates={"pointwise": "x"}))
 
 
+# phi = identity on constants has defect 0.0: only a gate > 0 can fail it
+CONSTANT_CHAIN_RULE = {
+    "identity": "non_diffusion",
+    "phis": ["identity"],
+    "Fs": [{"name": "constant", "value": 1.0}],
+    "Gs": [{"name": "constant", "value": 2.0}],
+}
+NON_POSITIVE_GATES = [
+    ("counterexample_factor", -1.0),
+    ("counterexample_factor", 0.0),
+    ("exact", -1e-10),
+    ("mc_z", -4.0),
+    ("pointwise", 0),
+    ("pointwise", float("-inf")),
+]
+
+
+def test_zero_defect_counterexample_fails_under_default_gates():
+    (report,) = run_suite(parse_config(_config(CONSTANT_CHAIN_RULE)), "exact")
+    assert report.defect == 0.0
+    assert report.gate > 0.0
+    assert not report.passed
+
+
+@pytest.mark.parametrize("key, value", NON_POSITIVE_GATES)
+def test_top_level_gate_must_be_positive(key, value):
+    # a negative counterexample gate let the zero-defect case pass
+    with pytest.raises(ConfigError, match=rf"^gates\.{key}: must be a number > 0"):
+        parse_config(dict(_config(CONSTANT_CHAIN_RULE), gates={key: value}))
+
+
+@pytest.mark.parametrize("key, value", NON_POSITIVE_GATES)
+def test_case_gate_must_be_positive(key, value):
+    case = dict(CONSTANT_CHAIN_RULE, gates={key: value})
+    with pytest.raises(ConfigError, match=rf"^cases\[0\]\.gates\.{key}: must be a number > 0"):
+        parse_config(_config(case))
+
+
+@pytest.mark.parametrize("key, value", NON_POSITIVE_GATES + [("exact", float("nan")), ("mc_z", True)])
+def test_gates_must_be_positive(key, value):
+    with pytest.raises(ConfigError, match=f"^gate {key} must be a number > 0"):
+        identities.Gates(**{key: value})
+
+
 BAD_SPEC_PARAMS = [
     ("B-int", {"identity": "mecke", "u": {"name": "site_indicator", "B": 3}},
      "field spec 'site_indicator': 'B' must be a list of site numbers, got 3"),
