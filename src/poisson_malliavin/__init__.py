@@ -21,7 +21,6 @@ from .errors import (
 )
 from .exact import (
     ExactBackend,
-    ExactExpectation,
     GeneratorMatrix,
     StateTable,
     TruncationPlan,
@@ -65,13 +64,13 @@ from .identities import (
     skorokhod_check,
 )
 from .montecarlo import (
-    Estimate,
     MonteCarloBackend,
     SamplerConfig,
     mc_expectation,
 )
 from .operators import (
     BracketKind,
+    Mean,
     bracket,
     dirichlet_energy,
     divergence,

@@ -70,6 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _override_mc(mc: SamplerConfig, args) -> SamplerConfig:
+    """``mc`` with the --seed/--samples/--workers overrides, checked by
+    ``SamplerConfig`` (``ConfigError``)."""
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
@@ -104,6 +106,8 @@ def _cmd_verify(args) -> int:
 def _cmd_sample(args) -> int:
     cfg = load_config(args.config)
     mc = _override_mc(cfg.mc, args)
+    if args.count < 0:
+        raise ConfigError(f"--count must be an integer >= 0, got {args.count}")
     rng = np.random.default_rng(np.random.SeedSequence(mc.seed))
     counts = sample_counts(cfg.space, rng, args.count)
     for row in counts:
@@ -122,7 +126,7 @@ def _cmd_estimate(args) -> int:
         raise ConfigError("--params must be a JSON object")
     F = functional_from_spec(cfg.space, {"name": args.functional, **params})
     est = mc_expectation(F, cfg.space, mc)
-    print(json.dumps({"mean": est.mean, "std_error": est.std_error, "n": est.n}))
+    print(json.dumps({"mean": est.value, "std_error": est.std_error, "n": est.n}))
     return 0
 
 

@@ -48,5 +48,8 @@ class NonFiniteValueError(PoissonMalliavinError):
     """A functional produced NaN or infinity during an expectation sweep."""
 
 
-class ConfigError(PoissonMalliavinError):
-    """A configuration file or binding spec failed validation."""
+class ConfigError(PoissonMalliavinError, ValueError):
+    """A configuration file, binding spec or setting failed validation.
+
+    Also a ``ValueError``, the builtin for a bad argument value.
+    """

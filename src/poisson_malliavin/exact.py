@@ -5,9 +5,10 @@ Poisson(lambda_i) variable, so capping site i at K_i and enumerating the box
 prod_i {0..K_i} makes every expectation a finite weighted sum.  Caps are
 chosen by exact Poisson tail partial sums per site, and a union bound over
 sites yields a rigorous ``tail_bound`` on the probability mass the box
-misses.  Every exact value is reported together with an expectation error
-bound derived from that mass: rigorous when the integrand carries a certified
-sup-norm bound, heuristic (sup over enumerated states) otherwise.
+misses.  Every exact value is one sweep over the box (per-state values) and
+one reduction (their probability-weighted sum), returned as a ``Mean`` with
+an error bound derived from that mass: rigorous when the integrand carries a
+certified sup-norm bound, heuristic (sup over enumerated states) otherwise.
 
 The Ornstein-Uhlenbeck generator is assembled as a sparse matrix in the state
 indicator basis.  Transitions that would leave the box are dropped while the
@@ -47,14 +48,13 @@ from .errors import (
 from .functionals import Functional, _sweep_box
 from .ground import GroundSpace
 from .lattice import _box_rows, _box_strides
-from .operators import PairedValue
-from .registry import _is_real
+from .operators import Mean
+from .registry import _is_int, _is_real
 
 __all__ = [
     "TruncationPlan",
     "StateTable",
     "plan_truncation",
-    "ExactExpectation",
     "exact_expectation",
     "GeneratorMatrix",
     "build_generator_matrix",
@@ -152,6 +152,30 @@ def _poisson_tail(lam: float, cap: int) -> float:
     return total
 
 
+def _smallest_cap(lam: float, share: float) -> tuple[int, float]:
+    """The smallest cap >= 1 whose Poisson tail is at most ``share``, with
+    that tail.  The tail falls as the cap grows, so the cap is bracketed by
+    doubling and then bisected: O(log cap) tails of O(cap + lam) terms each.
+    """
+    lo, hi = 0, 1  # caps up to lo miss the share; after the doubling, hi fits it
+    tail = _poisson_tail(lam, hi)
+    while tail > share:
+        if hi >= _MAX_CAP:
+            raise ConfigError(
+                f"no cap below {_MAX_CAP} reaches tail share {share:g} for weight {lam}"
+            )
+        lo, hi = hi, min(2 * hi, _MAX_CAP)
+        tail = _poisson_tail(lam, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        mid_tail = _poisson_tail(lam, mid)
+        if mid_tail > share:
+            lo = mid
+        else:
+            hi, tail = mid, mid_tail
+    return hi, tail
+
+
 @dataclass(frozen=True)
 class TruncationPlan:
     """Per-site caps plus a rigorous bound on the omitted probability mass."""
@@ -175,27 +199,20 @@ def plan_truncation(
 
     Each site gets an equal share tol/n of the tolerance and the smallest cap
     (at least 1) whose exact Poisson tail fits the share; the union bound over
-    sites then certifies ``tail_bound <= tol``.  Fails with the required state
-    count when the box would exceed ``budget`` states.
+    sites then certifies ``tail_bound <= tol``.  A ``tol`` that is not a
+    finite number > 0, a ``budget`` that is not an integer >= 1, or a site
+    that needs a cap above ``_MAX_CAP`` is a ``ConfigError``.  Fails with the
+    required state count when the box would exceed ``budget`` states.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    if not (_is_real(tol) and tol > 0.0):
+        raise ConfigError(f"tolerance must be a finite number > 0, got {tol!r}")
+    if not (_is_int(budget) and budget >= 1):
+        raise ConfigError(f"budget must be an integer >= 1, got {budget!r}")
     share = tol / space.n
     caps = []
     tails = []
     for lam in space.weights:
-        cap = 1
-        tail = _poisson_tail(lam, cap)
-        while tail > share:
-            cap += 1
-            tail = _poisson_tail(lam, cap)
-            if cap > _MAX_CAP:
-                raise ValueError(
-                    f"no cap below {_MAX_CAP} reaches tail share {share:g}"
-                    f" for weight {lam}"
-                )
+        cap, tail = _smallest_cap(lam, share)
         caps.append(cap)
         tails.append(tail)
     plan = TruncationPlan(tuple(caps), tuple(tails), float(sum(tails)))
@@ -288,40 +305,46 @@ class StateTable:
         )
 
 
-@dataclass(frozen=True)
-class ExactExpectation:
-    """An exactly enumerated expectation with its truncation error bound."""
-
-    value: float
-    error_bound: float
-
-
-def _check_finite(values: np.ndarray, table: StateTable, what: str) -> None:
-    finite = np.isfinite(values)
-    if not finite.all():
-        bad = np.unravel_index(int(np.argmin(finite)), [cap + 1 for cap in table.plan.caps])
-        raise NonFiniteValueError(
-            f"{what} produced a non-finite value at configuration"
-            f" counts={[int(k) for k in bad]}"
-        )
-
-
-def exact_expectation(F: Functional, table: StateTable) -> ExactExpectation:
-    """E[F] = sum_s probs(s) F(s) over the truncated table.
-
-    F is evaluated on runs of table rows (``_sweep_box``): box slices of
-    whole levels of one site, F once per slice, or plain counts where those
-    evaluate less.  Memory is one (S,) value array plus a fixed 8 MiB of
-    slice temporaries; the sum and the sup run once over the full array.
-    The error bound is tail_bound times the certified sup-norm bound when F carries one, and
-    tail_bound times the enumerated sup otherwise (heuristic for unbounded F,
-    reported as such).
+def _sweep_table(kernel, table: StateTable, names: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+    """``kernel(counts) -> tuple of per-state values`` over the table, in
+    table order (``_sweep_box``): box slices of whole levels of one site
+    where their halos evaluate no more rows than plain counts would, plain
+    counts otherwise.  On a box slice every functional and field is
+    evaluated once, on the slice grown by one level per site when it is
+    shifted, and D+ / D- are stride offsets into those values, bit for bit
+    the plain evaluation's.  Memory is the (S,) value arrays plus a fixed
+    8 MiB of slice temporaries.  Each output is checked for non-finite
+    values, the first in table order named with its ``names`` entry.
     """
-    (values,) = _sweep_box(lambda counts: (F.batch(counts),), table.plan.caps)
-    _check_finite(values, table, F.name)
-    value = float(table.probs @ values)
-    sup = F.bound if F.bound is not None else float(np.abs(values).max())
-    return ExactExpectation(value, table.plan.tail_bound * sup)
+    outs = _sweep_box(kernel, table.plan.caps)
+    for values, what in zip(outs, names):
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = np.unravel_index(int(np.argmin(finite)), [cap + 1 for cap in table.plan.caps])
+            raise NonFiniteValueError(
+                f"{what} produced a non-finite value at configuration"
+                f" counts={[int(k) for k in bad]}"
+            )
+    return outs
+
+
+def _table_mean(values: np.ndarray, table: StateTable, bound: float | None = None) -> Mean:
+    """sum_s probs(s) values(s), with error bound tail_bound times the
+    certified sup-norm ``bound`` when there is one and tail_bound times the
+    enumerated sup otherwise (heuristic for unbounded integrands, reported
+    as such)."""
+    sup = bound if bound is not None else float(np.abs(values).max())
+    return Mean(
+        float(table.probs @ values), table.state_count, error_bound=table.plan.tail_bound * sup
+    )
+
+
+def exact_expectation(F: Functional, table: StateTable) -> Mean:
+    """E[F] = sum_s probs(s) F(s) over the truncated table, F evaluated once
+    per box slice (``_sweep_table``); the error bound uses F's certified
+    bound when it carries one."""
+    (values,) = _sweep_table(lambda counts: (F.batch(counts),), table, (F.name,))
+    return _table_mean(values, table, F.bound)
 
 
 # ---------------------------------------------------------------------------
@@ -590,32 +613,13 @@ class ExactBackend:
     def state_count(self) -> int:
         return self.table.state_count
 
-    def expectation(self, F: Functional) -> ExactExpectation:
+    def expectation(self, F: Functional) -> Mean:
         return exact_expectation(F, self.table)
 
-    def paired(self, kernel) -> PairedValue:
-        """Sweep a paired LHS/RHS kernel over the table.
-
-        ``kernel(counts) -> (lhs_values, rhs_values)`` is called on
-        consecutive runs of the states (``_sweep_box``): box slices of whole
-        levels of one site where their halos evaluate no more rows than
-        plain counts would, plain counts otherwise.  On a box slice every
-        functional and field is evaluated once, on the slice grown by one
-        level per site when it is shifted, and D+ / D- are stride offsets
-        into those values, bit for bit the plain evaluation's.  Memory is the (S,) value arrays plus a fixed 8 MiB of
-        slice temporaries.  The expectations, the defect from the per-state
-        differences, the truncation term and the non-finite check all run
-        once over the full arrays, in table order.
-        """
-        lhs, rhs = _sweep_box(kernel, self.plan.caps)
-        _check_finite(lhs, self.table, "paired lhs")
-        _check_finite(rhs, self.table, "paired rhs")
-        diff = lhs - rhs
-        sup = float(np.abs(diff).max()) if diff.size else 0.0
-        return PairedValue(
-            lhs=self.table.probs @ lhs,
-            rhs=self.table.probs @ rhs,
-            defect=self.table.probs @ diff,
-            n=self.table.state_count,
-            error_bound=self.plan.tail_bound * sup,
-        )
+    def paired(self, kernel) -> tuple[float, float, Mean]:
+        """The LHS and RHS means of a paired kernel
+        ``counts -> (lhs_values, rhs_values)`` swept over the table, and the
+        defect: the ``Mean`` of the per-state differences."""
+        lhs, rhs = _sweep_table(kernel, self.table, ("paired lhs", "paired rhs"))
+        probs = self.table.probs
+        return float(probs @ lhs), float(probs @ rhs), _table_mean(lhs - rhs, self.table)

@@ -199,16 +199,9 @@ class SiteSet:
     def sorted_members(self) -> list[int]:
         return sorted(self.members)
 
-    def mask(self, space: GroundSpace) -> np.ndarray:
-        """0/1 float vector with ones at member sites."""
-        self.validate_for(space)
-        m = np.zeros(space.n, dtype=np.float64)
-        for z in self.members:
-            m[z - 1] = 1.0
-        return m
-
     def imask(self, space: GroundSpace) -> np.ndarray:
-        """0/1 integer vector, for exact integer count sums."""
+        """0/1 integer vector with ones at member sites: exact in integer
+        count sums, and bit for bit a 0.0/1.0 factor on float values."""
         self.validate_for(space)
         m = np.zeros(space.n, dtype=np.int64)
         for z in self.members:

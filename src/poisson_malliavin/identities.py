@@ -41,6 +41,7 @@ from .ground import GroundSpace, SiteSet
 from .montecarlo import sample_counts
 from .operators import (
     BracketKind,
+    Mean,
     bracket_batch,
     dirichlet_integrand,
     divergence_batch,
@@ -142,10 +143,10 @@ class VerificationReport:
         return out
 
 
-def _gate_for(pv, gates: Gates) -> float:
-    if pv.std_error is not None:
-        return gates.mc_z * pv.std_error
-    return gates.exact + (pv.error_bound or 0.0)
+def _gate_for(defect: Mean, gates: Gates) -> float:
+    if defect.std_error is not None:
+        return gates.mc_z * defect.std_error
+    return gates.exact + defect.error_bound
 
 
 def _report(
@@ -177,11 +178,9 @@ def _report(
 
 
 def _paired_report(case: str, kernel, backend, gates: Gates) -> VerificationReport:
-    pv = backend.paired(kernel)
-    gate = _gate_for(pv, gates)
-    return _report(
-        case, backend, pv.lhs, pv.rhs, pv.defect, gate, abs(pv.defect) <= gate, pv.n
-    )
+    lhs, rhs, d = backend.paired(kernel)
+    gate = _gate_for(d, gates)
+    return _report(case, backend, lhs, rhs, d.value, gate, abs(d.value) <= gate, d.n)
 
 
 def _pointwise_counts(space: GroundSpace, seed: int, case: str, points: int) -> np.ndarray:
@@ -355,17 +354,17 @@ def gamma_form_bound_check(
     def kernel(counts: np.ndarray):
         return lhs_fun.batch(counts), 0.5 * mid_fun.batch(counts)
 
-    pv = backend.paired(kernel)
+    *_, form = backend.paired(kernel)  # the linear form value Gamma_a(F)[Phi]
     energy = backend.expectation(dirichlet_integrand(F, F))
-    value = pv.defect  # the linear form value Gamma_a(F)[Phi]
+    value = form.value
     upper = Phi.bound * energy.value
-    if pv.std_error is not None:
-        gate = gates.mc_z * (pv.std_error + Phi.bound * energy.std_error)
+    if form.std_error is not None:
+        gate = gates.mc_z * (form.std_error + Phi.bound * energy.std_error)
     else:
-        gate = gates.exact + pv.error_bound + Phi.bound * energy.error_bound
+        gate = gates.exact + form.error_bound + Phi.bound * energy.error_bound
     defect = max(-value, value - upper)
     # signed: a negative defect is slack, so the rule is not |defect| <= gate
-    return _report(case, backend, value, upper, defect, gate, defect <= gate, pv.n)
+    return _report(case, backend, value, upper, defect, gate, defect <= gate, form.n)
 
 
 def bracket_expectation_check(
@@ -390,25 +389,25 @@ def bracket_expectation_check(
                 bracket_batch(u, v, kind, counts),
             )
 
-        pv = backend.paired(kernel)
-        return pv, _gate_for(pv, gates)
+        _, other, d = backend.paired(kernel)
+        return other, d, _gate_for(d, gates)
 
-    pv_plus, gate_plus = against(BracketKind.PLUS)
-    pv_minus, gate_minus = against(BracketKind.MINUS)
+    plus, d_plus, gate_plus = against(BracketKind.PLUS)
+    minus, d_minus, gate_minus = against(BracketKind.MINUS)
     # keep the comparison with the larger gate excess
-    if abs(pv_plus.defect) - gate_plus >= abs(pv_minus.defect) - gate_minus:
-        defect, gate = pv_plus.defect, gate_plus
+    if abs(d_plus.value) - gate_plus >= abs(d_minus.value) - gate_minus:
+        defect, gate = d_plus.value, gate_plus
     else:
-        defect, gate = pv_minus.defect, gate_minus
+        defect, gate = d_minus.value, gate_minus
     return _report(
         case,
         backend,
-        lhs=pv_plus.rhs,
-        rhs=pv_minus.rhs,
+        lhs=plus,
+        rhs=minus,
         defect=defect,
         gate=gate,
         passed=abs(defect) <= gate,
-        n=pv_plus.n,
+        n=d_plus.n,
     )
 
 
@@ -539,8 +538,8 @@ def _chain_rule_defects(phi: ScalarMap, F: Functional, G: Functional, backend):
         worst.append(np.abs(gamma_batch(phiF, G, counts) - rhs).max())
         return energy_fun.batch(counts), rhs
 
-    pv = backend.paired(kernel)
-    return pv, float(np.max(worst))
+    *_, defect = backend.paired(kernel)
+    return defect, float(np.max(worst))
 
 
 def non_diffusion_counterexample(
@@ -572,8 +571,8 @@ def non_diffusion_counterexample(
             for G in Gs:
                 if evaluated >= budget:
                     break
-                pv, pointwise = _chain_rule_defects(phi, F, G, backend)
-                best_integrated = max(best_integrated, abs(pv.defect))
+                integrated, pointwise = _chain_rule_defects(phi, F, G, backend)
+                best_integrated = max(best_integrated, abs(integrated.value))
                 best_pointwise = max(best_pointwise, pointwise)
                 evaluated += 1
     gate = gates.counterexample_factor * gates.exact
@@ -602,9 +601,8 @@ def chain_rule_control_check(
     both chain-rule defects must vanish (up to truncation)."""
     _require_exact(backend, "chain_rule_control_check")
     _check_binding(backend, F, G)
-    pv, pointwise = _chain_rule_defects(scalar_map("identity"), F, G, backend)
-    gate = gates.exact + (pv.error_bound or 0.0)
-    defect = max(abs(pv.defect), pointwise)
-    return _report(
-        case, backend, abs(pv.defect), pointwise, defect, gate, defect <= gate, pv.n
-    )
+    integrated, pointwise = _chain_rule_defects(scalar_map("identity"), F, G, backend)
+    gate = _gate_for(integrated, gates)
+    lhs = abs(integrated.value)
+    defect = max(lhs, pointwise)
+    return _report(case, backend, lhs, pointwise, defect, gate, defect <= gate, integrated.n)

@@ -19,6 +19,8 @@ back to one value per sample, so every estimate is computed from the same
 per-sample arrays, in the same worker order, as a sweep over the full block.
 The backend holds the deduplicated blocks in memory for its lifetime.
 
+Every estimate is one sweep (per-sample values) and one reduction (the sample
+mean with standard error std(ddof=1) / sqrt(n)), returned as a ``Mean``.
 Identity defects are always estimated as paired per-sample differences, one
 stream of LHS - RHS values per draw, never as two independently estimated
 expectations subtracted, so the reported standard error gates the quantity
@@ -31,14 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteValueError
+from .errors import ConfigError, NonFiniteValueError
 from .functionals import Functional, _sweep_rows
 from .ground import GroundSpace
-from .operators import PairedValue
+from .operators import Mean
+from .registry import _is_int
 
 __all__ = [
     "SamplerConfig",
-    "Estimate",
     "mc_expectation",
     "MonteCarloBackend",
 ]
@@ -46,37 +48,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Reproducibility key for a Monte Carlo run."""
+    """Reproducibility key for a Monte Carlo run: an integer seed >= 0, at
+    least 2 samples (a standard error needs two) and at least 1 worker;
+    anything else is a ``ConfigError`` naming the field."""
 
     seed: int
     samples: int
     workers: int = 1
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """Sample mean with its standard error."""
-
-    mean: float
-    std_error: float
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"an estimate needs n >= 2 samples, got {self.n}")
-
-    @property
-    def value(self) -> float:
-        """Alias so exact and Monte Carlo results share one accessor."""
-        return self.mean
+        for name, low in (("seed", 0), ("samples", 2), ("workers", 1)):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= low):
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def sample_counts(
@@ -109,14 +93,12 @@ def _distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, inverse.reshape(-1)
 
 
-def _estimate(values: np.ndarray) -> Estimate:
+def _sample_mean(values: np.ndarray) -> Mean:
     n = values.size
-    mean = float(values.mean())
-    std_error = float(values.std(ddof=1) / np.sqrt(n))
-    return Estimate(mean, std_error, n)
+    return Mean(float(values.mean()), n, std_error=float(values.std(ddof=1) / np.sqrt(n)))
 
 
-def mc_expectation(F: Functional, space: GroundSpace, cfg: SamplerConfig) -> Estimate:
+def mc_expectation(F: Functional, space: GroundSpace, cfg: SamplerConfig) -> Mean:
     """Monte Carlo estimate of E[F] with its standard error."""
     return MonteCarloBackend(space, cfg).expectation(F)
 
@@ -131,8 +113,6 @@ class MonteCarloBackend:
     label = "mc"
 
     def __init__(self, space: GroundSpace, cfg: SamplerConfig):
-        if cfg.samples < 2:
-            raise ValueError("the Monte Carlo backend needs at least 2 samples")
         self.space = space
         self.cfg = cfg
         self._blocks: list[tuple[np.ndarray, np.ndarray]] | None = None
@@ -176,19 +156,12 @@ class MonteCarloBackend:
             chunks.append(tuple(a[inverse] for a in out))
         return tuple(np.concatenate(arrs) for arrs in zip(*chunks))
 
-    def expectation(self, F: Functional) -> Estimate:
+    def expectation(self, F: Functional) -> Mean:
         (values,) = self._sweep(lambda c: (F.batch(c),))
-        return _estimate(values)
+        return _sample_mean(values)
 
-    def paired(self, kernel) -> PairedValue:
-        """Sweep a paired LHS/RHS kernel; the defect is estimated per sample."""
+    def paired(self, kernel) -> tuple[float, float, Mean]:
+        """The LHS and RHS sample means of a paired kernel, and the defect:
+        the ``Mean`` of the per-sample differences."""
         lhs, rhs = self._sweep(kernel)
-        diff = lhs - rhs
-        est = _estimate(diff)
-        return PairedValue(
-            lhs=lhs.mean(),
-            rhs=rhs.mean(),
-            defect=est.mean,
-            n=est.n,
-            std_error=est.std_error,
-        )
+        return float(lhs.mean()), float(rhs.mean()), _sample_mean(lhs - rhs)

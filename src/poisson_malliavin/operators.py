@@ -2,7 +2,8 @@
 carre du champ, Dirichlet energy, and the three energy brackets.
 
 All maps here are exact configuration-wise evaluations; expectations are
-delegated to the exact-enumeration and Monte Carlo backends.
+delegated to the exact-enumeration and Monte Carlo backends, which both
+return a ``Mean``: a value with its truncation bound or standard error.
 
 The divergence evaluates its eta-integral at the reduced configuration,
 
@@ -31,6 +32,7 @@ shared mutable state.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +58,7 @@ __all__ = [
     "gamma_batch",
     "dirichlet_integrand",
     "dirichlet_energy",
-    "PairedValue",
+    "Mean",
 ]
 
 
@@ -177,32 +179,20 @@ def dirichlet_energy(F: Functional, G: Functional, backend) -> float:
     return float(backend.expectation(dirichlet_integrand(F, G)).value)
 
 
-class PairedValue:
-    """Result of a paired LHS/RHS expectation sweep.
+@dataclass(frozen=True)
+class Mean:
+    """A weighted mean of per-configuration values with its one error term.
 
-    ``defect`` is the expectation of the per-configuration difference, never
-    the difference of two independently estimated expectations, so Monte
-    Carlo standard errors gate the actual quantity under test.  Exact sweeps
-    carry a truncation ``error_bound`` instead of a ``std_error``.
+    Exact sweeps carry the truncation ``error_bound`` (``std_error`` is
+    None), Monte Carlo sweeps the ``std_error`` of the sample mean
+    (``error_bound`` is None); ``n`` is the number of states or samples.
+    A backend's ``paired`` returns the LHS and RHS means as floats and the
+    defect as a ``Mean``: the mean of the per-configuration differences,
+    never the difference of two independently estimated means, so Monte
+    Carlo standard errors gate the actual quantity under test.
     """
 
-    __slots__ = ("lhs", "rhs", "defect", "n", "error_bound", "std_error")
-
-    def __init__(self, lhs, rhs, defect, n, error_bound=None, std_error=None):
-        self.lhs = float(lhs)
-        self.rhs = float(rhs)
-        self.defect = float(defect)
-        self.n = int(n)
-        self.error_bound = None if error_bound is None else float(error_bound)
-        self.std_error = None if std_error is None else float(std_error)
-
-    def __repr__(self) -> str:
-        extra = (
-            f"error_bound={self.error_bound!r}"
-            if self.error_bound is not None
-            else f"std_error={self.std_error!r}"
-        )
-        return (
-            f"PairedValue(lhs={self.lhs!r}, rhs={self.rhs!r},"
-            f" defect={self.defect!r}, n={self.n}, {extra})"
-        )
+    value: float
+    n: int
+    error_bound: float | None = None
+    std_error: float | None = None

@@ -232,7 +232,7 @@ def deterministic_field(space: GroundSpace, values) -> RandomField:
 def site_indicator_field(space: GroundSpace, B) -> RandomField:
     """u(eta, z) = 1_B(z)."""
     B = _as_siteset(B)
-    field = deterministic_field(space, B.mask(space))
+    field = deterministic_field(space, B.imask(space))
     return RandomField(
         space, field.fn, "site_indicator", {"B": B.sorted_members()}, bound=1.0
     )
@@ -241,10 +241,10 @@ def site_indicator_field(space: GroundSpace, B) -> RandomField:
 def functional_times_indicator(space: GroundSpace, B, F: Functional) -> RandomField:
     """u(eta, z) = 1_B(z) F(eta)."""
     B = _as_siteset(B)
-    mask = B.mask(space)
+    imask = B.imask(space)
 
     def fn(c: np.ndarray) -> np.ndarray:
-        return F.batch(c)[..., None] * mask
+        return F.batch(c)[..., None] * imask
 
     return RandomField(
         space,

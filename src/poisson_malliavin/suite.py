@@ -127,41 +127,31 @@ def parse_config(obj: dict) -> SuiteConfig:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"space.weights: {exc}") from exc
 
-    trunc = obj.get("truncation", {})
-    tol = float(trunc.get("tol", 1e-12))
-    budget = int(trunc.get("budget", DEFAULT_BUDGET))
-    if not tol > 0.0:
-        raise ConfigError(f"truncation.tol: must be > 0, got {tol}")
-    if budget < 1:
-        raise ConfigError(f"truncation.budget: must be >= 1, got {budget}")
+    trunc = _section(obj, "truncation")
+    tol = float(_scalar(trunc, "truncation.tol", 1e-12, _is_real, 0, strict=True))
+    budget = _scalar(trunc, "truncation.budget", DEFAULT_BUDGET, _is_int, 1)
 
-    mc_obj = obj.get("mc", {})
+    mc_obj = _section(obj, "mc")
     try:
         mc = SamplerConfig(
-            seed=int(mc_obj.get("seed", 0)),
-            samples=int(mc_obj.get("samples", 100_000)),
-            workers=int(mc_obj.get("workers", 1)),
+            seed=mc_obj.get("seed", 0),
+            samples=mc_obj.get("samples", 100_000),
+            workers=mc_obj.get("workers", 1),
         )
-    except ValueError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"mc: {exc}") from exc
 
     gates = Gates(**_parse_gates("gates", obj.get("gates", {})))
 
-    points = int(obj.get("pointwise_samples", 200))
-    if points < 1:
-        raise ConfigError("pointwise_samples: must be >= 1")
+    points = _scalar(obj, "pointwise_samples", 200, _is_int, 1)
 
     rand = obj.get("randomized_space")
     if rand is not None:
         if not isinstance(rand, dict):
             raise ConfigError("randomized_space: must be an object or absent")
-        sites = int(rand.get("sites", space.n))
-        low = float(rand.get("low", 0.4))
-        high = float(rand.get("high", 1.6))
-        if sites < 1 or not 0.0 < low <= high:
-            raise ConfigError(
-                "randomized_space: needs sites >= 1 and 0 < low <= high"
-            )
+        sites = _scalar(rand, "randomized_space.sites", space.n, _is_int, 1)
+        low = float(_scalar(rand, "randomized_space.low", 0.4, _is_real, 0, strict=True))
+        high = float(_scalar(rand, "randomized_space.high", 1.6, _is_real, low))
         rand = {"sites": sites, "low": low, "high": high}
 
     cases = obj.get("cases")
@@ -180,6 +170,25 @@ def parse_config(obj: dict) -> SuiteConfig:
         randomized_space=rand,
         cases=tuple(cases),
     )
+
+
+def _section(obj: dict, key: str) -> dict:
+    value = obj.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: must be an object, got {value!r}")
+    return value
+
+
+def _scalar(obj: dict, where: str, default, accepts, low, strict: bool = False):
+    """``obj``'s value for the last key of ``where`` (``default`` when
+    absent), which must pass ``accepts`` (``_is_int`` or ``_is_real``) and be
+    >= ``low``, or > ``low`` when ``strict``."""
+    value = obj.get(where.rsplit(".", 1)[-1], default)
+    if accepts(value) and (value > low if strict else value >= low):
+        return value
+    kind = "an integer" if accepts is _is_int else "a number"
+    rule = ">" if strict else ">="
+    raise ConfigError(f"{where}: must be {kind} {rule} {low}, got {value!r}")
 
 
 def _parse_gates(where: str, obj) -> dict[str, float]:

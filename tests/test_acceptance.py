@@ -255,7 +255,7 @@ def test_backend_cross_validation(space, exact):
         F = functional_from_spec(space, spec)
         est = mc_expectation(F, space, cfg)
         ex = exact_expectation(F, exact.table)
-        if abs(est.mean - ex.value) > 4.0 * est.std_error + ex.error_bound:
+        if abs(est.value - ex.value) > 4.0 * est.std_error + ex.error_bound:
             bad.append((i, spec))
     _criterion(
         "backend cross-validation",

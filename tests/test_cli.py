@@ -85,6 +85,25 @@ class TestVerify:
             assert json.loads(out)["mc"] == {"seed": 7, "samples": 1000, "workers": workers}
 
 
+BAD_OVERRIDES = [
+    (["verify", "--backend", "mc", "--samples", "1"], "samples must be an integer >= 2, got 1"),
+    (["verify", "--samples", "0"], "samples must be an integer >= 2, got 0"),
+    (["verify", "--seed", "-3"], "seed must be an integer >= 0, got -3"),
+    (["verify", "--workers", "0"], "workers must be an integer >= 1, got 0"),
+    (["estimate", "--functional", "linear_count", "--samples", "1"], "samples must be an integer >= 2, got 1"),
+    (["sample", "--count", "-1"], "--count must be an integer >= 0, got -1"),
+    (["sample", "--count", "3", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_OVERRIDES, ids=[" ".join(a) for a, _ in BAD_OVERRIDES])
+def test_bad_override_exits_2_with_error(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 class TestSample:
     def test_emits_json_lines(self, capsys):
         assert main(["sample", "--count", "5", "--seed", "3"]) == 0

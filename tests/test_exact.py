@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from poisson_malliavin import (
     BudgetExceededError,
     ExactBackend,
     GroundSpace,
+    Mean,
     SiteSet,
     StateTable,
     TruncationError,
@@ -36,7 +38,8 @@ from poisson_malliavin import (
 )
 from poisson_malliavin import exact as exact_module
 from poisson_malliavin.errors import ConfigError, SolverError
-from poisson_malliavin.exact import _site_chain, _site_schur
+from poisson_malliavin.exact import _poisson_tail, _site_chain, _site_schur
+from poisson_malliavin.identities import mecke_kernel
 
 
 def _record_factors(monkeypatch) -> list:
@@ -106,6 +109,51 @@ class TestPlanTruncation:
             plan_truncation(space, 1e-12, budget=10)
         assert err.value.required > 10
         assert err.value.budget == 10
+
+    @pytest.mark.parametrize(
+        "tol, budget", [(float("nan"), 10), (float("inf"), 10), ("1e-9", 10), (1e-9, 0), (1e-9, 2.5)]
+    )
+    def test_bad_tolerance_or_budget_is_config_error(self, space, tol, budget):
+        with pytest.raises(ConfigError, match="^(tolerance|budget) must be"):
+            plan_truncation(space, tol, budget)
+
+    def test_no_cap_below_max_is_config_error(self, monkeypatch):
+        monkeypatch.setattr(exact_module, "_MAX_CAP", 50)
+        assert plan_truncation(GroundSpace((10.0,)), 1e-12).caps == (39,)
+        with pytest.raises(ConfigError, match="^no cap below 50 reaches tail share"):
+            plan_truncation(GroundSpace((100.0,)), 1e-12)
+
+
+def _linear_cap(lam: float, share: float) -> tuple[int, float]:
+    """The smallest cap >= 1 with tail <= share, by stepping the cap up."""
+    cap = 1
+    tail = _poisson_tail(lam, cap)
+    while tail > share:
+        cap += 1
+        tail = _poisson_tail(lam, cap)
+    return cap, tail
+
+
+class TestCapSearch:
+    @pytest.mark.parametrize("lam", [0.01, 0.1, 0.5, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0])
+    def test_caps_and_tails_equal_linear_search(self, lam):
+        for tol in (1e-3, 1e-5, 1e-8, 1e-11, 1e-14):
+            plan = plan_truncation(GroundSpace((lam,)), tol)
+            assert (plan.caps[0], plan.site_tails[0]) == _linear_cap(lam, tol)
+
+    def test_sites_search_their_share(self, space):
+        plan = plan_truncation(space, 1e-9)
+        for lam, cap, tail in zip(space.weights, plan.caps, plan.site_tails):
+            assert (cap, tail) == _linear_cap(lam, 1e-9 / space.n)
+
+    def test_large_weight_plans_in_under_a_second(self):
+        start = time.perf_counter()
+        plan = plan_truncation(GroundSpace((1e4,)), 1e-12)
+        assert time.perf_counter() - start < 1.0
+        (cap,) = plan.caps
+        assert plan.site_tails[0] <= 1e-12 < _poisson_tail(1e4, cap - 1)
+        with pytest.raises(BudgetExceededError):
+            plan_truncation(GroundSpace((1e4, 1e4)), 1e-12)
 
 
 class TestLargeWeights:
@@ -195,6 +243,24 @@ class TestStateTable:
 
 
 class TestExactExpectation:
+    def test_means_reduce_the_table_once(self, space, exact):
+        """Expectations and paired sweeps are ``probs @ values`` with
+        tail_bound times the certified bound or the enumerated sup."""
+        states, probs = exact.table.states, exact.table.probs
+        S, tail = exact.state_count, exact.tail_bound
+        F = bounded_sigmoid(space, [1, 2], 1.0)
+        assert exact.expectation(F) == Mean(
+            float(probs @ F.batch(states)), S, error_bound=tail * F.bound
+        )
+        kernel = mecke_kernel(functional_times_indicator(space, [1, 3], F))
+        lhs, rhs = kernel(states)
+        diff = lhs - rhs
+        assert exact.paired(kernel) == (
+            float(probs @ lhs),
+            float(probs @ rhs),
+            Mean(float(probs @ diff), S, error_bound=tail * float(np.abs(diff).max())),
+        )
+
     def test_poisson_mean(self, space, exact):
         F = linear_count(space, SiteSet.full(space).sorted_members())
         res = exact_expectation(F, exact.table)

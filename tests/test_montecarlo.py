@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from poisson_malliavin import (
-    Estimate,
+    ConfigError,
     Functional,
+    Mean,
     MonteCarloBackend,
     NonFiniteValueError,
     SamplerConfig,
@@ -42,18 +43,18 @@ class TestSampler:
     def test_mean_total_count(self, space):
         F = linear_count(space, [1, 2, 3])
         est = mc_expectation(F, space, CFG)
-        assert abs(est.mean - 3.0) <= 4.0 * est.std_error
+        assert abs(est.value - 3.0) <= 4.0 * est.std_error
 
     def test_variance_of_site_count(self, space):
         # Var eta({1}) = lambda_1 = 0.5; estimate it as E[(eta({1}) - 0.5)^2]
         centered = affine_of([(1.0, linear_count(space, [1]))], -0.5)
         est = mc_expectation(product_of(centered, centered), space, CFG)
-        assert abs(est.mean - 0.5) <= 4.0 * est.std_error
+        assert abs(est.value - 0.5) <= 4.0 * est.std_error
 
     def test_second_moment(self, space):
         # E eta(Z)^2 = nu(Z) + nu(Z)^2 = 12
         est = mc_expectation(poly_count(space, [1, 2, 3], 2), space, CFG)
-        assert abs(est.mean - 12.0) <= 4.0 * est.std_error
+        assert abs(est.value - 12.0) <= 4.0 * est.std_error
 
 
 class TestReproducibility:
@@ -74,19 +75,24 @@ class TestReproducibility:
         many = mc_expectation(F, space, SamplerConfig(seed=7, samples=50_000, workers=5))
         assert one != many  # different substreams
         for est in (one, many):
-            assert abs(est.mean - 3.0) <= 4.0 * est.std_error
+            assert abs(est.value - 3.0) <= 4.0 * est.std_error
 
 
 class TestEstimate:
     def test_constant_functional(self, space):
         est = mc_expectation(constant(space, 2.5), space, SamplerConfig(0, 1000))
-        assert est.mean == 2.5
-        assert est.std_error == 0.0
-        assert est.n == 1000
+        assert est == Mean(2.5, 1000, std_error=0.0)
 
     def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            Estimate(mean=0.0, std_error=0.0, n=1)
+        with pytest.raises(ConfigError, match="samples must be an integer >= 2"):
+            SamplerConfig(seed=0, samples=1)
+
+    @pytest.mark.parametrize(
+        "seed, samples, workers", [(True, 10, 1), (0, 10.0, 1), (0, 10, "2"), (0, 10, None)]
+    )
+    def test_sampler_config_needs_integers(self, seed, samples, workers):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            SamplerConfig(seed=seed, samples=samples, workers=workers)
 
     def test_sampler_config_validation(self):
         with pytest.raises(ValueError):
@@ -103,20 +109,20 @@ class TestMeckeDefect:
 
     def test_unit_field(self, space):
         u = deterministic_field(space, [1.0, 1.0, 1.0])
-        pv = MonteCarloBackend(space, CFG).paired(mecke_kernel(u))
-        assert abs(pv.defect) <= 4.0 * pv.std_error
+        *_, defect = MonteCarloBackend(space, CFG).paired(mecke_kernel(u))
+        assert abs(defect.value) <= 4.0 * defect.std_error
 
     def test_bounded_sigmoid_field(self, space):
         u = functional_times_indicator(
             space, [1, 2], bounded_sigmoid(space, [1, 2], 1.0)
         )
-        pv = MonteCarloBackend(space, CFG).paired(mecke_kernel(u))
-        assert abs(pv.defect) <= 4.0 * pv.std_error
+        *_, defect = MonteCarloBackend(space, CFG).paired(mecke_kernel(u))
+        assert abs(defect.value) <= 4.0 * defect.std_error
 
     def test_deterministic_field(self, space):
         u = deterministic_field(space, [1.0, -0.5, 2.0])
-        pv = MonteCarloBackend(space, CFG).paired(mecke_kernel(u))
-        assert abs(pv.defect) <= 4.0 * pv.std_error
+        *_, defect = MonteCarloBackend(space, CFG).paired(mecke_kernel(u))
+        assert abs(defect.value) <= 4.0 * defect.std_error
 
 
 class TestNonFiniteAbort:
@@ -146,7 +152,7 @@ class TestAgreementWithExact:
         for F in pool:
             est = mc_expectation(F, space, CFG)
             ex = exact_expectation(F, exact.table)
-            assert abs(est.mean - ex.value) <= 4.0 * est.std_error + ex.error_bound
+            assert abs(est.value - ex.value) <= 4.0 * est.std_error + ex.error_bound
 
     def test_backend_facade(self, space):
         be = MonteCarloBackend(space, CFG)
@@ -197,10 +203,10 @@ class TestDedupEquivalence:
         F = poly_count(sp, B, 2)
         values = np.concatenate([F.batch(b) for b in blocks])
         est = mc_expectation(F, sp, cfg)
-        assert est == Estimate(
+        assert est == Mean(
             float(values.mean()),
-            float(values.std(ddof=1) / np.sqrt(values.size)),
             values.size,
+            std_error=float(values.std(ddof=1) / np.sqrt(values.size)),
         )
 
         u = functional_times_indicator(sp, B, bounded_sigmoid(sp, B, 1.0))
@@ -209,13 +215,14 @@ class TestDedupEquivalence:
         lhs = np.concatenate([o[0] for o in outs])
         rhs = np.concatenate([o[1] for o in outs])
         diff = lhs - rhs
-        pv = MonteCarloBackend(sp, cfg).paired(kernel)
-        assert (pv.lhs, pv.rhs, pv.defect, pv.n, pv.std_error) == (
+        assert MonteCarloBackend(sp, cfg).paired(kernel) == (
             float(lhs.mean()),
             float(rhs.mean()),
-            float(diff.mean()),
-            diff.size,
-            float(diff.std(ddof=1) / np.sqrt(diff.size)),
+            Mean(
+                float(diff.mean()),
+                diff.size,
+                std_error=float(diff.std(ddof=1) / np.sqrt(diff.size)),
+            ),
         )
 
     def test_distinct_rows_rebuild_the_block(self, case):

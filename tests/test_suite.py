@@ -14,6 +14,7 @@ from poisson_malliavin import (
     load_config,
     parse_config,
     registry,
+    reports_to_json,
     run_suite,
 )
 from poisson_malliavin.suite import _IDENTITIES
@@ -23,6 +24,12 @@ from poisson_malliavin.suite import _IDENTITIES
 CASE_IDS_SHA256 = {
     "exact": "e39331ba8466c5f1479a84028ceaf6ea8d2104313cf1f3d27189f5fd826c037f",
     "mc": "1e575d4138ea0537dc07a4f937bb7670a04b9cad1dcba8a88d55dc29d5dfb7d2",
+}
+# sha256 of the packaged config's report file per backend; pins every report
+# byte: values, gates, error terms and the order in which gates are summed
+REPORT_SHA256 = {
+    "exact": "923173e17addafb324cfc3f23d87dc020487eee205a92068188caba52d0f8fbf",
+    "mc": "91943aa286199aae9a89357f4e53bc05b5bc56a3c69887271ae88431c34bdb21",
 }
 UNIT_FIELD = {"name": "deterministic", "values": [1.0, 1.0, 1.0]}
 REQUIRED = [(name, key) for name, ident in _IDENTITIES.items() for key in ident.required]
@@ -38,6 +45,12 @@ def test_case_ids_pinned(backend, cases):
     assert len(ids) == cases
     digest = hashlib.sha256("\n".join(ids).encode("utf-8")).hexdigest()
     assert digest == CASE_IDS_SHA256[backend]
+
+
+@pytest.mark.parametrize("backend", ["exact", "mc"])
+def test_report_bytes_pinned(backend):
+    text = reports_to_json(run_suite(load_config(None), backend))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[backend]
 
 
 @pytest.mark.parametrize("identity, key", REQUIRED, ids=[f"{i}-{k}" for i, k in REQUIRED])
@@ -118,6 +131,39 @@ def test_bad_case_value_is_config_error(name, case, message):
     with pytest.raises(ConfigError) as err:
         parse_config(_config(case))
     assert str(err.value).startswith(message)
+
+
+BAD_SCALARS = [
+    ("mc-samples-one", {"mc": {"samples": 1}}, "mc: samples must be an integer >= 2, got 1"),
+    ("mc-samples-float", {"mc": {"samples": 1000.5}}, "mc: samples must be an integer >= 2, got 1000.5"),
+    ("mc-seed-bool", {"mc": {"seed": True}}, "mc: seed must be an integer >= 0, got True"),
+    ("mc-seed-negative", {"mc": {"seed": -3}}, "mc: seed must be an integer >= 0, got -3"),
+    ("mc-workers-string", {"mc": {"workers": "2"}}, "mc: workers must be an integer >= 1, got '2'"),
+    ("mc-list", {"mc": [1]}, "mc: must be an object, got [1]"),
+    ("tol-string", {"truncation": {"tol": "x"}}, "truncation.tol: must be a number > 0, got 'x'"),
+    ("tol-zero", {"truncation": {"tol": 0}}, "truncation.tol: must be a number > 0, got 0"),
+    ("tol-inf", {"truncation": {"tol": float("inf")}}, "truncation.tol: must be a number > 0, got inf"),
+    ("budget-float", {"truncation": {"budget": 2.5}}, "truncation.budget: must be an integer >= 1, got 2.5"),
+    ("truncation-string", {"truncation": "x"}, "truncation: must be an object, got 'x'"),
+    ("points-string", {"pointwise_samples": "x"}, "pointwise_samples: must be an integer >= 1, got 'x'"),
+    ("points-zero", {"pointwise_samples": 0}, "pointwise_samples: must be an integer >= 1, got 0"),
+    ("random-sites-string", {"randomized_space": {"sites": "3"}}, "randomized_space.sites: must be an integer >= 1, got '3'"),
+    ("random-low-zero", {"randomized_space": {"low": 0}}, "randomized_space.low: must be a number > 0, got 0"),
+    ("random-high-bool", {"randomized_space": {"high": True}}, "randomized_space.high: must be a number >= 0.4, got True"),
+    ("random-high-below-low", {"randomized_space": {"low": 2.0, "high": 1.0}}, "randomized_space.high: must be a number >= 2.0, got 1.0"),
+]
+
+
+@pytest.mark.parametrize("name, top, message", BAD_SCALARS, ids=[b[0] for b in BAD_SCALARS])
+def test_bad_top_level_scalar_is_config_error(name, top, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(dict(_config({"identity": "mecke", "u": UNIT_FIELD}), **top))
+    assert str(err.value) == message
+
+
+def test_config_error_is_a_value_error():
+    with pytest.raises(ValueError):
+        parse_config(dict(_config({"identity": "mecke", "u": UNIT_FIELD}), mc={"samples": 1}))
 
 
 def test_bad_top_level_gate_is_config_error():
