@@ -128,16 +128,17 @@ def _poisson_tail(lam: float, cap: int) -> float:
 
     Summing the tail directly (rather than 1 - cdf) keeps tiny tails accurate
     in absolute terms; terms decay superexponentially past the mode.  Where
-    the first term underflows, the pmf vector is summed instead, up to where
-    its terms underflow too; for weights whose exp(-lam) underflows it starts
-    at the mode, so the result never falls below the true tail by more than
-    rounding.
+    the first term underflows below the mode, the tail is 1.0; above it, the
+    pmf vector is summed instead, up to where its terms underflow too; for
+    weights whose exp(-lam) underflows it starts at the mode, so the result
+    never falls below the true tail by more than rounding.
     """
     log_term = -lam + (cap + 1) * math.log(lam) - math.lgamma(cap + 2)
     if log_term < _LOG_TINY:
-        # reached only with cap far below the mode (tail about 1) or far
-        # above it (tail below the double range); past lam + 40 sqrt(lam) the
-        # terms are below exp(-500) for every weight whose exp(-lam) underflows
+        if cap + 1 < lam:  # the pmf rises to the mode: every pmf(k <= cap) underflows too
+            return 1.0
+        # far above the mode; past lam + 40 sqrt(lam) the terms are below
+        # exp(-500) for every weight whose exp(-lam) underflows
         last = max(cap + 1, int(lam + 40.0 * math.sqrt(lam) + 40.0))
         return float(_poisson_pmf_vector(lam, last)[cap + 1 :].sum())
     term = math.exp(log_term)
@@ -317,7 +318,7 @@ def _sweep_table(kernel, table: StateTable, names: tuple[str, ...]) -> tuple[np.
     values, the first in table order named with its ``names`` entry.
     """
     outs = _sweep_box(kernel, table.plan.caps)
-    for values, what in zip(outs, names):
+    for values, what in zip(outs, names, strict=True):
         finite = np.isfinite(values)
         if not finite.all():
             bad = np.unravel_index(int(np.argmin(finite)), [cap + 1 for cap in table.plan.caps])
@@ -339,11 +340,12 @@ def _table_mean(values: np.ndarray, table: StateTable, bound: float | None = Non
     )
 
 
-def exact_expectation(F: Functional, table: StateTable) -> Mean:
-    """E[F] = sum_s probs(s) F(s) over the truncated table, F evaluated once
-    per box slice (``_sweep_table``); the error bound uses F's certified
-    bound when it carries one."""
-    (values,) = _sweep_table(lambda counts: (F.batch(counts),), table, (F.name,))
+def exact_expectation(F: Functional, table: StateTable, values: np.ndarray | None = None) -> Mean:
+    """E[F] = sum_s probs(s) F(s) from F's per-state ``values`` of a sweep
+    already made, or swept here once per box slice (``_sweep_table``); the
+    error bound uses F's certified bound when it carries one."""
+    if values is None:
+        (values,) = _sweep_table(lambda counts: (F.batch(counts),), table, (F.name,))
     return _table_mean(values, table, F.bound)
 
 
@@ -591,7 +593,8 @@ def ou_pseudo_inverse(
 # ---------------------------------------------------------------------------
 
 class ExactBackend:
-    """Expectation engine backed by full enumeration of a truncated table."""
+    """Expectation engine backed by full enumeration of a truncated table.
+    A check sweeps it once and reduces each output (``mean``, ``expectation``)."""
 
     label = "exact"
 
@@ -613,13 +616,19 @@ class ExactBackend:
     def state_count(self) -> int:
         return self.table.state_count
 
-    def expectation(self, F: Functional) -> Mean:
-        return exact_expectation(F, self.table)
+    def sweep(self, kernel, names: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+        return _sweep_table(kernel, self.table, names)
+
+    def mean(self, values: np.ndarray) -> Mean:
+        return _table_mean(values, self.table)
+
+    def expectation(self, F: Functional, values: np.ndarray | None = None) -> Mean:
+        return exact_expectation(F, self.table, values)
 
     def paired(self, kernel) -> tuple[float, float, Mean]:
         """The LHS and RHS means of a paired kernel
         ``counts -> (lhs_values, rhs_values)`` swept over the table, and the
         defect: the ``Mean`` of the per-state differences."""
-        lhs, rhs = _sweep_table(kernel, self.table, ("paired lhs", "paired rhs"))
+        lhs, rhs = self.sweep(kernel, ("paired lhs", "paired rhs"))
         probs = self.table.probs
-        return float(probs @ lhs), float(probs @ rhs), _table_mean(lhs - rhs, self.table)
+        return float(probs @ lhs), float(probs @ rhs), self.mean(lhs - rhs)

@@ -40,6 +40,7 @@ __all__ = [
     "second_add_diff",
     "derivative_field",
     "product_field",
+    "shifted_all",
     "add_diff_all",
     "drop_diff_all",
     "field_add_tensor",
@@ -166,14 +167,21 @@ def second_add_diff(u: RandomField, eta: Configuration, z: int, zp: int) -> floa
     return float(u.values(shifted)[..., zp - 1] - u.values(c)[..., zp - 1])
 
 
-def add_diff_all(F: Functional, counts: np.ndarray) -> np.ndarray:
-    """All add differences at once: out[..., z-1] = D+_z F.  Shape (..., n).
-    On a box slice they are stride offsets into F's halo."""
+def shifted_all(F: Functional, counts: np.ndarray, step: int) -> np.ndarray:
+    """out[..., z-1] = F(eta + step delta_z) for step 1 or -1, a drop
+    clipped at 0 (``_drop_each``).  Shape (..., n).  On a box slice they are
+    stride offsets into F's halo."""
     if lattice.is_slice(counts):
-        return lattice.add_diff_all(F, counts)
-    n = F.space.n
-    plus = counts[..., None, :] + _eye(n)
-    return F.batch(plus) - F.batch(counts)[..., None]
+        return lattice.shifted(F, counts, step)
+    if step == 1:
+        return F.batch(counts[..., None, :] + _eye(F.space.n))
+    counts = _as_counts(F.space, counts)
+    return np.stack([F.batch(minus) for _, minus in _drop_each(counts)], axis=-1)
+
+
+def add_diff_all(F: Functional, counts: np.ndarray) -> np.ndarray:
+    """All add differences at once: out[..., z-1] = D+_z F.  Shape (..., n)."""
+    return shifted_all(F, counts, 1) - F.batch(counts)[..., None]
 
 
 def _drop_each(counts: np.ndarray):
@@ -188,14 +196,7 @@ def _drop_each(counts: np.ndarray):
 def drop_diff_all(F: Functional, counts: np.ndarray) -> np.ndarray:
     """All drop differences, indicator included, from n + 1 evaluations of F
     per configuration, or from F's halo on a box slice.  Shape (..., n)."""
-    if lattice.is_slice(counts):
-        return lattice.drop_diff_all(F, counts)
-    counts = _as_counts(F.space, counts)
-    here = F.batch(counts)
-    out = np.empty(counts.shape, dtype=np.float64)
-    for j, minus in _drop_each(counts):
-        out[..., j] = here - F.batch(minus)
-    return out * (counts > 0)
+    return (F.batch(counts)[..., None] - shifted_all(F, counts, -1)) * (np.asarray(counts) > 0)
 
 
 def derivative_field(F: Functional) -> RandomField:

@@ -5,9 +5,10 @@ gate, so tolerances always apply to one number:
 
 * expectation-level identities (Mecke, duality, Skorokhod isometry, the
   integrated chain rule, the carre du champ representation, the bracket
-  expectation identities) sweep a paired LHS/RHS kernel through a backend;
-  the exact gate is an absolute tolerance plus the reported truncation bound,
-  the Monte Carlo gate a z-multiplier times the paired standard error;
+  expectation identities) take their means from one backend sweep per
+  check, LHS and RHS paired per configuration; the exact gate is an absolute
+  tolerance plus the reported truncation bound, the Monte Carlo gate a
+  z-multiplier times the paired standard error;
 * pathwise identities (Heisenberg commutation, the divergence product
   formula) are checked pointwise on a seeded batch of configurations against
   a rounding-level gate;
@@ -21,20 +22,22 @@ yield byte-identical report files.
 """
 from __future__ import annotations
 
+import itertools
 import zlib
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .exact import ExactBackend
 from .functionals import (
     Functional,
     RandomField,
     add_diff_all,
     derivative_field,
+    drop_diff_all,
     field_add_tensor,
     product_field,
+    shifted_all,
     _eye,
 )
 from .ground import GroundSpace, SiteSet
@@ -47,7 +50,7 @@ from .operators import (
     divergence_batch,
     gamma_batch,
 )
-from .registry import ScalarMap, _is_real, compose, product_of, scalar_map
+from .registry import ScalarMap, _is_real, product_of, scalar_map
 
 __all__ = [
     "Gates",
@@ -191,7 +194,7 @@ def _pointwise_counts(space: GroundSpace, seed: int, case: str, points: int) -> 
 
 
 def _require_exact(backend, check: str) -> None:
-    if not isinstance(backend, ExactBackend):
+    if getattr(backend, "table", None) is None:
         raise ConfigError(
             f"{check} enumerates the state table, so it needs an ExactBackend,"
             f" not a {type(backend).__name__}"
@@ -343,19 +346,21 @@ def gamma_form_bound_check(
     for bounded F and bounded non-negative Phi; sup|Phi| is the certified
     registry bound.  The report's defect is the worst constraint violation
     (negative part on the left, excess on the right); its gate absorbs the
-    error terms of both estimated quantities.
+    error terms of both estimated quantities.  Both come from one sweep.
     """
     _check_binding(backend, F, Phi)
     if Phi.bound is None:
         raise ShapeError("gamma_form_bound needs a Phi with a certified bound")
     lhs_fun = dirichlet_integrand(F, product_of(F, Phi))
     mid_fun = dirichlet_integrand(product_of(F, F), Phi)
+    energy_fun = dirichlet_integrand(F, F)
 
     def kernel(counts: np.ndarray):
-        return lhs_fun.batch(counts), 0.5 * mid_fun.batch(counts)
+        return lhs_fun.batch(counts), 0.5 * mid_fun.batch(counts), energy_fun.batch(counts)
 
-    *_, form = backend.paired(kernel)  # the linear form value Gamma_a(F)[Phi]
-    energy = backend.expectation(dirichlet_integrand(F, F))
+    lhs, half_mid, energy_values = backend.sweep(kernel, ("form lhs", "form rhs", "energy"))
+    form = backend.mean(lhs - half_mid)  # the linear form value Gamma_a(F)[Phi]
+    energy = backend.expectation(energy_fun, energy_values)
     value = form.value
     upper = Phi.bound * energy.value
     if form.std_error is not None:
@@ -376,24 +381,24 @@ def bracket_expectation_check(
 ) -> VerificationReport:
     """Bracket expectation identities: E[u,v]_Gamma = E[u,v]_+ = E[u,v]_-.
 
-    Both comparisons against the energy bracket are run as paired sweeps; the
-    report keeps the worse of the two (relative to its own gate), with
+    One sweep yields the plus and minus brackets, and the energy bracket is
+    their average; both comparisons against it are paired per configuration.
+    The report keeps the worse of the two (relative to its own gate), with
     lhs = E[u,v]_+ and rhs = E[u,v]_-.
     """
     _check_binding(backend, u, v)
 
-    def against(kind: BracketKind):
-        def kernel(counts: np.ndarray):
-            return (
-                bracket_batch(u, v, BracketKind.GAMMA, counts),
-                bracket_batch(u, v, kind, counts),
-            )
+    def kernel(counts: np.ndarray):
+        return (
+            bracket_batch(u, v, BracketKind.PLUS, counts),
+            bracket_batch(u, v, BracketKind.MINUS, counts),
+        )
 
-        _, other, d = backend.paired(kernel)
-        return other, d, _gate_for(d, gates)
-
-    plus, d_plus, gate_plus = against(BracketKind.PLUS)
-    minus, d_minus, gate_minus = against(BracketKind.MINUS)
+    plus_values, minus_values = backend.sweep(kernel, ("plus bracket", "minus bracket"))
+    gamma_values = 0.5 * plus_values + 0.5 * minus_values
+    plus, minus = backend.mean(plus_values).value, backend.mean(minus_values).value
+    d_plus, d_minus = (backend.mean(gamma_values - side) for side in (plus_values, minus_values))
+    gate_plus, gate_minus = _gate_for(d_plus, gates), _gate_for(d_minus, gates)
     # keep the comparison with the larger gate excess
     if abs(d_plus.value) - gate_plus >= abs(d_minus.value) - gate_minus:
         defect, gate = d_plus.value, gate_plus
@@ -511,10 +516,9 @@ def product_formula_check(
 # the non-diffusion counterexample
 # ---------------------------------------------------------------------------
 
-def _chain_rule_defects(phi: ScalarMap, F: Functional, G: Functional, backend):
-    """Both failure modes of the diffusion chain rule for one (phi, F, G).
-
-    Returns the paired integrated defect of
+def _chain_rule_defects(phis: list[ScalarMap], F: Functional, G: Functional, backend):
+    """Both failure modes of the diffusion chain rule at one (F, G), per phi,
+    from one sweep.  Returns, per phi, the paired integrated defect of
 
         E(phi(F), G) = E[ phi'(F) [DF, DG]_Gamma ]
 
@@ -525,21 +529,33 @@ def _chain_rule_defects(phi: ScalarMap, F: Functional, G: Functional, backend):
     over the enumerated states.  The integrated identity is a theorem for
     affine and quadratic phi (it is the derivation lemma), so only the
     pointwise defect can witness non-diffusion there; genuinely nonlinear
-    phi (cube, tanh) break both.
+    phi (cube, tanh) break both.  Per slice of states, F at eta +- delta_z,
+    G's differences and Gamma(F, G) serve all phis; phi(F) is phi of F's.
     """
-    phiF = compose(phi, F)
-    energy_fun = dirichlet_integrand(phiF, G)
-    worst: list[float] = []
+    w = F.space.weights_array
+    worst: list[list[float]] = [[] for _ in phis]
 
     def kernel(counts: np.ndarray):
-        # phi'(F) Gamma(F, G) is both the paired right-hand side and the
-        # pointwise comparand, so it is evaluated once per slice of states
-        rhs = phi.deriv(F.batch(counts)) * gamma_batch(F, G, counts)
-        worst.append(np.abs(gamma_batch(phiF, G, counts) - rhs).max())
-        return energy_fun.batch(counts), rhs
+        here, up, down = F.batch(counts), shifted_all(F, counts, 1), shifted_all(F, counts, -1)
+        dG_add, dG_drop = add_diff_all(G, counts), drop_diff_all(G, counts)
 
-    *_, defect = backend.paired(kernel)
-    return defect, float(np.max(worst))
+        def halves(at, plus, minus):  # of [DH, DG]_Gamma, from H at eta and eta +- delta_z
+            add = (w * (plus - at[..., None]) * dG_add).sum(axis=-1)
+            return add, (counts * ((at[..., None] - minus) * (counts > 0)) * dG_drop).sum(axis=-1)
+
+        add, drop = halves(here, up, down)
+        gamma_FG = 0.5 * add + 0.5 * drop
+        defects = []
+        for phi, worst_phi in zip(phis, worst):
+            rhs = phi.deriv(here) * gamma_FG  # the paired rhs and the pointwise comparand
+            energy, drop = halves(phi.fn(here), phi.fn(up), phi.fn(down))
+            worst_phi.append(np.abs(0.5 * energy + 0.5 * drop - rhs).max())
+            defects.append(energy - rhs)  # the energy integrand is the add half
+        return tuple(defects)
+
+    names = tuple(f"chain rule defect of {phi.name}({F.name}) against {G.name}" for phi in phis)
+    defects = backend.sweep(kernel, names)
+    return [(backend.mean(d), float(np.max(w_phi))) for d, w_phi in zip(defects, worst)]
 
 
 def non_diffusion_counterexample(
@@ -563,18 +579,18 @@ def non_diffusion_counterexample(
     _require_exact(backend, "non_diffusion_counterexample")
     _check_binding(backend, *Fs, *Gs)
     maps = [scalar_map(p) if isinstance(p, str) else p for p in phis]
+    # the first ``budget`` combinations in (phi, F, G) order, one sweep per (F, G)
+    groups: dict[tuple[int, int], list[ScalarMap]] = {}
+    for phi, i, j in itertools.islice(
+        itertools.product(maps, range(len(Fs)), range(len(Gs))), max(budget, 0)
+    ):
+        groups.setdefault((i, j), []).append(phi)
     best_integrated = 0.0
     best_pointwise = 0.0
-    evaluated = 0
-    for phi in maps:
-        for F in Fs:
-            for G in Gs:
-                if evaluated >= budget:
-                    break
-                integrated, pointwise = _chain_rule_defects(phi, F, G, backend)
-                best_integrated = max(best_integrated, abs(integrated.value))
-                best_pointwise = max(best_pointwise, pointwise)
-                evaluated += 1
+    for (i, j), group in groups.items():
+        for integrated, pointwise in _chain_rule_defects(group, Fs[i], Gs[j], backend):
+            best_integrated = max(best_integrated, abs(integrated.value))
+            best_pointwise = max(best_pointwise, pointwise)
     gate = gates.counterexample_factor * gates.exact
     defect = max(best_integrated, best_pointwise)
     return _report(
@@ -601,7 +617,7 @@ def chain_rule_control_check(
     both chain-rule defects must vanish (up to truncation)."""
     _require_exact(backend, "chain_rule_control_check")
     _check_binding(backend, F, G)
-    integrated, pointwise = _chain_rule_defects(scalar_map("identity"), F, G, backend)
+    ((integrated, pointwise),) = _chain_rule_defects([scalar_map("identity")], F, G, backend)
     gate = _gate_for(integrated, gates)
     lhs = abs(integrated.value)
     defect = max(lhs, pointwise)

@@ -8,7 +8,7 @@ eta +- delta_z of a configuration in it is a neighbouring lattice point, a
 mixed-radix stride away.  This module holds what only the box allows.  It
 cuts the table into slices of consecutive rows (``sweep_parts``) and hands
 kernels each slice's counts rows tagged with the slice (``_SliceRows``).
-Given tagged rows, ``Functional.batch``, ``RandomField.values`` and the four
+Given tagged rows, ``Functional.batch``, ``RandomField.values`` and the
 shift helpers of ``functionals`` call the entry points below, which evaluate
 each functional and field once per slice and read the add and drop
 differences of the paper's carre du champ representation off values already
@@ -297,20 +297,13 @@ def field_values(u, counts: _SliceRows) -> np.ndarray:
     """A field's values at tagged rows; a gradient field DF on the slice's
     own rows reads F's halo."""
     if u.gradient_of is not None and counts.part == "slice":
-        return add_diff_all(u.gradient_of, counts)
+        return shifted(u.gradient_of, counts, 1) - values(u.gradient_of, counts)[:, None]
     return values(u, counts)
 
 
-def add_diff_all(F, counts: _SliceRows) -> np.ndarray:
-    """``functionals.add_diff_all`` on a slice's own rows."""
-    box = counts.box
-    return box.around(F, F.batch, 1) - box.values(F, "slice")[:, None]
-
-
-def drop_diff_all(F, counts: _SliceRows) -> np.ndarray:
-    """``functionals.drop_diff_all`` on a slice's own rows."""
-    box = counts.box
-    return (box.values(F, "slice")[:, None] - box.around(F, F.batch, -1)) * (counts > 0)
+def shifted(F, counts: _SliceRows, step: int) -> np.ndarray:
+    """``functionals.shifted_all`` on a slice's own rows."""
+    return counts.box.around(F, F.batch, step)
 
 
 def field_add_tensor(u, counts: _SliceRows) -> np.ndarray:

@@ -93,11 +93,6 @@ def _distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, inverse.reshape(-1)
 
 
-def _sample_mean(values: np.ndarray) -> Mean:
-    n = values.size
-    return Mean(float(values.mean()), n, std_error=float(values.std(ddof=1) / np.sqrt(n)))
-
-
 def mc_expectation(F: Functional, space: GroundSpace, cfg: SamplerConfig) -> Mean:
     """Monte Carlo estimate of E[F] with its standard error."""
     return MonteCarloBackend(space, cfg).expectation(F)
@@ -107,7 +102,8 @@ class MonteCarloBackend:
     """Expectation engine backed by the seeded Poisson sampler.
 
     Each worker's block is drawn once, on first use, and kept deduplicated
-    for the backend's lifetime.
+    for the backend's lifetime.  A check sweeps the samples once and reduces
+    each output (``mean``, ``expectation``).
     """
 
     label = "mc"
@@ -133,14 +129,15 @@ class MonteCarloBackend:
             ]
         return self._blocks
 
-    def _sweep(self, kernel) -> tuple[np.ndarray, ...]:
+    def sweep(self, kernel, names: tuple[str, ...]) -> tuple[np.ndarray, ...]:
         """Run ``kernel(counts) -> tuple of arrays`` over the worker blocks.
 
         The kernel sees each distinct row once, in fixed-size slices of the
         block (``_sweep_rows``), so memory is the per-row and per-sample
         arrays plus a fixed 8 MiB of slice temporaries.  Outputs are checked
         for non-finite values in draw order, scattered back to one value per
-        sample and concatenated in worker-index order.
+        sample and concatenated in worker-index order.  The error names the
+        bad sample's counts, so the outputs' ``names`` go unused.
         """
         chunks: list[tuple[np.ndarray, ...]] = []
         for rows, inverse in self._worker_blocks():
@@ -156,12 +153,18 @@ class MonteCarloBackend:
             chunks.append(tuple(a[inverse] for a in out))
         return tuple(np.concatenate(arrs) for arrs in zip(*chunks))
 
-    def expectation(self, F: Functional) -> Mean:
-        (values,) = self._sweep(lambda c: (F.batch(c),))
-        return _sample_mean(values)
+    def mean(self, values: np.ndarray) -> Mean:
+        """The sample mean, with standard error std(ddof=1) / sqrt(n)."""
+        n = values.size
+        return Mean(float(values.mean()), n, std_error=float(values.std(ddof=1) / np.sqrt(n)))
+
+    def expectation(self, F: Functional, values: np.ndarray | None = None) -> Mean:
+        if values is None:
+            (values,) = self.sweep(lambda c: (F.batch(c),), (F.name,))
+        return self.mean(values)
 
     def paired(self, kernel) -> tuple[float, float, Mean]:
         """The LHS and RHS sample means of a paired kernel, and the defect:
         the ``Mean`` of the per-sample differences."""
-        lhs, rhs = self._sweep(kernel)
-        return float(lhs.mean()), float(rhs.mean()), _sample_mean(lhs - rhs)
+        lhs, rhs = self.sweep(kernel, ("paired lhs", "paired rhs"))
+        return float(lhs.mean()), float(rhs.mean()), self.mean(lhs - rhs)

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _RANDOM_SPACE_SALT = 0x52414E44
+_SECTIONS = ["space", "truncation", "mc", "gates", "pointwise_samples", "randomized_space", "cases"]
 
 
 class _Identity(NamedTuple):
@@ -118,6 +119,7 @@ def parse_config(obj: dict) -> SuiteConfig:
     """Validate a raw config object, reporting the offending key on failure."""
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
+    _known_keys("config", obj, _SECTIONS)
 
     space_obj = obj.get("space")
     if not isinstance(space_obj, dict) or "weights" not in space_obj:
@@ -127,11 +129,11 @@ def parse_config(obj: dict) -> SuiteConfig:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"space.weights: {exc}") from exc
 
-    trunc = _section(obj, "truncation")
+    trunc = _section(obj, "truncation", ["tol", "budget"])
     tol = float(_scalar(trunc, "truncation.tol", 1e-12, _is_real, 0, strict=True))
     budget = _scalar(trunc, "truncation.budget", DEFAULT_BUDGET, _is_int, 1)
 
-    mc_obj = _section(obj, "mc")
+    mc_obj = _section(obj, "mc", [f.name for f in fields(SamplerConfig)])
     try:
         mc = SamplerConfig(
             seed=mc_obj.get("seed", 0),
@@ -149,6 +151,7 @@ def parse_config(obj: dict) -> SuiteConfig:
     if rand is not None:
         if not isinstance(rand, dict):
             raise ConfigError("randomized_space: must be an object or absent")
+        _known_keys("randomized_space", rand, ["sites", "low", "high"])
         sites = _scalar(rand, "randomized_space.sites", space.n, _is_int, 1)
         low = float(_scalar(rand, "randomized_space.low", 0.4, _is_real, 0, strict=True))
         high = float(_scalar(rand, "randomized_space.high", 1.6, _is_real, low))
@@ -172,10 +175,18 @@ def parse_config(obj: dict) -> SuiteConfig:
     )
 
 
-def _section(obj: dict, key: str) -> dict:
+def _known_keys(where: str, obj: dict, known: list[str]) -> None:
+    # a misspelt key would silently fall back to its default
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; known: {known}")
+
+
+def _section(obj: dict, key: str, known: list[str]) -> dict:
     value = obj.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"{key}: must be an object, got {value!r}")
+    _known_keys(key, value, known)
     return value
 
 
@@ -195,10 +206,7 @@ def _parse_gates(where: str, obj) -> dict[str, float]:
     """Gate overrides by name; every value must be a finite JSON number > 0."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: must be an object")
-    known = [f.name for f in fields(Gates)]
-    unknown = set(obj) - set(known)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; known: {known}")
+    _known_keys(where, obj, [f.name for f in fields(Gates)])
     for key, value in obj.items():
         if not (_is_real(value) and value > 0):
             raise ConfigError(f"{where}.{key}: must be a number > 0, got {value!r}")

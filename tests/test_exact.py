@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import sys
 import time
 import tracemalloc
 
@@ -134,6 +136,24 @@ def _linear_cap(lam: float, share: float) -> tuple[int, float]:
     return cap, tail
 
 
+def _summed_tail(lam: float, cap: int) -> float:
+    """The tail as summed before underflowing first terms below the mode
+    were read as 1: forward summation, or the pmf vector's tail where the
+    first term underflows."""
+    log_term = -lam + (cap + 1) * math.log(lam) - math.lgamma(cap + 2)
+    if log_term < math.log(sys.float_info.min):
+        last = max(cap + 1, int(lam + 40.0 * math.sqrt(lam) + 40.0))
+        return float(exact_module._poisson_pmf_vector(lam, last)[cap + 1 :].sum())
+    term, total, k = math.exp(log_term), 0.0, cap + 1
+    while term > 0.0:
+        total += term
+        k += 1
+        term *= lam / k
+        if k > cap + 1 + 10 * (cap + lam + 10):
+            break
+    return total
+
+
 class TestCapSearch:
     @pytest.mark.parametrize("lam", [0.01, 0.1, 0.5, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0])
     def test_caps_and_tails_equal_linear_search(self, lam):
@@ -154,6 +174,34 @@ class TestCapSearch:
         assert plan.site_tails[0] <= 1e-12 < _poisson_tail(1e4, cap - 1)
         with pytest.raises(BudgetExceededError):
             plan_truncation(GroundSpace((1e4, 1e4)), 1e-12)
+
+    def test_unreachable_cap_is_refused_fast(self):
+        """Caps below the mode of weight 1e5 have tails of 1 to double
+        precision, read off the underflowing first term instead of a summed
+        pmf vector of 1.1e5 terms each (about 1 s for the search)."""
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(ConfigError, match="^no cap below 100000 "):
+                plan_truncation(GroundSpace((1e5,)), 1e-12)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.1
+        assert _poisson_tail(1e5, 1000) == 1.0
+
+    @pytest.mark.parametrize("lam", [0.01, 0.5, 3.0, 30.0, 300.0, 700.0])
+    def test_tails_and_plans_unchanged_where_exp_does_not_underflow(self, lam, monkeypatch):
+        caps = {1, 2, 5, int(lam / 2) + 1, int(lam) + 1, int(2 * lam) + 3, 3000}
+        for cap in sorted(caps):
+            assert _poisson_tail(lam, cap) == _summed_tail(lam, cap), cap
+        tols = (1e-3, 1e-8, 1e-12, 1e-14)
+        plans = [plan_truncation(GroundSpace((lam, 1.0)), tol) for tol in tols]
+        monkeypatch.setattr(exact_module, "_poisson_tail", _summed_tail)
+        assert plans == [plan_truncation(GroundSpace((lam, 1.0)), tol) for tol in tols]
+
+    def test_tail_below_an_underflowing_mode_is_one(self):
+        for lam, cap in [(1e3, 50), (1e4, 5000), (1e5, 80_000)]:
+            assert _poisson_tail(lam, cap) == 1.0
+            assert _summed_tail(lam, cap) >= 1.0 - 1e-12
 
 
 class TestLargeWeights:

@@ -161,6 +161,39 @@ def test_bad_top_level_scalar_is_config_error(name, top, message):
     assert str(err.value) == message
 
 
+UNKNOWN_KEYS = [
+    (
+        "top-level",
+        {"truncaton": {"tol": 1e-3}},
+        "config: unknown keys ['truncaton']; known: ['space', 'truncation', 'mc', 'gates',"
+        " 'pointwise_samples', 'randomized_space', 'cases']",
+    ),
+    (
+        "truncation",
+        {"truncation": {"tol": 1e-3, "budgt": 10}},
+        "truncation: unknown keys ['budgt']; known: ['tol', 'budget']",
+    ),
+    (
+        "mc",
+        {"mc": {"sample": 10, "seeed": 3}},
+        "mc: unknown keys ['sample', 'seeed']; known: ['seed', 'samples', 'workers']",
+    ),
+    (
+        "randomized_space",
+        {"randomized_space": {"sites": 3, "hi": 2.0}},
+        "randomized_space: unknown keys ['hi']; known: ['sites', 'low', 'high']",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, top, message", UNKNOWN_KEYS, ids=[u[0] for u in UNKNOWN_KEYS])
+def test_unknown_key_is_config_error(name, top, message):
+    """A misspelt key would silently fall back to its default."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(dict(_config({"identity": "mecke", "u": UNIT_FIELD}), **top))
+    assert str(err.value) == message
+
+
 def test_config_error_is_a_value_error():
     with pytest.raises(ValueError):
         parse_config(dict(_config({"identity": "mecke", "u": UNIT_FIELD}), mc={"samples": 1}))
