@@ -17,10 +17,10 @@ of the generator with out-of-box jumps killed; the killed mass is surfaced as
 ``boundary_leak`` rather than silently folded back in.  Rows at interior
 states (no site at its cap) agree with the untruncated operator exactly.
 ``ou_pseudo_inverse`` inverts it on centred vectors through the
-conservative generator, a Kronecker sum of per-site birth-death chains: the
-widest site's chain is put in real Schur form, and block back-substitution
-over that site's levels factors one sparse M-matrix over the other sites per
-level.
+conservative generator, a Kronecker sum of per-site birth-death chains: every
+site but the widest is diagonalised in its pi-symmetrised eigenbasis, which
+leaves one sparse M-matrix block per mode of those sites, and all blocks are
+factored at once.
 
 State enumeration order is lexicographic in the counts and fixed, so values
 and reports are byte-reproducible run to run.
@@ -412,14 +412,14 @@ def build_generator_matrix(table: StateTable) -> GeneratorMatrix:
     return GeneratorMatrix(matrix, leak, table.interior)
 
 
-# sites with more levels are not diagonalised: a dense Schur form and its
-# application cost m^3 and m S flops
-_MAX_SCHUR_LEVELS = 256
 # minimum degree on the pattern of A + A^T with diagonal pivots, for the
-# M-matrix blocks of the generator solve (see ``ou_pseudo_inverse``)
+# M-matrix of the generator solve (see ``ou_pseudo_inverse``); panels and
+# supernodes of one column keep SuperLU's dense work arrays small
 _LU_OPTIONS = {
     "permc_spec": "MMD_AT_PLUS_A",
     "diag_pivot_thresh": 0.0,
+    "panel_size": 1,
+    "relax": 1,
     "options": {"SymmetricMode": True},
 }
 
@@ -432,75 +432,70 @@ def _site_chain(lam: float, cap: int) -> sp.csr_matrix:
     return sp.diags([k[1:], -outflow, np.full(cap, lam)], [-1, 0, 1], format="csr")
 
 
-def _site_schur(lam: float, cap: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Real Schur form A = U R U^T of one site's chain, zero eigenvalue first.
-
-    The chain is reversible, so its spectrum is real: 0, then values at or
-    below -1 (gap 1.000 measured for weights 0.05-120).  From weight about
-    150 on, rounding of the strongly non-normal chain splits eigenvalues into
-    complex pairs and leaves 2x2 blocks in R; the site is then not
-    diagonalised (None).
+def _site_eigen(lam: float, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues w (ascending: the others <= -1, then 0) and right / left
+    eigenvectors of one site's chain A = right diag(w) left, left right = I.
+    A is reversible for the truncated Poisson law pi, so D^(1/2) A D^(-1/2)
+    = Q diag(w) Q^T, D = diag(pi), is symmetric tridiagonal; right =
+    D^(-1/2) Q and left = Q^T D^(1/2), with sqrt(pi) from log pmfs shifted
+    by their largest so that no level underflows.
     """
-    R, U, sorted_count = sla.schur(
-        _site_chain(lam, cap).toarray(), output="real", sort=lambda re, im: re > -0.5
+    k = np.arange(cap + 1, dtype=np.float64)
+    w, Q = sla.eigh_tridiagonal(-(k + np.where(k < cap, lam, 0.0)), np.sqrt(lam * k[1:]))
+    log_pi = np.array([_log_pmf(j, lam) for j in range(cap + 1)])
+    root = np.exp(0.5 * (log_pi - log_pi.max()))
+    return w, Q / root[:, None], Q.T * root
+
+
+def _mode_products(grid: np.ndarray, matrices) -> np.ndarray:
+    """``grid`` with the i-th matrix applied along axis i."""
+    for axis, matrix in enumerate(matrices):
+        grid = np.moveaxis(np.tensordot(matrix, grid, axes=(1, axis)), 0, axis)
+    return grid
+
+
+def _solve_conservative(
+    table: StateTable, gen: GeneratorMatrix, rhs: np.ndarray, diagonal
+) -> np.ndarray:
+    """A solution y of A y = rhs, A the conservative generator (``gen.matrix``
+    plus the killed rates), for rhs of zero probs-mean: the sites in
+    ``diagonal`` in their eigenbasis, one factor for the other sites over all
+    modes (the zero mode grounded), and one refinement step with it.
+    """
+    caps, weights = table.plan.caps, table.space.weights
+    box = tuple(cap + 1 for cap in caps)
+    kept = [z for z in range(len(caps)) if z not in diagonal]
+    order = list(diagonal) + kept
+    eigen = [_site_eigen(weights[z], caps[z]) for z in diagonal]
+    modes = reduce(np.add.outer, [w for w, _, _ in eigen], np.zeros(())).reshape(-1)
+    # the last kept site varies fastest, as in the table
+    block = reduce(
+        lambda rest, z: sp.kronsum(_site_chain(weights[z], caps[z]), rest, format="csr"),
+        kept,
+        sp.csr_matrix((1, 1)),
     )
-    if np.tril(R, -1).any():
-        return None
-    if sorted_count != 1:
-        raise SolverError(
-            f"chain of a site at weight {lam} with cap {cap} has {sorted_count}"
-            f" eigenvalues above -0.5, not the zero eigenvalue alone"
-        )
-    return U, R
+    # the zero mode is the last (eigenvalues ascend); the kept sites'
+    # marginal factors out of the box probs
+    probs = table.probs.reshape(box).transpose(order)
+    ground = int(np.argmax(probs.reshape(modes.size, -1).sum(axis=0)))
+    keep = np.ones(modes.size * block.shape[0], dtype=bool)
+    keep[(modes.size - 1) * block.shape[0] + ground] = False
+    system = sp.kronsum(block, sp.diags(modes), format="csr")
+    lu = spla.splu(system[keep][:, keep].tocsc(), **_LU_OPTIONS)
 
+    def solve(b: np.ndarray) -> np.ndarray:
+        grid = _mode_products(b.reshape(box).transpose(order), [left for _, _, left in eigen])
+        x = np.zeros(b.size)
+        x[keep] = lu.solve(grid.reshape(-1)[keep])
+        grid = _mode_products(x.reshape(probs.shape), [right for _, right, _ in eigen])
+        return grid.transpose(np.argsort(order)).reshape(-1)
 
-def _solve_conservative(table: StateTable, rhs: np.ndarray) -> np.ndarray:
-    """A solution y of A y = rhs, A the conservative generator of the box,
-    for a right-hand side with sum_s probs(s) rhs(s) = 0 up to rounding.
-
-    A = A_c (x) I + I (x) A_rest, with c the widest site (ties: lowest index)
-    with at most ``_MAX_SCHUR_LEVELS`` levels whose Schur form is triangular.
-    With A_c = U R U^T and the site's levels as rows, A y = rhs reads
-    R Y + Y A_rest^T = U^T rhs, solved block row by block row from the last.
-    Without such a site the whole box is the grounded block.
-    """
-    caps = table.plan.caps
-    weights = table.space.weights
-    site, U, R = None, np.ones((1, 1)), np.zeros((1, 1))
-    for z in sorted(range(len(caps)), key=lambda z: -caps[z]):
-        schur = _site_schur(weights[z], caps[z]) if caps[z] < _MAX_SCHUR_LEVELS else None
-        if schur is not None:
-            site, (U, R) = z, schur
-            break
-    others = [z for z in range(len(caps)) if z != site]
-    rest = sp.csr_matrix((1, 1))
-    for z in others:  # the last site varies fastest, as in the table
-        rest = sp.kronsum(_site_chain(weights[z], caps[z]), rest, format="csr")
-
-    shape = tuple(cap + 1 for cap in caps)
-    m = U.shape[0]
-
-    def site_first(v: np.ndarray) -> np.ndarray:
-        grid = v.reshape(shape)
-        return (grid if site is None else np.moveaxis(grid, site, 0)).reshape(m, -1)
-
-    B = U.T @ site_first(rhs)
-    # the rest's mode: the site's marginal factors out of the box probs
-    keep = np.ones(B.shape[1], dtype=bool)
-    keep[int(np.argmax(site_first(table.probs).sum(axis=0)))] = False
-    eye = sp.identity(B.shape[1], format="csr")
-    Y = np.zeros_like(B)
-    for j in range(m - 1, -1, -1):
-        b = B[j] - R[j, j + 1 :] @ Y[j + 1 :]
-        if j:
-            Y[j] = spla.splu((rest + R[j, j] * eye).tocsc(), **_LU_OPTIONS).solve(b)
-        elif keep.any():
-            grounded = rest[keep][:, keep].tocsc()
-            Y[0, keep] = spla.splu(grounded, **_LU_OPTIONS).solve(b[keep])
-    X = U @ Y
-    if site is not None:
-        X = np.moveaxis(X.reshape((m,) + tuple(shape[z] for z in others)), 0, site)
-    return X.reshape(-1)
+    killed = reduce(
+        np.add.outer,
+        [np.where(np.arange(cap + 1) == cap, lam, 0.0) for lam, cap in zip(weights, caps)],
+    ).reshape(-1)
+    y = solve(rhs)
+    return y + solve(rhs - (gen.matrix @ y + killed * y))
 
 
 def ou_pseudo_inverse(
@@ -520,31 +515,19 @@ def ou_pseudo_inverse(
 
     The solve runs on the censored (conservative) generator: adding the
     killed rates back to the diagonal makes its kernel exactly the constants,
-    and its interior rows still agree with the untruncated generator.  That
-    generator is a Kronecker sum A = A_c (x) I + I (x) A_rest of per-site
-    birth-death chains.  The widest site c (ties: lowest index) is
-    diagonalised by a real Schur form A_c = U R U^T, zero eigenvalue first,
-    and the rest is solved block by block, one level of c at a time from the
-    last: (A_rest + R[j, j] I) y_j = (U^T b)_j - sum_{k > j} R[j, k] y_k.
-    Each R[j, j] with j >= 1 is at most -0.5 by the sort (-1 measured), so
-    minus the block is a strictly diagonally dominant M-matrix; the j = 0
-    block is the singular generator of the other sites, grounded at their
-    most probable state (the chain returns to it at an O(1) rate, so the
-    grounded block is well conditioned) and an irreducibly diagonally
-    dominant M-matrix too.  Every symmetric permutation of an M-matrix is
-    one, so elimination in any symmetric order needs no pivoting: SuperLU
-    factors each block with a minimum-degree order on the pattern of
-    A + A^T and diagonal pivots (``perm_r == perm_c``).  The centred
-    right-hand side makes the dropped grounding equation hold
-    automatically; g = U Y is re-centred afterwards.  A site whose chain
-    rounds into complex eigenvalue pairs (weights above about 150) or that
-    has more than ``_MAX_SCHUR_LEVELS`` levels is not diagonalised; with no
-    other site left, the whole box is the grounded block.
-
-    On 4 sites at weight 0.3, the boxes of 4,096, 6,561 and 10,000 states
-    take 8, 9 and 10 factors holding 0.19 M, 0.34 M and 0.67 M L+U nonzeros
-    and solve in 0.03, 0.03 and 0.06 s; one factor of the whole grounded box
-    holds 1.37 M, 3.16 M and 6.11 M and takes 0.14, 0.52 and 1.25 s.
+    and its interior rows still agree with the untruncated generator.  It is
+    a Kronecker sum of reversible per-site chains.  Every site but the
+    widest (most levels, ties: lowest index) is diagonalised in its
+    pi-symmetrised eigenbasis (Lynch, Rice & Thomas 1964), leaving one block
+    A_c + Lambda_m I per mode m of those sites: A_c the widest site's chain,
+    Lambda_m the summed eigenvalues, 0 for the zero mode (grounded at the
+    most probable level) and <= -1 otherwise.  Minus each block, and every
+    symmetric permutation of it, is a nonsingular M-matrix, so SuperLU
+    factors them all at once without pivoting (minimum degree on A + A^T,
+    perm_r == perm_c), and one refinement step reuses the factor.  The
+    widest site stays sparse since the back transform D^(-1/2) Q fails from
+    weight about 250, where sqrt(pi) spans over 53 decades.  A solve that
+    misses the contract is redone once as one grounded block of the box.
 
     Refuses a ``tol`` that is not a finite number > 0 or a ``max_leak`` that
     is not a finite number >= 0 (``ConfigError``), refuses to solve when the
@@ -561,8 +544,8 @@ def ou_pseudo_inverse(
             f"boundary leak {gen.boundary_leak:.3e} exceeds {max_leak:.3e};"
             f" tighten the truncation before inverting the generator"
         )
-    mean = exact_expectation(F, table).value
-    f = F.batch(table.states)
+    (f,) = _sweep_table(lambda counts: (F.batch(counts),), table, (F.name,))
+    mean = exact_expectation(F, table, f).value
     box_mean = mean / table.total_prob
     # |E F| <= P sup|f| and P >= 1 - tail_bound - mass_rounding (checked at
     # build), so the shift |E F| (1 - P) / P is at most sup|f| times their
@@ -576,16 +559,19 @@ def ou_pseudo_inverse(
             f" more than tail_bound * max|F| allows ({allowed:.3e})"
         )
     centered = f - box_mean
-    y = _solve_conservative(table, centered)
-    g = y - float(table.probs @ y) / table.total_prob
-    residual = gen.matrix @ g - centered
-    worst = float(np.abs(residual[gen.interior]).max())
-    if not np.isfinite(worst) or worst > tol:
-        raise SolverError(
-            f"generator solve missed the interior residual contract:"
-            f" {worst:.3e} > {tol:.3e}"
-        )
-    return g
+    caps = table.plan.caps
+    widest = max(range(len(caps)), key=lambda z: caps[z])  # ties: the lowest index
+    others = [z for z in range(len(caps)) if z != widest]
+    for diagonal in [others, []] if others else [[]]:
+        y = _solve_conservative(table, gen, centered, diagonal)
+        g = y - float(table.probs @ y) / table.total_prob
+        worst = float(np.abs((gen.matrix @ g - centered)[gen.interior]).max())
+        if np.isfinite(worst) and worst <= tol:
+            return g
+    raise SolverError(
+        f"generator solve missed the interior residual contract:"
+        f" {worst:.3e} > {tol:.3e}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,22 @@ __all__ = [
 ]
 
 
+def _describe(value) -> str:
+    """Spec text ``name(key=value,...)``: case ids and registry names."""
+    if isinstance(value, dict):
+        name = value.get("name", "?")
+        parts = [f"{k}={_describe(v)}" for k, v in value.items() if k != "name"]
+        return f"{name}({','.join(parts)})" if parts else name
+    if isinstance(value, list):
+        return "[" + ",".join(_describe(v) for v in value) + "]"
+    return str(value)
+
+
+def _named(cls, space: GroundSpace, fn, name: str, bound=None, **params):
+    """A ``Functional`` or ``RandomField`` named ``name(key=value,...)``."""
+    return cls(space, fn, _describe({"name": name, **params}), params, bound=bound)
+
+
 # ---------------------------------------------------------------------------
 # functional constructors
 # ---------------------------------------------------------------------------
@@ -56,7 +72,7 @@ def constant(space: GroundSpace, value: float) -> Functional:
     def fn(c: np.ndarray) -> np.ndarray:
         return np.full(c.shape[:-1], v)
 
-    return Functional(space, fn, "constant", {"value": v}, bound=abs(v))
+    return _named(Functional, space, fn, "constant", abs(v), value=v)
 
 
 def linear_count(space: GroundSpace, B) -> Functional:
@@ -67,7 +83,7 @@ def linear_count(space: GroundSpace, B) -> Functional:
     def fn(c: np.ndarray) -> np.ndarray:
         return (c @ mask).astype(np.float64)
 
-    return Functional(space, fn, "linear_count", {"B": B.sorted_members()})
+    return _named(Functional, space, fn, "linear_count", B=B.sorted_members())
 
 
 def poly_count(space: GroundSpace, B, degree: int) -> Functional:
@@ -81,7 +97,7 @@ def poly_count(space: GroundSpace, B, degree: int) -> Functional:
     def fn(c: np.ndarray) -> np.ndarray:
         return (c @ mask).astype(np.float64) ** d
 
-    return Functional(space, fn, "poly_count", {"B": B.sorted_members(), "degree": d})
+    return _named(Functional, space, fn, "poly_count", B=B.sorted_members(), degree=d)
 
 
 def bounded_sigmoid(space: GroundSpace, B, scale: float) -> Functional:
@@ -93,9 +109,7 @@ def bounded_sigmoid(space: GroundSpace, B, scale: float) -> Functional:
     def fn(c: np.ndarray) -> np.ndarray:
         return np.tanh(s * (c @ mask))
 
-    return Functional(
-        space, fn, "bounded_sigmoid", {"B": B.sorted_members(), "scale": s}, bound=1.0
-    )
+    return _named(Functional, space, fn, "bounded_sigmoid", 1.0, B=B.sorted_members(), scale=s)
 
 
 def indicator_leq(space: GroundSpace, B, m: int) -> Functional:
@@ -107,9 +121,7 @@ def indicator_leq(space: GroundSpace, B, m: int) -> Functional:
     def fn(c: np.ndarray) -> np.ndarray:
         return ((c @ mask) <= m).astype(np.float64)
 
-    return Functional(
-        space, fn, "indicator_leq", {"B": B.sorted_members(), "m": m}, bound=1.0
-    )
+    return _named(Functional, space, fn, "indicator_leq", 1.0, B=B.sorted_members(), m=m)
 
 
 def product_of(*factors: Functional) -> Functional:
@@ -130,7 +142,7 @@ def product_of(*factors: Functional) -> Functional:
     bound = None
     if all(f.bound is not None for f in factors):
         bound = float(np.prod([f.bound for f in factors]))
-    name = "*".join(f"({f.name})" for f in factors)
+    name = _describe({"name": "product", "factors": [f.name for f in factors]})
     return Functional(space, fn, name, {}, bound=bound)
 
 
@@ -156,7 +168,9 @@ def affine_of(
     bound = None
     if all(f.bound is not None for _, f in coeffs):
         bound = abs(c0) + float(sum(abs(a) * f.bound for a, f in coeffs))
-    name = "affine(" + ",".join(f"{a}*{f.name}" for a, f in coeffs) + f",{c0})"
+    name = _describe(
+        {"name": "affine", "terms": [[a, f.name] for a, f in coeffs], "constant": c0}
+    )
     return Functional(space, fn, name, {}, bound=bound)
 
 
@@ -205,7 +219,8 @@ def compose(phi: ScalarMap | str, F: Functional) -> Functional:
     bound = None if F.bound is None else float(phi.bound_map(F.bound))
     if phi.name == "tanh":
         bound = 1.0 if bound is None else bound
-    return Functional(F.space, fn, f"{phi.name}({F.name})", {}, bound=bound)
+    name = _describe({"name": "compose", "phi": phi.name, "F": F.name})
+    return Functional(F.space, fn, name, {}, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +239,15 @@ def deterministic_field(space: GroundSpace, values) -> RandomField:
     def fn(c: np.ndarray) -> np.ndarray:
         return np.broadcast_to(g, c.shape)
 
-    return RandomField(
-        space, fn, "deterministic", {"values": g.tolist()}, bound=float(np.abs(g).max())
-    )
+    bound = float(np.abs(g).max())
+    return _named(RandomField, space, fn, "deterministic", bound, values=g.tolist())
 
 
 def site_indicator_field(space: GroundSpace, B) -> RandomField:
     """u(eta, z) = 1_B(z)."""
     B = _as_siteset(B)
     field = deterministic_field(space, B.imask(space))
-    return RandomField(
-        space, field.fn, "site_indicator", {"B": B.sorted_members()}, bound=1.0
-    )
+    return _named(RandomField, space, field.fn, "site_indicator", 1.0, B=B.sorted_members())
 
 
 def functional_times_indicator(space: GroundSpace, B, F: Functional) -> RandomField:
@@ -246,13 +258,8 @@ def functional_times_indicator(space: GroundSpace, B, F: Functional) -> RandomFi
     def fn(c: np.ndarray) -> np.ndarray:
         return F.batch(c)[..., None] * imask
 
-    return RandomField(
-        space,
-        fn,
-        f"1_B*({F.name})",
-        {"B": B.sorted_members()},
-        bound=F.bound,
-    )
+    name = _describe({"name": "functional_times_indicator", "B": B.sorted_members(), "F": F.name})
+    return RandomField(space, fn, name, {"B": B.sorted_members()}, bound=F.bound)
 
 
 def count_times_deterministic(space: GroundSpace, B, values) -> RandomField:
@@ -268,11 +275,8 @@ def count_times_deterministic(space: GroundSpace, B, values) -> RandomField:
     def fn(c: np.ndarray) -> np.ndarray:
         return (c @ imask).astype(np.float64)[..., None] * g
 
-    return RandomField(
-        space,
-        fn,
-        "count_times_deterministic",
-        {"B": B.sorted_members(), "values": g.tolist()},
+    return _named(
+        RandomField, space, fn, "count_times_deterministic", B=B.sorted_members(), values=g.tolist()
     )
 
 

@@ -28,7 +28,7 @@ from .exact import DEFAULT_BUDGET, ExactBackend
 from .ground import GroundSpace, SiteSet
 from .identities import Gates, VerificationReport
 from .montecarlo import MonteCarloBackend, SamplerConfig
-from .registry import _is_int, _is_real, field_from_spec, functional_from_spec
+from .registry import _describe, _is_int, _is_real, field_from_spec, functional_from_spec
 
 __all__ = [
     "SuiteConfig",
@@ -273,20 +273,6 @@ def load_config(path: str | None) -> SuiteConfig:
 # ---------------------------------------------------------------------------
 # case descriptions (stable report ids)
 # ---------------------------------------------------------------------------
-
-def _describe(value) -> str:
-    if isinstance(value, dict):
-        name = value.get("name", "?")
-        parts = []
-        for k, v in value.items():
-            if k == "name":
-                continue
-            parts.append(f"{k}={_describe(v)}")
-        return f"{name}({','.join(parts)})" if parts else name
-    if isinstance(value, list):
-        return "[" + ",".join(_describe(v) for v in value) + "]"
-    return str(value)
-
 
 def _case_id(index: int, case: dict, backend_label: str, space_tag: str) -> str:
     identity = case["identity"]

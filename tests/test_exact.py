@@ -40,7 +40,7 @@ from poisson_malliavin import (
 )
 from poisson_malliavin import exact as exact_module
 from poisson_malliavin.errors import ConfigError, SolverError
-from poisson_malliavin.exact import _poisson_tail, _site_chain, _site_schur
+from poisson_malliavin.exact import _poisson_tail, _site_chain, _site_eigen
 from poisson_malliavin.identities import mecke_kernel
 
 
@@ -546,56 +546,49 @@ class TestOuPseudoInverse:
         assert table.state_count == 10_000
         factors = _record_factors(monkeypatch)
         ou_pseudo_inverse(bounded_sigmoid(table.space, [1, 2], 1.0), table, tol=1e-9)
-        # one block per level of the diagonalised site (caps 9: 10 levels)
-        assert len(factors) == 10
-        # blocks: 0.67e6; one factor of the whole grounded box: 6.1e6
-        assert sum(lu.L.nnz + lu.U.nnz for lu in factors) <= 1.5e6
+        # three sites diagonalised: one factor of 1,000 blocks of 10 levels
+        assert len(factors) == 1
+        # 38 k measured; one factor of the whole grounded box: 6.1e6
+        assert sum(lu.L.nnz + lu.U.nnz for lu in factors) <= 0.1e6
         # SuperLU kept every pivot on the diagonal
         for lu in factors:
             assert (lu.perm_r == lu.perm_c).all()
 
     @pytest.mark.parametrize("lam", [0.05, 0.3, 1.0, 5.0])
     @pytest.mark.parametrize("tol", [1e-4, 1e-12])
-    def test_site_schur_factor(self, lam, tol):
+    def test_site_eigen(self, lam, tol):
         table = StateTable.from_tolerance(GroundSpace((lam,)), tol)
         (cap,) = table.plan.caps
         chain = _site_chain(lam, cap).toarray()
         # the one-site box's generator with the killed birth rate put back
         killed = np.diag(np.where(table.states[:, 0] == cap, lam, 0.0))
         assert np.abs(build_generator_matrix(table).matrix.toarray() + killed - chain).max() <= 1e-14
-        U, R = _site_schur(lam, cap)
-        assert np.abs(U.T @ U - np.eye(cap + 1)).max() <= 1e-14
-        assert np.abs(U @ R @ U.T - chain).max() <= 1e-12
-        assert (np.tril(R, -1) == 0.0).all()
-        assert abs(R[0, 0]) <= 1e-12
-        assert np.abs(chain @ U[:, 0]).max() <= 1e-12
-        assert (np.diag(R)[1:] <= -1.0 + 1e-9).all()
-
-    def test_site_schur_refuses_a_second_sorted_eigenvalue(self, monkeypatch):
-        schur = exact_module.sla.schur
-
-        def two_sorted(*args, **kwargs):
-            R, U, _ = schur(*args, **kwargs)
-            return R, U, 2
-
-        monkeypatch.setattr(exact_module.sla, "schur", two_sorted)
-        with pytest.raises(SolverError, match="eigenvalues above"):
-            _site_schur(0.3, 6)
+        w, right, left = _site_eigen(lam, cap)
+        # compared in the pi-symmetrised basis D^(1/2) M D^(-1/2): in the
+        # plain basis entry (i, j) carries the rounding of the eigenvectors
+        # times sqrt(pi_j / pi_i), up to 2.7e-10 at weight 5, tol 1e-12
+        root = np.sqrt(table.probs / table.probs.max())
+        error = root[:, None] * (right @ np.diag(w) @ left - chain) / root
+        assert np.abs(error).max() <= 1e-12
+        assert np.abs(left @ right - np.eye(cap + 1)).max() <= 1e-12
+        # the zero eigenvalue alone lies above -0.5, and it comes last
+        assert np.flatnonzero(w > -0.5).tolist() == [cap]
+        assert abs(w[cap]) <= 1e-12
+        assert (w[:cap] <= -1.0 + 1e-9).all()
 
     @pytest.mark.parametrize(
         "weights, tol, splu_calls",
         [
-            # one site, 17 levels: its j = 0 block is empty and has no factor
-            ((2.0,), 1e-10, 16),
-            # caps (7, 18, 4): the widest site is not first, 19 blocks
-            ((0.3, 3.0, 0.05), 1e-8, 19),
-            # rounding splits the weight-170 chain into complex pairs: the
-            # whole box is the grounded block
+            # one site: nothing is diagonalised, the whole box is grounded
+            ((2.0,), 1e-10, 1),
+            # caps (7, 18, 4): the widest site is not first
+            ((0.3, 3.0, 0.05), 1e-8, 1),
+            # heavy single sites: the whole box is grounded
             ((170.0,), 1e-4, 1),
-            # more levels than a dense Schur form is built for
             ((1000.0,), 1e-6, 1),
-            # caps (273, 6): the widest site is passed over, 7 blocks
-            ((200.0, 0.3), 1e-6, 7),
+            # caps (273, 6) and (372, 6): the heavy site is the one kept sparse
+            ((200.0, 0.3), 1e-6, 1),
+            ((300.0, 0.3), 1e-6, 1),
         ],
     )
     def test_matches_dense_reference(self, monkeypatch, weights, tol, splu_calls):
@@ -611,6 +604,31 @@ class TestOuPseudoInverse:
         assert len(factors) == splu_calls
         for lu in factors:
             assert (lu.perm_r == lu.perm_c).all()
+
+    def test_retries_with_nothing_diagonalised(self, monkeypatch):
+        table = StateTable.from_tolerance(GroundSpace((0.3, 0.5, 0.2)), 1e-8)
+        F = bounded_sigmoid(table.space, [1, 2], 1.0)
+        site_eigen = exact_module._site_eigen
+
+        def perturbed(lam, cap):
+            w, right, left = site_eigen(lam, cap)
+            return w, right, left * 1.01
+
+        monkeypatch.setattr(exact_module, "_site_eigen", perturbed)
+        factors = _record_factors(monkeypatch)
+        gen = build_generator_matrix(table)
+        g = ou_pseudo_inverse(F, table, tol=1e-9, generator=gen)
+        assert len(factors) == 2
+        f = F.batch(table.states)
+        residual = gen.matrix @ g - (f - float(table.probs @ f) / table.total_prob)
+        assert np.abs(residual[gen.interior]).max() <= 1e-9
+        with pytest.raises(
+            SolverError, match=r"contract: \d\.\d{3}e-\d+ > 1\.000e-30$"
+        ) as err:
+            ou_pseudo_inverse(F, table, tol=1e-30, generator=gen)
+        assert len(factors) == 4
+        # the achieved residual is the retry's, rounding-sized
+        assert float(str(err.value).split()[-3]) <= 1e-12
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9, True])
     def test_rejects_solve_tol_outside_finite_positive(self, space, exact, tol):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from poisson_malliavin import (
     ConfigError,
     Configuration,
+    NonFiniteValueError,
     Functional,
     RandomField,
     ShapeError,
@@ -33,6 +34,8 @@ from poisson_malliavin import (
 )
 from poisson_malliavin.functionals import drop_diff_all, field_dropped_diag
 from poisson_malliavin.identities import _shifted_diff_field
+from poisson_malliavin.operators import dirichlet_integrand
+from poisson_malliavin.registry import _describe
 from conftest import functional_pool, sample_batch
 
 
@@ -244,6 +247,32 @@ class TestRegistrySpecs:
             {"name": "derivative", "F": {"name": "linear_count", "B": [1, 2]}},
         )
         assert [v(eta102, z) for z in space.sites] == [1.0, 1.0, 0.0]
+
+    def test_names_identify_bindings(self, space):
+        assert linear_count(space, [1]).name == "linear_count(B=[1])"
+        assert linear_count(space, [1, 2]).name == "linear_count(B=[1,2])"
+        # an object built from a spec is named by the spec's case-id text
+        F = {
+            "name": "product",
+            "factors": [
+                {"name": "bounded_sigmoid", "B": [1, 3], "scale": 0.5},
+                {"name": "compose", "phi": "square",
+                 "F": {"name": "indicator_leq", "B": [2], "m": 1}},
+            ],
+        }
+        assert functional_from_spec(space, F).name == _describe(F)
+        u = {"name": "functional_times_indicator", "B": [2], "F": F}
+        assert field_from_spec(space, u).name == _describe(u)
+
+    def test_non_finite_errors_name_the_failing_pair(self, space, exact):
+        G = poly_count(space, [1], 400)  # overflows from 6 points at site 1 on
+        for B, text in (([1], "B=[1]"), ([1, 2], "B=[1,2]")):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NonFiniteValueError) as err:
+                    exact.expectation(dirichlet_integrand(linear_count(space, B), G))
+            assert str(err.value).startswith(
+                f"dirichlet[linear_count({text}),poly_count(B=[1],degree=400)] produced"
+            )
 
     def test_batch_shapes(self, space):
         counts = sample_batch(space, seed=3, m=17)
