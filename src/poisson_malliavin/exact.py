@@ -41,13 +41,12 @@ from .errors import (
     BoundaryLeakError,
     BudgetExceededError,
     ConfigError,
-    NonFiniteValueError,
     SolverError,
     TruncationError,
 )
-from .functionals import Functional, _sweep_box
+from .functionals import Functional, _sweep, _sweep_step
 from .ground import GroundSpace
-from .lattice import _box_rows, _box_strides
+from .lattice import _box_rows, _box_strides, sweep_parts
 from .operators import Mean
 from .registry import _is_int, _is_real
 
@@ -229,7 +228,7 @@ class StateTable:
     matching probabilities; their sum is at least 1 - tail_bound, and
     ``build`` checks that up to rounding.  ``build`` leaves ``states`` to be
     filled on first use: the exact sweeps make each slice's counts
-    themselves (``_sweep_box``), so they never hold the (S, n) array.
+    themselves (``lattice.sweep_parts``), so they never hold the (S, n) array.
     """
 
     def __init__(
@@ -308,25 +307,23 @@ class StateTable:
 
 def _sweep_table(kernel, table: StateTable, names: tuple[str, ...]) -> tuple[np.ndarray, ...]:
     """``kernel(counts) -> tuple of per-state values`` over the table, in
-    table order (``_sweep_box``): box slices of whole levels of one site
-    where their halos evaluate no more rows than plain counts would, plain
-    counts otherwise.  On a box slice every functional and field is
-    evaluated once, on the slice grown by one level per site when it is
-    shifted, and D+ / D- are stride offsets into those values, bit for bit
-    the plain evaluation's.  Memory is the (S,) value arrays plus a fixed
-    8 MiB of slice temporaries.  Each output is checked for non-finite
-    values, the first in table order named with its ``names`` entry.
+    table order (``_sweep`` over ``lattice.sweep_parts``): box slices of
+    whole levels of one site where their halos evaluate no more rows than
+    plain counts would, plain counts otherwise.  On a box slice every
+    functional and field is evaluated once, on the slice grown by one level
+    per site when it is shifted, and D+ / D- are stride offsets into those
+    values, bit for bit the plain evaluation's.  Memory is the (S,) value
+    arrays plus a fixed 8 MiB of slice temporaries.  A non-finite value is
+    named by its output's ``names`` entry and the first such state in table
+    order.
     """
-    outs = _sweep_box(kernel, table.plan.caps)
-    for values, what in zip(outs, names, strict=True):
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad = np.unravel_index(int(np.argmin(finite)), [cap + 1 for cap in table.plan.caps])
-            raise NonFiniteValueError(
-                f"{what} produced a non-finite value at configuration"
-                f" counts={[int(k) for k in bad]}"
-            )
-    return outs
+    caps = table.plan.caps
+    shape = [cap + 1 for cap in caps]
+    parts = sweep_parts(caps, _sweep_step(len(caps)))
+    return _sweep(
+        kernel, table.state_count, parts, names,
+        lambda finite: np.unravel_index(int(np.argmin(finite)), shape),
+    )
 
 
 def _table_mean(values: np.ndarray, table: StateTable, bound: float | None = None) -> Mean:

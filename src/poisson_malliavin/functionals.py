@@ -11,17 +11,17 @@ identity suite only needs evaluation.
 Everything evaluates on batches.  A counts array of shape (..., n) maps to
 values of shape (...) for functionals and (..., n) for fields (one value per
 site), so the exact oracle sweeps its truncated state table and the Monte Carlo
-engine its distinct sample rows in a few numpy calls, one per fixed-size
-slice of rows (``_sweep_rows``).  The exact oracle's slices are box slices
-where they evaluate less (``_sweep_box``): counts rows tagged with their
-place in the box, which ``Functional.batch``, ``RandomField.values`` and the
-shift helpers hand to ``lattice``, to evaluate each functional once per
-slice and read eta +- delta_z as a stride offset.  Evaluations are pure,
-hence safe for concurrent use.
+engine its distinct sample rows in a few numpy calls.  Both go through one
+loop, ``_sweep``, over parts of at most ``_sweep_step(n)`` rows, which also
+holds both engines' non-finite check.  The exact oracle's parts are box
+slices where they evaluate less (``lattice.sweep_parts``): counts rows tagged
+with their place in the box, which ``Functional.batch``,
+``RandomField.values`` and the shift helpers hand to ``lattice``, to evaluate
+each functional once per slice and read eta +- delta_z as a stride offset.
+Evaluations are pure, hence safe for concurrent use.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import lattice
-from .errors import ShapeError
+from .errors import NonFiniteValueError, ShapeError
 from .ground import Configuration, GroundSpace
 
 __all__ = [
@@ -251,10 +251,24 @@ def product_field(F: Functional, u: RandomField) -> RandomField:
 _SWEEP_BYTES = 8 << 20
 
 
-def _sweep(kernel, m: int, parts) -> tuple[np.ndarray, ...]:
-    """Run ``kernel(counts) -> tuple of per-row values`` on each
-    ``(start, stop, counts)`` of ``parts``, writing each output into a
-    preallocated (m,) float64 array at [start, stop)."""
+def _sweep_step(n: int) -> int:
+    """Rows per slice on n sites: at most ``_SWEEP_BYTES // (8 n^2)``."""
+    return max(1, _SWEEP_BYTES // (8 * n * n))
+
+
+def _sweep(kernel, m: int, parts, names: tuple[str, ...], locate) -> tuple[np.ndarray, ...]:
+    """The one sweep loop of both engines.  Run ``kernel(counts) -> tuple of
+    per-row values`` on each ``(start, stop, counts)`` of ``parts``, writing
+    each output into a preallocated (m,) float64 array at [start, stop).
+
+    Kernels are row-wise, so every value equals a one-call sweep's bit for
+    bit, whatever the parts: plain counts of at most ``_sweep_step(n)`` rows
+    or the exact engine's box slices (``lattice.sweep_parts``).  Memory is
+    the (m,) outputs plus one part's temporaries.  The first output, in
+    ``names`` order, holding a non-finite value raises
+    ``NonFiniteValueError`` naming it and the configuration that
+    ``locate(finite)`` picks from its finite mask.
+    """
     outs: tuple[np.ndarray, ...] = ()
     for start, stop, counts in parts:
         values = kernel(counts)
@@ -262,36 +276,14 @@ def _sweep(kernel, m: int, parts) -> tuple[np.ndarray, ...]:
             outs = tuple(np.empty(m, dtype=np.float64) for _ in values)
         for out, v in zip(outs, values):
             out[start:stop] = np.asarray(v, dtype=np.float64).reshape(stop - start)
+    for out, what in zip(outs, names, strict=True):
+        finite = np.isfinite(out)
+        if not finite.all():
+            raise NonFiniteValueError(
+                f"{what} produced a non-finite value at configuration"
+                f" counts={[int(k) for k in locate(finite)]}"
+            )
     return outs
-
-
-def _sweep_rows(kernel, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Run ``kernel(counts) -> tuple of per-row values`` over the (m, n)
-    ``rows`` in consecutive slices of at most ``_SWEEP_BYTES // (8 n^2)``
-    rows, writing each output into a preallocated (m,) float64 array.
-
-    Kernels are row-wise, so every value equals a one-call sweep's bit for
-    bit, and callers reduce the returned full arrays: results do not depend
-    on the slice size.  Memory is the (m,) outputs plus one slice's
-    temporaries, whatever m is.
-    """
-    m, n = rows.shape
-    step = max(1, _SWEEP_BYTES // (8 * n * n))
-    parts = ((a, min(a + step, m), rows[a : a + step]) for a in range(0, m, step))
-    return _sweep(kernel, m, parts)
-
-
-def _sweep_box(kernel, caps) -> tuple[np.ndarray, ...]:
-    """``_sweep_rows`` over the exact engine's box of per-site ``caps`` in
-    table order, without its (S, n) counts: each run of rows is made when
-    the kernel gets it (``lattice.sweep_parts``).  Where they evaluate less
-    than plain rows, the runs are box slices, on which each functional and
-    field is evaluated once and shifts are stride offsets.  Every value is
-    the one a plain evaluation gives, bit for bit, so results are those of
-    ``_sweep_rows`` over the table's states."""
-    n = len(caps)
-    step = max(1, _SWEEP_BYTES // (8 * n * n))
-    return _sweep(kernel, math.prod(cap + 1 for cap in caps), lattice.sweep_parts(caps, step))
 
 
 def field_add_tensor(u: RandomField, counts: np.ndarray) -> np.ndarray:

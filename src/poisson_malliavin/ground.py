@@ -57,12 +57,8 @@ class GroundSpace:
                 )
 
     @property
-    def site_count(self) -> int:
-        return len(self.weights)
-
-    # short alias used pervasively in array code
-    @property
     def n(self) -> int:
+        """The number of sites."""
         return len(self.weights)
 
     @property
@@ -132,10 +128,6 @@ class Configuration:
         arr = np.asarray(self.counts, dtype=np.int64)
         arr.setflags(write=False)
         return arr
-
-    @property
-    def total_points(self) -> int:
-        return int(sum(self.counts))
 
     def multiplicity(self, z: int) -> int:
         return self.counts[self.space.validate_site(z) - 1]

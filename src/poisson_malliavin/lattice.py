@@ -6,7 +6,8 @@ is all Monte Carlo rows and the pointwise checks have.  The exact engine's
 table is more: the whole box prod_z {0..cap_z} in lexicographic order, so
 eta +- delta_z of a configuration in it is a neighbouring lattice point, a
 mixed-radix stride away.  This module holds what only the box allows.  It
-cuts the table into slices of consecutive rows (``sweep_parts``) and hands
+cuts the table into slices of consecutive rows (``sweep_parts``, the parts
+that the one sweep loop, ``functionals._sweep``, runs kernels on) and hands
 kernels each slice's counts rows tagged with the slice (``_SliceRows``).
 Given tagged rows, ``Functional.batch``, ``RandomField.values`` and the
 shift helpers of ``functionals`` call the entry points below, which evaluate

@@ -14,10 +14,12 @@ rejection above numpy's internal switchover near lambda = 10).
 Workers are stream partitions, not processes: they run one after another in
 the calling process.  A ``MonteCarloBackend`` draws each worker's block once,
 on first use, and deduplicates it on its own into distinct rows plus an
-inverse index.  Kernels are evaluated on the distinct rows only and scattered
-back to one value per sample, so every estimate is computed from the same
-per-sample arrays, in the same worker order, as a sweep over the full block.
-The backend holds the deduplicated blocks in memory for its lifetime.
+inverse index.  Kernels are evaluated on the distinct rows only, through the
+sweep loop both engines share (``functionals._sweep``), and scattered back
+into one per-sample array per output, so every estimate is computed from the
+same per-sample arrays, in the same worker order, as a sweep over the full
+block.  The backend holds the deduplicated blocks in memory for its
+lifetime.
 
 Every estimate is one sweep (per-sample values) and one reduction (the sample
 mean with standard error std(ddof=1) / sqrt(n)), returned as a ``Mean``.
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteValueError
-from .functionals import Functional, _sweep_rows
+from .errors import ConfigError
+from .functionals import Functional, _sweep, _sweep_step
 from .ground import GroundSpace
 from .operators import Mean
 from .registry import _is_int
@@ -49,8 +51,8 @@ __all__ = [
 @dataclass(frozen=True)
 class SamplerConfig:
     """Reproducibility key for a Monte Carlo run: an integer seed >= 0, at
-    least 2 samples (a standard error needs two) and at least 1 worker;
-    anything else is a ``ConfigError`` naming the field."""
+    least 2 samples (a standard error needs two) and from 1 worker up to one
+    per sample; anything else is a ``ConfigError`` naming the field."""
 
     seed: int
     samples: int
@@ -61,6 +63,13 @@ class SamplerConfig:
             value = getattr(self, name)
             if not (_is_int(value) and value >= low):
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.workers > self.samples:
+            # every worker stream past the sample count would draw nothing,
+            # and spawning each costs time and memory before any sampling
+            raise ConfigError(
+                f"workers must be at most samples, got workers={self.workers}"
+                f" > samples={self.samples}"
+            )
 
 
 def sample_counts(
@@ -125,33 +134,37 @@ class MonteCarloBackend:
             self._blocks = [
                 _distinct_rows(sample_counts(self.space, np.random.default_rng(child), m))
                 for child, m in zip(children, sizes)
-                if m > 0
             ]
         return self._blocks
 
     def sweep(self, kernel, names: tuple[str, ...]) -> tuple[np.ndarray, ...]:
         """Run ``kernel(counts) -> tuple of arrays`` over the worker blocks.
 
-        The kernel sees each distinct row once, in fixed-size slices of the
-        block (``_sweep_rows``), so memory is the per-row and per-sample
-        arrays plus a fixed 8 MiB of slice temporaries.  Outputs are checked
-        for non-finite values in draw order, scattered back to one value per
-        sample and concatenated in worker-index order.  The error names the
-        bad sample's counts, so the outputs' ``names`` go unused.
+        The kernel sees each distinct row once, in slices of at most
+        ``_sweep_step(n)`` rows of the block (``_sweep``), so memory is the
+        per-row and per-sample arrays plus a fixed 8 MiB of slice
+        temporaries.  A non-finite value is named by its output's ``names``
+        entry and the first such sample in draw order.  Each block's outputs
+        are scattered back to one value per sample, straight into the
+        per-sample arrays, in worker-index order.
         """
-        chunks: list[tuple[np.ndarray, ...]] = []
+        step = _sweep_step(self.space.n)
+        outs: tuple[np.ndarray, ...] = ()
+        offset = 0
         for rows, inverse in self._worker_blocks():
-            out = _sweep_rows(kernel, rows)
-            for arr in out:
-                finite = np.isfinite(arr)
-                if not finite.all():
-                    bad = inverse[int(np.argmin(finite[inverse]))]
-                    raise NonFiniteValueError(
-                        "non-finite sample value at configuration"
-                        f" counts={rows[bad].tolist()}"
-                    )
-            chunks.append(tuple(a[inverse] for a in out))
-        return tuple(np.concatenate(arrs) for arrs in zip(*chunks))
+            m = len(rows)
+            parts = ((a, min(a + step, m), rows[a : a + step]) for a in range(0, m, step))
+            values = _sweep(
+                kernel, m, parts, names,
+                lambda finite: rows[inverse[int(np.argmin(finite[inverse]))]],
+            )
+            if not outs:
+                outs = tuple(np.empty(self.cfg.samples, dtype=np.float64) for _ in values)
+            stop = offset + len(inverse)
+            for out, v in zip(outs, values):
+                np.take(v, inverse, out=out[offset:stop])
+            offset = stop
+        return outs
 
     def mean(self, values: np.ndarray) -> Mean:
         """The sample mean, with standard error std(ddof=1) / sqrt(n)."""

@@ -26,7 +26,7 @@ from poisson_malliavin import (
     poly_count,
     product_of,
 )
-from poisson_malliavin import functionals, lattice
+from poisson_malliavin import exact as exact_module, functionals, lattice
 from poisson_malliavin.functionals import (
     Functional,
     RandomField,
@@ -182,6 +182,15 @@ def test_shift_helpers_match_plain_counts_on_other_sizes(monkeypatch, weights, l
     assert len(seen) > 1
 
 
+def _plain_sweep(kernel, states: np.ndarray, names) -> tuple[np.ndarray, ...]:
+    """The one sweep loop over plain counts parts of ``states``, as Monte
+    Carlo rows reach it."""
+    m, n = states.shape
+    step = functionals._sweep_step(n)
+    parts = ((a, min(a + step, m), states[a : a + step]) for a in range(0, m, step))
+    return functionals._sweep(kernel, m, parts, names, lambda finite: states[np.argmin(finite)])
+
+
 @pytest.mark.parametrize("shape", ["one level", "several levels", "second site"])
 def test_exact_results_match_plain_states_bitwise(monkeypatch, backend, shape):
     """Whole checks and expectations over box slices equal the same kernels
@@ -199,13 +208,13 @@ def test_exact_results_match_plain_states_bitwise(monkeypatch, backend, shape):
             F.batch(c) * identities.divergence_batch(u, c),
             (u.values(c) * add_diff_all(F, c)).sum(-1),
         ),
+        lambda c: (Fs[3].batch(c),),
     ]
+    names = [("lhs", "rhs")] * 4 + [(Fs[3].name,)]
     states = backend.table.states
-    plain = [functionals._sweep_rows(k, states) for k in kernels]
-    plain.append(functionals._sweep_rows(lambda c: (Fs[3].batch(c),), states))
+    plain = [_plain_sweep(k, states, w) for k, w in zip(kernels, names)]
     _slice_rows(monkeypatch, shape)
-    boxed = [functionals._sweep_box(k, backend.plan.caps) for k in kernels]
-    boxed.append(functionals._sweep_box(lambda c: (Fs[3].batch(c),), backend.plan.caps))
+    boxed = [exact_module._sweep_table(k, backend.table, w) for k, w in zip(kernels, names)]
     for want, got in zip(plain, boxed):
         for a, b in zip(want, got):
             assert _same(a, b)
@@ -242,18 +251,18 @@ def test_each_object_evaluated_once_per_slice(monkeypatch, backend, shape):
     _slice_rows(monkeypatch, shape)
     space = backend.space
     where = {"slice": None, "index": -1}
-    sweep = functionals._sweep
+    sweep = exact_module._sweep
 
-    def tracking(kernel, m, parts):
+    def tracking(kernel, m, parts, names, locate):
         def tracked(counts):
             where["slice"] = counts.box
             where["index"] += 1
             return kernel(counts)
 
         where["index"] = -1
-        return sweep(tracked, m, parts)
+        return sweep(tracked, m, parts, names, locate)
 
-    monkeypatch.setattr(functionals, "_sweep", tracking)
+    monkeypatch.setattr(exact_module, "_sweep", tracking)
     logs = defaultdict(list)
     sig = _counting(bounded_sigmoid(space, [1, 2], 1.0), logs["sig"], where)
     ind = _counting(indicator_leq(space, [2, 3], 2), logs["ind"], where)

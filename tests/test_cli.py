@@ -90,6 +90,10 @@ BAD_OVERRIDES = [
     (["verify", "--samples", "0"], "samples must be an integer >= 2, got 0"),
     (["verify", "--seed", "-3"], "seed must be an integer >= 0, got -3"),
     (["verify", "--workers", "0"], "workers must be an integer >= 1, got 0"),
+    (
+        ["verify", "--samples", "10", "--workers", "11"],
+        "workers must be at most samples, got workers=11 > samples=10",
+    ),
     (["estimate", "--functional", "linear_count", "--samples", "1"], "samples must be an integer >= 2, got 1"),
     (["sample", "--count", "-1"], "--count must be an integer >= 0, got -1"),
     (["sample", "--count", "3", "--seed", "-1"], "seed must be an integer >= 0, got -1"),

@@ -31,7 +31,7 @@ class TestGroundSpace:
 
     def test_total_mass(self, space):
         assert space.total_mass == pytest.approx(3.0)
-        assert space.site_count == 3
+        assert space.n == 3
 
     def test_json_roundtrip(self, space):
         text = space.to_json()

@@ -102,6 +102,14 @@ class TestEstimate:
         with pytest.raises(ValueError):
             SamplerConfig(seed=0, samples=10, workers=0)
 
+    def test_workers_at_most_samples(self):
+        # a worker past the sample count would draw nothing; small values
+        # only, so no large stream spawn is ever started
+        with pytest.raises(ConfigError) as err:
+            SamplerConfig(seed=1, samples=10, workers=11)
+        assert str(err.value) == "workers must be at most samples, got workers=11 > samples=10"
+        assert SamplerConfig(seed=1, samples=10, workers=10).workers == 10
+
 
 class TestMeckeDefect:
     """The paired Mecke defect is zero exactly when the sampler realises the
@@ -138,7 +146,7 @@ class TestNonFiniteAbort:
                 mc_expectation(F, space, cfg)
             # the first offending sample in draw order, not in distinct-row order
             assert str(err.value) == (
-                "non-finite sample value at configuration counts=[2, 1, 3]"
+                "explodes produced a non-finite value at configuration counts=[2, 1, 3]"
             )
 
 

@@ -93,3 +93,51 @@ def test_traced_exact_scale_fires_every_span(tmp_path):
     assert out["layers"]["exact.states"] == 7**3
     assert out["ops"] == 5
     assert out["failed"] == 0
+
+
+def test_traced_mc_wide_fires_every_span(tmp_path):
+    """mc_wide's seven identities on 3 sites and 2,000 Monte Carlo samples,
+    each binding sharing a site across its objects as mc_wide's do."""
+
+    def sigmoid(B, scale):
+        return {"name": "bounded_sigmoid", "B": B, "scale": scale}
+
+    def fti(B, F):
+        return {"name": "functional_times_indicator", "B": B, "F": F}
+
+    values = {"name": "deterministic", "values": [1.0, -0.5, 2.0]}
+    config = {
+        "space": {"weights": [2.0, 2.0, 2.0]},
+        "mc": {"seed": 5, "samples": 2000, "workers": 1},
+        "cases": [
+            {"identity": "mecke", "u": fti([1, 2, 3], sigmoid([1, 2], 0.5))},
+            {"identity": "duality", "F": sigmoid([1, 2, 3], 0.5), "u": values},
+            {"identity": "skorokhod", "u": fti([2, 3], sigmoid([1, 3], 0.5))},
+            {"identity": "bracket_expectation", "u": values, "v": fti([1, 2], sigmoid([2, 3], 0.5))},
+            {
+                "identity": "energy_derivation",
+                "F": sigmoid([1, 2], 0.5),
+                "G": {"name": "indicator_leq", "B": [2, 3], "m": 4},
+                "u": values,
+            },
+            {
+                "identity": "gamma_representation",
+                "F": sigmoid([1, 2, 3], 0.5),
+                "Phi": {"name": "indicator_leq", "B": [2, 3], "m": 4},
+            },
+            {
+                "identity": "gamma_form_bound",
+                "F": sigmoid([1, 2], 0.5),
+                "Phi": {"name": "indicator_leq", "B": [2, 3], "m": 4},
+            },
+        ],
+    }
+    identities = runpy.run_path(str(PERFBENCH / "workloads.py"))["_MC_IDENTITIES"]
+    assert [case["identity"] for case in config["cases"]] == list(identities)
+    out, fired = _traced_child(tmp_path, "mc_wide", config)
+    declared = _declared("mc_wide")
+    assert [s for s in declared if s not in fired] == []
+    assert all(out["layers"][f"{s}.calls"] > 0 for s in declared)
+    assert out["layers"]["montecarlo.sample_counts.rows"] == 2000
+    assert out["ops"] == 7
+    assert out["failed"] == 0

@@ -139,6 +139,7 @@ BAD_SCALARS = [
     ("mc-seed-bool", {"mc": {"seed": True}}, "mc: seed must be an integer >= 0, got True"),
     ("mc-seed-negative", {"mc": {"seed": -3}}, "mc: seed must be an integer >= 0, got -3"),
     ("mc-workers-string", {"mc": {"workers": "2"}}, "mc: workers must be an integer >= 1, got '2'"),
+    ("mc-workers-above-samples", {"mc": {"samples": 10, "workers": 11}}, "mc: workers must be at most samples, got workers=11 > samples=10"),
     ("mc-list", {"mc": [1]}, "mc: must be an object, got [1]"),
     ("tol-string", {"truncation": {"tol": "x"}}, "truncation.tol: must be a number > 0, got 'x'"),
     ("tol-zero", {"truncation": {"tol": 0}}, "truncation.tol: must be a number > 0, got 0"),
