@@ -14,7 +14,8 @@ class InvalidSiteError(PoissonMalliavinError):
 
 
 class ShapeError(PoissonMalliavinError):
-    """A counts vector or array does not match the ground space dimension."""
+    """A counts vector or array does not match the ground space dimension, or
+    a generator matrix does not match its state table."""
 
 
 class PointAbsentError(PoissonMalliavinError):

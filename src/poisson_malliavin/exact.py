@@ -10,12 +10,15 @@ one reduction (their probability-weighted sum), returned as a ``Mean`` with
 an error bound derived from that mass: rigorous when the integrand carries a
 certified sup-norm bound, heuristic (sup over enumerated states) otherwise.
 
-The Ornstein-Uhlenbeck generator is assembled as a sparse matrix in the state
-indicator basis.  Transitions that would leave the box are dropped while the
-diagonal keeps the full outflow rate, so the matrix is the honest restriction
-of the generator with out-of-box jumps killed; the killed mass is surfaced as
-``boundary_leak`` rather than silently folded back in.  Rows at interior
-states (no site at its cap) agree with the untruncated operator exactly.
+The Ornstein-Uhlenbeck generator is a sparse matrix in table order, built
+from the weights and caps alone: each jump s -> s +- dz is the neighbour one
+box stride away, so the matrix is 2n + 1 bands (``_generator``, the only code
+that writes the stencil).  Transitions that would leave the box are dropped
+while the diagonal keeps the full outflow rate, so the matrix is the honest
+restriction of the generator with out-of-box jumps killed; the killed mass is
+surfaced as ``boundary_leak`` rather than silently folded back in.  Rows at
+interior states (no site at its cap) agree with the untruncated operator
+exactly.
 ``ou_pseudo_inverse`` inverts it on centred vectors through the
 conservative generator, a Kronecker sum of per-site birth-death chains: every
 site but the widest is diagonalised in its pi-symmetrised eigenbasis, which
@@ -41,6 +44,7 @@ from .errors import (
     BoundaryLeakError,
     BudgetExceededError,
     ConfigError,
+    ShapeError,
     SolverError,
     TruncationError,
 )
@@ -352,61 +356,60 @@ def exact_expectation(F: Functional, table: StateTable, values: np.ndarray | Non
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """Sparse OU generator on the truncated box, in the state indicator basis.
+    """Sparse OU generator on the truncated box, in table order.
 
-    ``boundary_leak`` is the probability-weighted rate of the dropped
-    out-of-box transitions, sum over states of probs(s) times the total birth
-    rate at capped sites; ``interior`` marks the rows equal to the exact
-    untruncated operator.
+    ``killed`` is each state's dropped out-of-box birth rate (the summed
+    weights of its capped sites); ``boundary_leak`` is its probability-
+    weighted sum; ``interior`` marks the rows equal to the exact untruncated
+    operator.
     """
 
     matrix: sp.csr_matrix
     boundary_leak: float
     interior: np.ndarray
+    killed: np.ndarray
+
+
+def _generator(weights, caps) -> tuple[sp.csr_matrix, np.ndarray]:
+    """L f(s) = sum_z lam_z (f(s+dz) - f(s)) - sum_z k_z (f(s) - f(s-dz)) on
+    the box prod_z {0..caps[z]} in table order, and each state's killed birth
+    rate.  The jump s -> s +- dz is the neighbour a stride ``strides[z]``
+    away, so the matrix is 2n + 1 bands: lam_z below the cap at +strides[z],
+    the level k_z at -strides[z] (zero at level 0, dropped with the capped
+    births), and the diagonal, which keeps the full outflow, killed births
+    at the cap included.
+    """
+    shape = tuple(cap + 1 for cap in caps)
+    size = math.prod(shape)
+    diag = np.zeros(size)
+    killed = np.zeros(size)
+    bands, offsets = [diag], [0]
+    for lam, cap, stride in zip(weights, caps, _box_strides(shape).tolist()):
+        # the box as (outer, levels of z, inner), with z's level on axis 1
+        grid = (size // ((cap + 1) * stride), cap + 1, stride)
+        level = np.arange(cap + 1, dtype=np.float64)[:, None]
+        up = np.broadcast_to(np.where(level < cap, lam, 0.0), grid).reshape(-1)
+        down = np.broadcast_to(level, grid).reshape(-1)
+        bands += [up[: size - stride], down[stride:]]
+        offsets += [stride, -stride]
+        view = diag.reshape(grid)
+        view -= lam  # full outflow, including the killed part at the cap
+        view -= level
+        killed.reshape(grid)[:, cap] += lam
+    return sp.diags(bands, offsets, shape=(size, size), format="csr"), killed
 
 
 def build_generator_matrix(table: StateTable) -> GeneratorMatrix:
-    """Assemble L f(s) = sum_z lambda_z (f(s+dz) - f(s)) - sum_z k_z (f(s) - f(s-dz)).
+    """The OU generator of ``table``'s box (``_generator``), built from the
+    weights and caps alone.
 
     Up-transitions at capped sites are dropped while the diagonal keeps the
     full outflow, so leaked mass is visible (rows at capped states sum to
     minus their killed rate) instead of being reflected back.
     """
-    space = table.space
-    caps = np.asarray(table.plan.caps, dtype=np.int64)
-    counts = table.states
-    S, n = counts.shape
-    idx = np.arange(S, dtype=np.int64)
-    strides = _box_strides(caps + 1)
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-    diag = np.zeros(S, dtype=np.float64)
-    for z in range(n):
-        lam = space.weights[z]
-        up_ok = counts[:, z] < caps[z]
-        rows.append(idx[up_ok])
-        cols.append(idx[up_ok] + strides[z])
-        data.append(np.full(int(up_ok.sum()), lam))
-        diag -= lam  # full outflow, including the killed part at capped states
-
-        down_ok = counts[:, z] > 0
-        rows.append(idx[down_ok])
-        cols.append(idx[down_ok] - strides[z])
-        data.append(counts[down_ok, z].astype(np.float64))
-        diag -= counts[:, z]
-
-    rows.append(idx)
-    cols.append(idx)
-    data.append(diag)
-    matrix = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(S, S),
-    )
-    at_cap = counts == caps
-    leak = float(table.probs @ (at_cap @ space.weights_array))
-    return GeneratorMatrix(matrix, leak, table.interior)
+    matrix, killed = _generator(table.space.weights, table.plan.caps)
+    leak = float(table.probs @ killed)
+    return GeneratorMatrix(matrix, leak, table.interior, killed)
 
 
 # minimum degree on the pattern of A + A^T with diagonal pivots, for the
@@ -419,14 +422,6 @@ _LU_OPTIONS = {
     "relax": 1,
     "options": {"SymmetricMode": True},
 }
-
-
-def _site_chain(lam: float, cap: int) -> sp.csr_matrix:
-    """Conservative generator of one site on {0..cap}: birth rate lam below
-    the cap, death rate k at level k, reflected at the cap."""
-    k = np.arange(cap + 1, dtype=np.float64)
-    outflow = k + np.where(k < cap, lam, 0.0)
-    return sp.diags([k[1:], -outflow, np.full(cap, lam)], [-1, 0, 1], format="csr")
 
 
 def _site_eigen(lam: float, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -465,12 +460,9 @@ def _solve_conservative(
     order = list(diagonal) + kept
     eigen = [_site_eigen(weights[z], caps[z]) for z in diagonal]
     modes = reduce(np.add.outer, [w for w, _, _ in eigen], np.zeros(())).reshape(-1)
-    # the last kept site varies fastest, as in the table
-    block = reduce(
-        lambda rest, z: sp.kronsum(_site_chain(weights[z], caps[z]), rest, format="csr"),
-        kept,
-        sp.csr_matrix((1, 1)),
-    )
+    # the kept sites' conservative generator; the last varies fastest, as in the table
+    block, killed = _generator([weights[z] for z in kept], [caps[z] for z in kept])
+    block = block + sp.diags(killed)
     # the zero mode is the last (eigenvalues ascend); the kept sites'
     # marginal factors out of the box probs
     probs = table.probs.reshape(box).transpose(order)
@@ -487,12 +479,8 @@ def _solve_conservative(
         grid = _mode_products(x.reshape(probs.shape), [right for _, right, _ in eigen])
         return grid.transpose(np.argsort(order)).reshape(-1)
 
-    killed = reduce(
-        np.add.outer,
-        [np.where(np.arange(cap + 1) == cap, lam, 0.0) for lam, cap in zip(weights, caps)],
-    ).reshape(-1)
     y = solve(rhs)
-    return y + solve(rhs - (gen.matrix @ y + killed * y))
+    return y + solve(rhs - (gen.matrix @ y + gen.killed * y))
 
 
 def ou_pseudo_inverse(
@@ -527,15 +515,22 @@ def ou_pseudo_inverse(
     misses the contract is redone once as one grounded block of the box.
 
     Refuses a ``tol`` that is not a finite number > 0 or a ``max_leak`` that
-    is not a finite number >= 0 (``ConfigError``), refuses to solve when the
-    boundary leak exceeds ``max_leak``, and reports the achieved residual if
-    the interior contract ``|L g - (F - E_box F)| <= tol`` is missed.
+    is not a finite number >= 0 (``ConfigError``) and a ``generator`` whose
+    matrix is not (S, S) for ``table`` (``ShapeError``), refuses to solve
+    when the boundary leak exceeds ``max_leak``, and reports the achieved
+    residual if the interior contract ``|L g - (F - E_box F)| <= tol`` is
+    missed.
     """
     if not (_is_real(tol) and tol > 0.0):
         raise ConfigError(f"solve tol must be a finite number > 0, got {tol!r}")
     if not (_is_real(max_leak) and max_leak >= 0.0):
         raise ConfigError(f"max_leak must be a finite number >= 0, got {max_leak!r}")
     gen = generator if generator is not None else build_generator_matrix(table)
+    if gen.matrix.shape != (table.state_count,) * 2:
+        raise ShapeError(
+            f"generator matrix is {gen.matrix.shape[0]} x {gen.matrix.shape[1]},"
+            f" the table has {table.state_count} states"
+        )
     if gen.boundary_leak > max_leak:
         raise BoundaryLeakError(
             f"boundary leak {gen.boundary_leak:.3e} exceeds {max_leak:.3e};"

@@ -7,7 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from conftest import CANONICAL_WEIGHTS
 from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import poisson as poisson_dist
 
@@ -39,8 +41,8 @@ from poisson_malliavin import (
     site_indicator_field,
 )
 from poisson_malliavin import exact as exact_module
-from poisson_malliavin.errors import ConfigError, SolverError
-from poisson_malliavin.exact import _poisson_tail, _site_chain, _site_eigen
+from poisson_malliavin.errors import ConfigError, ShapeError, SolverError
+from poisson_malliavin.exact import _poisson_tail, _site_eigen
 from poisson_malliavin.identities import mecke_kernel
 
 
@@ -55,6 +57,51 @@ def _record_factors(monkeypatch) -> list:
 
     monkeypatch.setattr(spla, "splu", recording_splu)
     return factors
+
+
+def _coo_generator(table) -> tuple[sp.csr_matrix, float]:
+    """The generator and its boundary leak assembled from the (S, n) counts:
+    one COO entry per in-box jump, the diagonal keeping the full outflow."""
+    space = table.space
+    caps = np.asarray(table.plan.caps, dtype=np.int64)
+    counts = table.states
+    S, n = counts.shape
+    idx = np.arange(S, dtype=np.int64)
+    strides = exact_module._box_strides(caps + 1)
+
+    rows, cols, data = [], [], []
+    diag = np.zeros(S, dtype=np.float64)
+    for z in range(n):
+        lam = space.weights[z]
+        up_ok = counts[:, z] < caps[z]
+        rows.append(idx[up_ok])
+        cols.append(idx[up_ok] + strides[z])
+        data.append(np.full(int(up_ok.sum()), lam))
+        diag -= lam
+
+        down_ok = counts[:, z] > 0
+        rows.append(idx[down_ok])
+        cols.append(idx[down_ok] - strides[z])
+        data.append(counts[down_ok, z].astype(np.float64))
+        diag -= counts[:, z]
+
+    rows.append(idx)
+    cols.append(idx)
+    data.append(diag)
+    matrix = sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(S, S),
+    )
+    at_cap = counts == caps
+    return matrix, float(table.probs @ (at_cap @ space.weights_array))
+
+
+def _site_chain(lam: float, cap: int) -> np.ndarray:
+    """Conservative generator of one site on {0..cap}, dense: birth rate lam
+    below the cap, death rate k at level k, reflected at the cap."""
+    k = np.arange(cap + 1, dtype=np.float64)
+    outflow = k + np.where(k < cap, lam, 0.0)
+    return np.diag(k[1:], -1) - np.diag(outflow) + np.diag(np.full(cap, lam), 1)
 
 
 def _dense_grounded_reference(F, table):
@@ -414,6 +461,33 @@ class TestMeckeAtOracleLevel:
 
 
 class TestGeneratorMatrix:
+    @pytest.mark.parametrize(
+        "weights, tol",
+        [
+            (CANONICAL_WEIGHTS, 1e-12),  # the conftest table
+            ((2.0,), 1e-12),
+            ((0.3,) * 4, 1e-8),
+            ((0.3,) * 4, 1e-10),
+            ((0.01,) * 11, 1e-3),
+            ((300.0, 0.3), 1e-6),
+            ((8.0, 0.2, 3.0), 1e-12),
+        ],
+    )
+    def test_bands_equal_coo_assembly_bit_for_bit(self, weights, tol):
+        table = StateTable.from_tolerance(GroundSpace(weights), tol)
+        gen = build_generator_matrix(table)
+        matrix, leak = _coo_generator(table)
+        for field in ("indptr", "indices", "data"):
+            expected = getattr(matrix, field)
+            assert getattr(gen.matrix, field).dtype == expected.dtype
+            assert getattr(gen.matrix, field).tobytes() == expected.tobytes()
+        assert gen.boundary_leak.hex() == leak.hex()
+        # killed sums the capped sites' weights in site order; the matmul may
+        # sum them in another order
+        at_cap = table.states == np.asarray(table.plan.caps)
+        expected = at_cap @ table.space.weights_array
+        assert np.abs(gen.killed - expected).max() <= 4 * sys.float_info.epsilon * expected.max()
+
     def test_constants_in_kernel_at_interior(self, space, exact):
         gen = build_generator_matrix(exact.table)
         ones = np.ones(exact.state_count)
@@ -500,6 +574,22 @@ class TestOuPseudoInverse:
         residual = gen.matrix @ g - (f - float(table.probs @ f) / table.total_prob)
         assert np.abs(residual[gen.interior]).max() <= 1e-12
 
+    def test_leaves_no_counts_array(self):
+        # the generator is built from the weights and caps, and F is swept
+        # over box slices, so the (S, n) counts are never made
+        table = StateTable.from_tolerance(GroundSpace((0.3,) * 4), 1e-8)
+        gen = build_generator_matrix(table)
+        ou_pseudo_inverse(bounded_sigmoid(table.space, [1, 2], 1.0), table, generator=gen)
+        assert "states" not in vars(table)
+
+    def test_generator_of_another_table_is_shape_error(self):
+        small = StateTable.from_tolerance(GroundSpace((0.3,) * 4), 1e-8)
+        large = StateTable.from_tolerance(GroundSpace((0.3,) * 4), 1e-10)
+        F = bounded_sigmoid(small.space, [1, 2], 1.0)
+        message = "^generator matrix is 10000 x 10000, the table has 4096 states$"
+        with pytest.raises(ShapeError, match=message):
+            ou_pseudo_inverse(F, small, generator=build_generator_matrix(large))
+
     def test_mean_shift_beyond_tail_bound_raises(self, space, exact):
         t = exact.table
         halved = StateTable(t.space, t.plan, t.states, t.probs * 0.5)
@@ -559,7 +649,7 @@ class TestOuPseudoInverse:
     def test_site_eigen(self, lam, tol):
         table = StateTable.from_tolerance(GroundSpace((lam,)), tol)
         (cap,) = table.plan.caps
-        chain = _site_chain(lam, cap).toarray()
+        chain = _site_chain(lam, cap)
         # the one-site box's generator with the killed birth rate put back
         killed = np.diag(np.where(table.states[:, 0] == cap, lam, 0.0))
         assert np.abs(build_generator_matrix(table).matrix.toarray() + killed - chain).max() <= 1e-14
@@ -629,6 +719,20 @@ class TestOuPseudoInverse:
         assert len(factors) == 4
         # the achieved residual is the retry's, rounding-sized
         assert float(str(err.value).split()[-3]) <= 1e-12
+
+    def test_retries_on_two_heavy_sites(self, monkeypatch):
+        # the diagonalised site's back transform fails from weight about 250,
+        # so the first solve misses the contract and the whole box is grounded
+        table = StateTable.from_tolerance(GroundSpace((260.0, 260.0)), 1e-3)
+        assert table.state_count == 99_856
+        F = bounded_sigmoid(table.space, [1], 0.5)
+        factors = _record_factors(monkeypatch)
+        gen = build_generator_matrix(table)
+        g = ou_pseudo_inverse(F, table, tol=1e-9, max_leak=1.0, generator=gen)
+        assert len(factors) == 2
+        f = F.batch(table.states)
+        residual = gen.matrix @ g - (f - float(table.probs @ f) / table.total_prob)
+        assert np.abs(residual[gen.interior]).max() <= 1e-9
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9, True])
     def test_rejects_solve_tol_outside_finite_positive(self, space, exact, tol):
