@@ -1,11 +1,13 @@
 """Add/drop operator calculus on finite Poisson spaces.
 
-A point configuration over a finite weighted site set carries the whole
-first-order Malliavin toolbox: add/drop difference operators, the Skorokhod
-divergence, the Ornstein-Uhlenbeck generator, the Dirichlet energy, the
-carre du champ, and the energy brackets.  Two expectation engines, exact
-enumeration of a truncated product-Poisson state space and a seeded Monte
-Carlo sampler, numerically certify every identity relating them.
+A point configuration over a finite weighted site set, held as a counts
+array of shape (..., n), carries the whole first-order Malliavin toolbox:
+add/drop difference operators, the Skorokhod divergence, the
+Ornstein-Uhlenbeck generator, the Dirichlet energy, the carre du champ, and
+the energy brackets, each evaluated on a whole counts batch at once.  Two
+expectation engines, exact enumeration of a truncated product-Poisson state
+space and a seeded Monte Carlo sampler, numerically certify every identity
+relating them.
 """
 from .errors import (
     BoundaryLeakError,
@@ -13,7 +15,6 @@ from .errors import (
     ConfigError,
     InvalidSiteError,
     NonFiniteValueError,
-    PointAbsentError,
     PoissonMalliavinError,
     ShapeError,
     SolverError,
@@ -32,21 +33,10 @@ from .exact import (
 from .functionals import (
     Functional,
     RandomField,
-    add_diff,
     derivative_field,
-    drop_diff,
     product_field,
-    second_add_diff,
 )
-from .ground import (
-    Configuration,
-    GroundSpace,
-    SiteSet,
-    add_point,
-    count_of,
-    drop_point,
-    measure_of,
-)
+from .ground import GroundSpace, SiteSet
 from .identities import (
     DEFAULT_GATES,
     Gates,
@@ -71,11 +61,11 @@ from .montecarlo import (
 from .operators import (
     BracketKind,
     Mean,
-    bracket,
-    dirichlet_energy,
-    divergence,
-    gamma,
-    ou_generator,
+    bracket_batch,
+    dirichlet_integrand,
+    divergence_batch,
+    gamma_batch,
+    ou_generator_batch,
 )
 from .registry import (
     affine_of,

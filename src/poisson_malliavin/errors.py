@@ -18,10 +18,6 @@ class ShapeError(PoissonMalliavinError):
     a generator matrix does not match its state table."""
 
 
-class PointAbsentError(PoissonMalliavinError):
-    """drop_point was asked to remove a point from a site with multiplicity 0."""
-
-
 class BudgetExceededError(PoissonMalliavinError):
     """A truncation plan needs more states than the enumeration budget allows."""
 

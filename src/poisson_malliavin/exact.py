@@ -230,23 +230,15 @@ class StateTable:
 
     ``states`` has shape (S, n) in fixed lexicographic order, ``probs`` the
     matching probabilities; their sum is at least 1 - tail_bound, and
-    ``build`` checks that up to rounding.  ``build`` leaves ``states`` to be
-    filled on first use: the exact sweeps make each slice's counts
-    themselves (``lattice.sweep_parts``), so they never hold the (S, n) array.
+    ``build`` checks that up to rounding.  ``states`` is made from the caps
+    on first use: the exact sweeps make each slice's counts themselves
+    (``lattice.sweep_parts``), so they never hold the (S, n) array.
     """
 
-    def __init__(
-        self,
-        space: GroundSpace,
-        plan: TruncationPlan,
-        states: np.ndarray | None,
-        probs: np.ndarray,
-    ):
+    def __init__(self, space: GroundSpace, plan: TruncationPlan, probs: np.ndarray):
         self.space = space
         self.plan = plan
         self.probs = probs
-        if states is not None:
-            self.states = states
 
     @cached_property
     def states(self) -> np.ndarray:
@@ -261,7 +253,7 @@ class StateTable:
             probs = np.multiply.outer(probs, _poisson_pmf_vector(lam, cap))
         probs = probs.reshape(-1)
         probs.setflags(write=False)
-        table = cls(space, plan, None, probs)
+        table = cls(space, plan, probs)
         total = table.total_prob
         eps = table.mass_rounding
         if not 1.0 - plan.tail_bound - eps <= total <= 1.0 + eps:

@@ -30,14 +30,11 @@ import numpy as np
 
 from . import lattice
 from .errors import NonFiniteValueError, ShapeError
-from .ground import Configuration, GroundSpace
+from .ground import GroundSpace
 
 __all__ = [
     "Functional",
     "RandomField",
-    "add_diff",
-    "drop_diff",
-    "second_add_diff",
     "derivative_field",
     "product_field",
     "shifted_all",
@@ -89,11 +86,6 @@ class Functional:
             return lattice.values(self, counts)
         return np.asarray(self.fn(arr), dtype=np.float64)
 
-    def __call__(self, eta: Configuration) -> float:
-        if eta.space != self.space:
-            raise ShapeError(f"configuration space does not match {self.name!r}")
-        return float(self.batch(eta.array))
-
     def __repr__(self) -> str:
         return f"Functional({self.name!r}, params={self.params!r}, bound={self.bound!r})"
 
@@ -123,12 +115,6 @@ class RandomField:
             return lattice.field_values(self, counts)
         return np.asarray(self.fn(arr), dtype=np.float64)
 
-    def __call__(self, eta: Configuration, z: int) -> float:
-        if eta.space != self.space:
-            raise ShapeError(f"configuration space does not match {self.name!r}")
-        z = self.space.validate_site(z)
-        return float(self.values(eta.array)[..., z - 1])
-
     def __repr__(self) -> str:
         return f"RandomField({self.name!r}, params={self.params!r}, bound={self.bound!r})"
 
@@ -136,36 +122,6 @@ class RandomField:
 # ---------------------------------------------------------------------------
 # difference operators
 # ---------------------------------------------------------------------------
-
-def add_diff(F: Functional, eta: Configuration, z: int) -> float:
-    """Add operator D+_z F(eta) = F(eta + delta_z) - F(eta)."""
-    z = F.space.validate_site(z)
-    c = eta.array
-    shifted = c.copy()
-    shifted[z - 1] += 1
-    return float(F.batch(shifted) - F.batch(c))
-
-
-def drop_diff(F: Functional, eta: Configuration, z: int) -> float:
-    """Drop operator D-_z F(eta); the indicator absorbs absent points."""
-    z = F.space.validate_site(z)
-    if eta.counts[z - 1] == 0:
-        return 0.0
-    c = eta.array
-    shifted = c.copy()
-    shifted[z - 1] -= 1
-    return float(F.batch(c) - F.batch(shifted))
-
-
-def second_add_diff(u: RandomField, eta: Configuration, z: int, zp: int) -> float:
-    """D+_z u(eta, zp) = u(eta + delta_z, zp) - u(eta, zp)."""
-    z = u.space.validate_site(z)
-    zp = u.space.validate_site(zp)
-    c = eta.array
-    shifted = c.copy()
-    shifted[z - 1] += 1
-    return float(u.values(shifted)[..., zp - 1] - u.values(c)[..., zp - 1])
-
 
 def shifted_all(F: Functional, counts: np.ndarray, step: int) -> np.ndarray:
     """out[..., z-1] = F(eta + step delta_z) for step 1 or -1, a drop

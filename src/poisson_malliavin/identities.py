@@ -50,7 +50,7 @@ from .operators import (
     divergence_batch,
     gamma_batch,
 )
-from .registry import ScalarMap, _is_real, product_of, scalar_map
+from .registry import ScalarMap, _is_int, _is_real, product_of, scalar_map
 
 __all__ = [
     "Gates",
@@ -187,6 +187,8 @@ def _paired_report(case: str, kernel, backend, gates: Gates) -> VerificationRepo
 
 
 def _pointwise_counts(space: GroundSpace, seed: int, case: str, points: int) -> np.ndarray:
+    if not (_is_int(points) and points >= 1):
+        raise ConfigError(f"{case}: points must be an integer >= 1, got {points!r}")
     # per-case salt keeps different checks on decorrelated streams
     salt = zlib.crc32(case.encode("utf-8"))
     ss = np.random.SeedSequence([int(seed), salt])
@@ -443,12 +445,15 @@ def commutation_check(
 
     D+_z (delta u)(eta) = u(eta, z) + delta(D+_z u(., .))(eta)
 
-    checked at every sampled configuration and every requested site.
+    checked at every sampled configuration and every requested site; an
+    empty site set is a ``ConfigError``, not a vacuous pass.
     """
     space = u.space
     zs = sorted(sites.members) if sites is not None else list(space.sites)
     if sites is not None:
         sites.validate_for(space)
+    if not zs:
+        raise ConfigError(f"{case}: needs at least one site, got an empty site set")
     counts = _pointwise_counts(space, seed, case, points)
     base_div = divergence_batch(u, counts)
     vals = u.values(counts)

@@ -44,20 +44,14 @@ from .functionals import (
     derivative_field,
     field_dropped_diag,
 )
-from .ground import Configuration
 
 __all__ = [
     "BracketKind",
-    "divergence",
     "divergence_batch",
-    "ou_generator",
     "ou_generator_batch",
-    "bracket",
     "bracket_batch",
-    "gamma",
     "gamma_batch",
     "dirichlet_integrand",
-    "dirichlet_energy",
     "Mean",
 ]
 
@@ -86,21 +80,9 @@ def divergence_batch(u: RandomField, counts: np.ndarray) -> np.ndarray:
     return (counts * dropped).sum(axis=-1) - (w * u.values(counts)).sum(axis=-1)
 
 
-def divergence(u: RandomField, eta: Configuration) -> float:
-    """Pathwise Skorokhod divergence delta u(eta)."""
-    _check_same_space(u, eta)
-    return float(divergence_batch(u, eta.array))
-
-
 def ou_generator_batch(F: Functional, counts: np.ndarray) -> np.ndarray:
     """L F = -delta(DF) on a counts batch; returns shape (...)."""
     return -divergence_batch(derivative_field(F), counts)
-
-
-def ou_generator(F: Functional, eta: Configuration) -> float:
-    """Ornstein-Uhlenbeck generator L F(eta) = -delta(DF)(eta)."""
-    _check_same_space(F, eta)
-    return float(ou_generator_batch(F, eta.array))
 
 
 def bracket_batch(
@@ -126,37 +108,29 @@ def bracket_batch(
     return 0.5 * plus() + 0.5 * minus()
 
 
-def bracket(
-    u: RandomField, v: RandomField, kind: BracketKind, eta: Configuration
-) -> float:
-    """Energy bracket [u, v]_Gamma, or the plus / minus comparison brackets."""
-    _check_same_space(u, eta)
-    return float(bracket_batch(u, v, kind, eta.array))
-
-
 def gamma_batch(F: Functional, G: Functional, counts: np.ndarray) -> np.ndarray:
-    """Carre du champ Gamma(F, G) = [DF, DG]_Gamma on a counts batch."""
-    return bracket_batch(
-        derivative_field(F), derivative_field(G), BracketKind.GAMMA, counts
-    )
+    """Carre du champ density Gamma(F, G) = [DF, DG]_Gamma on a counts batch
+    of shape (..., n); returns shape (...).
 
-
-def gamma(F: Functional, G: Functional, eta: Configuration) -> float:
-    """Carre du champ density
+    The carre du champ 1/2 (L(FG) - F LG - G LF) of the Ornstein-Uhlenbeck
+    generator is, in complete generality,
 
     Gamma(F, G)(eta) = 1/2 sum_z lambda_z D+F D+G + 1/2 sum_z k_z D-F D-G,
 
     i.e. 1/2 int D+F D+G dnu + 1/2 int D-F D-G d eta.  The drop half is
     D+F(eta - delta_z) at the occupied sites (the drop/add conjugation
-    identity), computed as D-F with n + 1 evaluations of F per configuration.
+    identity D-_z F(eta) = D+_z F(eta - delta_z)), computed as D-F with
+    n + 1 evaluations of F per configuration.
     """
-    _check_same_space(F, eta)
-    return float(gamma_batch(F, G, eta.array))
+    return bracket_batch(
+        derivative_field(F), derivative_field(G), BracketKind.GAMMA, counts
+    )
 
 
 def dirichlet_integrand(F: Functional, G: Functional) -> Functional:
     """The configuration functional sum_z lambda_z D+F D+G whose expectation
-    is the Dirichlet energy."""
+    is the Dirichlet energy: ``backend.expectation(dirichlet_integrand(F, G))``
+    on either engine."""
     _check_same_space(F, G)
     space = F.space
     w = space.weights_array
@@ -168,15 +142,6 @@ def dirichlet_integrand(F: Functional, G: Functional) -> Functional:
     if F.bound is not None and G.bound is not None:
         bound = 4.0 * F.bound * G.bound * space.total_mass
     return Functional(space, fn, f"dirichlet[{F.name},{G.name}]", {}, bound=bound)
-
-
-def dirichlet_energy(F: Functional, G: Functional, backend) -> float:
-    """Dirichlet form value E(F, G) = E[ sum_z lambda_z D+F D+G ].
-
-    ``backend`` is either expectation engine (exact or Monte Carlo); both
-    expose ``expectation(functional).value``.
-    """
-    return float(backend.expectation(dirichlet_integrand(F, G)).value)
 
 
 @dataclass(frozen=True)

@@ -219,8 +219,8 @@ _SHAPES = {
     "Fs": (lambda v: isinstance(v, list), "a list of functional specs"),
     "Gs": (lambda v: isinstance(v, list), "a list of functional specs"),
     "sites": (
-        lambda v: isinstance(v, list) and all(_is_int(z) for z in v),
-        "a list of site numbers",
+        lambda v: isinstance(v, list) and len(v) > 0 and all(_is_int(z) for z in v),
+        "a list of at least one site number",
     ),
     "budget": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
     "phis": (

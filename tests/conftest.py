@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from poisson_malliavin import (
-    Configuration,
     ExactBackend,
     GroundSpace,
     bounded_sigmoid,
@@ -32,8 +31,30 @@ def exact(space) -> ExactBackend:
 
 
 @pytest.fixture()
-def eta102(space) -> Configuration:
-    return Configuration(space, (1, 0, 2))
+def eta102() -> np.ndarray:
+    return np.array([1, 0, 2], dtype=np.int64)
+
+
+# The oracle: eta +- delta_z built by hand on one plain configuration (a tuple
+# or an untagged counts row), as in Last & Penrose (2017), ch. 18; it shares
+# no shift code with the batch operators it checks.
+
+def shift(eta, z: int, step: int):
+    """eta + step delta_z (site z is 1-based) as a new row; None below 0."""
+    row = np.array(eta, dtype=np.int64)
+    row[z - 1] += step
+    return row if row[z - 1] >= 0 else None
+
+
+def d_plus(F, eta, z: int) -> float:
+    """D+_z F(eta) = F(eta + delta_z) - F(eta)."""
+    return float(F.batch(shift(eta, z, 1)) - F.batch(np.array(eta)))
+
+
+def d_minus(F, eta, z: int) -> float:
+    """D-_z F(eta) = F(eta) - F(eta - delta_z), and 0 when eta_z = 0."""
+    minus = shift(eta, z, -1)
+    return 0.0 if minus is None else float(F.batch(np.array(eta)) - F.batch(minus))
 
 
 def functional_pool(space: GroundSpace):

@@ -13,6 +13,7 @@ to see them).  Tolerances are pinned here, not configurable:
    for B = {1,2}, Gamma at eta = (1,0,2) equals 1.25, Skorokhod second
    moment 45 for u = eta(Z) * 1;
 4. pointwise algebra (square chain rules, drop/add conjugation, Gamma >= 0,
+   Gamma equal to its two integrals from hand-built differences,
    Cauchy-Schwarz) exact to 1e-12 on 10^3 randomized draws;
 5. spectral sanity of the generator matrix (first chaos eigenvalue -1 at
    interior states, zero interior row sums, pi-weighted symmetry within the
@@ -29,32 +30,28 @@ import numpy as np
 import pytest
 
 from poisson_malliavin import (
-    Configuration,
     SamplerConfig,
-    add_diff,
     affine_of,
     build_generator_matrix,
     count_times_deterministic,
-    drop_diff,
+    dirichlet_integrand,
     exact_expectation,
     functional_from_spec,
-    gamma,
+    gamma_batch,
     linear_count,
     load_config,
     mc_expectation,
-    measure_of,
     non_diffusion_counterexample,
     chain_rule_control_check,
-    dirichlet_energy,
     poly_count,
     product_of,
     random_functional_spec,
     reports_to_json,
     run_suite,
     skorokhod_check,
-    SiteSet,
 )
-from conftest import functional_pool, sample_batch
+from poisson_malliavin.functionals import add_diff_all, drop_diff_all
+from conftest import d_minus, d_plus, functional_pool, sample_batch, shift
 
 
 def _criterion(name: str, ok: bool, detail: str) -> None:
@@ -115,7 +112,7 @@ def test_monte_carlo_suite_and_report_determinism(config):
 def test_hand_value_anchors(space, exact):
     checks = []
 
-    full = SiteSet.full(space).sorted_members()
+    full = list(space.sites)
     mean = exact_expectation(linear_count(space, full), exact.table)
     checks.append(("E eta(Z) = 3", abs(mean.value - 3.0) <= 1e-10 + mean.error_bound))
 
@@ -126,10 +123,10 @@ def test_hand_value_anchors(space, exact):
 
     B = [1, 2]
     F = linear_count(space, B)
-    energy = dirichlet_energy(F, F, exact)
+    energy = exact.expectation(dirichlet_integrand(F, F)).value
     checks.append(("energy(eta(B)) = nu(B) = 1.5", abs(energy - 1.5) <= 1e-10))
 
-    g = gamma(F, F, Configuration(space, (1, 0, 2)))
+    g = float(gamma_batch(F, F, np.array([1, 0, 2])))
     checks.append(("Gamma(eta(B)) at (1,0,2) = 1.25", abs(g - 1.25) <= 1e-10))
 
     u = count_times_deterministic(space, full, [1.0, 1.0, 1.0])
@@ -148,27 +145,27 @@ def test_pointwise_algebra(space):
     draws = 0
     worst = 0.0
     rng = np.random.default_rng(4)
-    for row in counts:
-        eta = Configuration(space, tuple(int(k) for k in row))
+    for eta in counts:
         F = pool[int(rng.integers(len(pool)))]
         G = pool[int(rng.integers(len(pool)))]
         z = int(rng.integers(1, space.n + 1))
         F2 = product_of(F, F)
-        fval = F(eta)
-        dplus, dminus = add_diff(F, eta, z), drop_diff(F, eta, z)
+        fval = float(F.batch(eta))
+        dplus, dminus = d_plus(F, eta, z), d_minus(F, eta, z)
         worst = max(
             worst,
-            abs(add_diff(F2, eta, z) - (2 * fval * dplus + dplus**2)),
-            abs(drop_diff(F2, eta, z) - (2 * fval * dminus - dminus**2)),
+            abs(add_diff_all(F2, eta)[z - 1] - (2 * fval * dplus + dplus**2)),
+            abs(drop_diff_all(F2, eta)[z - 1] - (2 * fval * dminus - dminus**2)),
         )
-        if eta.counts[z - 1] >= 1:
-            worst = max(
-                worst, abs(dminus - add_diff(F, eta.drop_point(z), z))
-            )
-        gFF = gamma(F, F, eta)
-        gGG = gamma(G, G, eta)
-        gFG = gamma(F, G, eta)
-        worst = max(worst, -gFF, gFG * gFG - gFF * gGG)
+        if eta[z - 1] >= 1:
+            worst = max(worst, abs(drop_diff_all(F, eta)[z - 1] - d_plus(F, shift(eta, z, -1), z)))
+        gFF, gGG, gFG = gamma_batch(F, F, eta), gamma_batch(G, G, eta), gamma_batch(F, G, eta)
+        # Gamma against the paper's two integrals, from hand-built differences
+        hand = 0.0
+        for y, (k, lam) in enumerate(zip(eta, space.weights), start=1):
+            hand += 0.5 * lam * d_plus(F, eta, y) * d_plus(G, eta, y)
+            hand += 0.5 * k * d_minus(F, eta, y) * d_minus(G, eta, y)
+        worst = max(worst, -gFF, gFG * gFG - gFF * gGG, abs(gFG - hand))
         draws += 1
     _criterion(
         "pointwise algebra",
@@ -182,7 +179,7 @@ def test_spectral_sanity(space, exact):
     issues = []
 
     B = [1, 2]
-    nuB = measure_of(space, SiteSet.of(B))
+    nuB = sum(space.weights[z - 1] for z in B)
     centered = affine_of([(1.0, linear_count(space, B))], -nuB)
     f = centered.batch(exact.table.states)
     eigen_defect = float(np.abs((gen.matrix @ f + f)[gen.interior]).max())

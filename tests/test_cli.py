@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -147,3 +151,21 @@ class TestEstimate:
 
     def test_unknown_functional(self, capsys):
         assert main(["estimate", "--functional", "nope", "--params", "{}"]) == 2
+
+
+def test_readme_library_example_prints_its_commented_values():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(readme), "exec"), {})
+    # "print(x)  # 1.5 = nu(B)": the numbers before any "=" are the values
+    expected = [
+        line.split("#", 1)[1].split("=")[0].split()
+        for line in block.splitlines()
+        if line.startswith("print(") and "#" in line
+    ]
+    printed = [line.split() for line in out.getvalue().splitlines()]
+    assert len(printed) == len(expected) == 5
+    for got, want in zip(printed, expected):
+        assert [float(g) for g in got] == pytest.approx([float(w) for w in want], rel=1e-6, abs=0)

@@ -6,19 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from poisson_malliavin import (
     ConfigError,
-    Configuration,
     NonFiniteValueError,
     Functional,
     RandomField,
     ShapeError,
-    add_diff,
     affine_of,
     bounded_sigmoid,
     compose,
     constant,
     derivative_field,
     deterministic_field,
-    drop_diff,
     count_times_deterministic,
     field_from_spec,
     functional_from_spec,
@@ -29,82 +26,85 @@ from poisson_malliavin import (
     product_field,
     product_of,
     random_functional_spec,
-    second_add_diff,
     site_indicator_field,
 )
-from poisson_malliavin.functionals import drop_diff_all, field_dropped_diag
+from poisson_malliavin.functionals import (
+    add_diff_all,
+    drop_diff_all,
+    field_add_tensor,
+    field_dropped_diag,
+)
 from poisson_malliavin.identities import _shifted_diff_field
 from poisson_malliavin.operators import dirichlet_integrand
 from poisson_malliavin.registry import _describe
-from conftest import functional_pool, sample_batch
+from conftest import d_minus, d_plus, functional_pool, sample_batch, shift
 
 
 class TestAddDiff:
     def test_counting_functional(self, space, eta102):
         F = linear_count(space, [1])
-        assert add_diff(F, eta102, 1) == 1.0
-        assert add_diff(F, eta102, 2) == 0.0
+        assert add_diff_all(F, eta102).tolist() == [1.0, 0.0, 0.0]
 
     def test_constant_vanishes(self, space, eta102):
         F = constant(space, 4.25)
-        for z in space.sites:
-            assert add_diff(F, eta102, z) == 0.0
+        assert add_diff_all(F, eta102).tolist() == [0.0, 0.0, 0.0]
 
     def test_square_count(self, space, eta102):
         # (N+1)^2 - N^2 = 2N + 1 with N = eta(Z) = 3
         F = poly_count(space, [1, 2, 3], 2)
-        for z in space.sites:
-            assert add_diff(F, eta102, z) == 7.0
+        assert add_diff_all(F, eta102).tolist() == [7.0, 7.0, 7.0]
 
 
 class TestDropDiff:
     def test_counting_functional(self, space, eta102):
         F = linear_count(space, [1])
-        assert drop_diff(F, eta102, 1) == 1.0
+        assert drop_diff_all(F, eta102)[0] == 1.0
 
     def test_indicator_kills_absent_site(self, space, eta102):
         for F in functional_pool(space):
-            assert drop_diff(F, eta102, 2) == 0.0
+            assert drop_diff_all(F, eta102)[1] == 0.0
 
     def test_square_count(self, space, eta102):
         # N^2 - (N-1)^2 = 2N - 1 with N = 3
         F = poly_count(space, [1, 2, 3], 2)
-        assert drop_diff(F, eta102, 3) == 5.0
+        assert drop_diff_all(F, eta102)[2] == 5.0
+
+
+def field_add_diff(u, eta):
+    """D+_z u(eta, zp) = u(eta + delta_z, zp) - u(eta, zp), shape (n, n)."""
+    return field_add_tensor(u, eta) - u.values(eta)
 
 
 class TestSecondAddDiff:
     def test_deterministic_field(self, space, eta102):
         u = deterministic_field(space, [1.0, -2.0, 0.5])
-        for z in space.sites:
-            for zp in space.sites:
-                assert second_add_diff(u, eta102, z, zp) == 0.0
+        assert (field_add_diff(u, eta102) == 0.0).all()
 
     def test_count_scaled_field(self, space, eta102):
         g = [1.0, 0.5, 0.25]
         u = count_times_deterministic(space, [1, 2, 3], g)
-        for z in space.sites:
-            for zp in space.sites:
-                assert second_add_diff(u, eta102, z, zp) == g[zp - 1]
+        assert field_add_diff(u, eta102).tolist() == [g] * 3
 
     def test_total_count_field(self, space, eta102):
         u = count_times_deterministic(space, [1, 2, 3], [1.0, 1.0, 1.0])
-        assert second_add_diff(u, eta102, 2, 3) == 1.0
+        hand = u.values(shift(eta102, 2, 1))[2] - u.values(eta102)[2]
+        assert field_add_diff(u, eta102)[1, 2] == hand == 1.0
 
 
 class TestDerivativeField:
     def test_counting_functional(self, space, eta102):
         u = derivative_field(linear_count(space, [1, 2]))
-        assert [u(eta102, z) for z in space.sites] == [1.0, 1.0, 0.0]
+        assert u.values(eta102).tolist() == [1.0, 1.0, 0.0]
 
     def test_constant(self, space, eta102):
         u = derivative_field(constant(space, 2.0))
-        assert all(u(eta102, z) == 0.0 for z in space.sites)
+        assert u.values(eta102).tolist() == [0.0, 0.0, 0.0]
 
     def test_matches_add_diff(self, space, eta102):
         F = poly_count(space, [1, 2, 3], 2)
         u = derivative_field(F)
         for z in space.sites:
-            assert u(eta102, z) == add_diff(F, eta102, z) == 7.0
+            assert u.values(eta102)[z - 1] == d_plus(F, eta102, z) == 7.0
 
     def test_bound_doubles(self, space):
         F = bounded_sigmoid(space, [1, 2], 1.0)
@@ -117,10 +117,7 @@ class TestBoundedness:
         for F in functional_pool(space):
             if F.bound is None:
                 continue
-            for row in counts[:50]:
-                eta = Configuration(space, tuple(int(k) for k in row))
-                for z in space.sites:
-                    assert abs(add_diff(F, eta, z)) <= 2.0 * F.bound + 1e-15
+            assert (np.abs(add_diff_all(F, counts[:50])) <= 2.0 * F.bound + 1e-15).all()
 
 
 # ---------------------------------------------------------------------------
@@ -139,51 +136,57 @@ dyadic_st = st.sampled_from([-2.0, -0.5, 0.25, 0.5, 1.0, 2.0])
 functional_st = st.sampled_from(POOL)
 
 
+# Each property compares a batch operator (add_diff_all / drop_diff_all) on
+# one side with the hand-built differences of conftest on the other.
+
 @settings(deadline=None)
 @given(counts_st, site_st, dyadic_st, dyadic_st, functional_st, functional_st)
 def test_diff_operators_linear(counts, z, a, b, F, G):
-    eta = Configuration(SPACE, tuple(counts))
+    eta = np.array(counts)
     combo = affine_of([(a, F), (b, G)])
-    assert add_diff(combo, eta, z) == pytest.approx(
-        a * add_diff(F, eta, z) + b * add_diff(G, eta, z), abs=1e-11
+    assert add_diff_all(combo, eta)[z - 1] == pytest.approx(
+        a * d_plus(F, eta, z) + b * d_plus(G, eta, z), abs=1e-11
     )
-    assert drop_diff(combo, eta, z) == pytest.approx(
-        a * drop_diff(F, eta, z) + b * drop_diff(G, eta, z), abs=1e-11
+    assert drop_diff_all(combo, eta)[z - 1] == pytest.approx(
+        a * d_minus(F, eta, z) + b * d_minus(G, eta, z), abs=1e-11
     )
 
 
 @settings(deadline=None)
 @given(counts_st, site_st, functional_st)
 def test_square_chain_rules(counts, z, F):
-    eta = Configuration(SPACE, tuple(counts))
+    eta = np.array(counts)
     F2 = product_of(F, F)
-    dplus = add_diff(F, eta, z)
-    dminus = drop_diff(F, eta, z)
-    assert add_diff(F2, eta, z) == pytest.approx(
-        2.0 * F(eta) * dplus + dplus * dplus, abs=1e-12
+    fval = float(F.batch(eta))
+    dplus = d_plus(F, eta, z)
+    dminus = d_minus(F, eta, z)
+    assert add_diff_all(F2, eta)[z - 1] == pytest.approx(
+        2.0 * fval * dplus + dplus * dplus, abs=1e-12
     )
-    assert drop_diff(F2, eta, z) == pytest.approx(
-        2.0 * F(eta) * dminus - dminus * dminus, abs=1e-12
+    assert drop_diff_all(F2, eta)[z - 1] == pytest.approx(
+        2.0 * fval * dminus - dminus * dminus, abs=1e-12
     )
 
 
 @settings(deadline=None)
 @given(counts_st, site_st, functional_st, functional_st)
 def test_product_rule(counts, z, F, G):
-    eta = Configuration(SPACE, tuple(counts))
-    lhs = add_diff(product_of(F, G), eta, z)
-    dF, dG = add_diff(F, eta, z), add_diff(G, eta, z)
-    assert lhs == pytest.approx(F(eta) * dG + G(eta) * dF + dF * dG, abs=1e-11)
+    eta = np.array(counts)
+    lhs = add_diff_all(product_of(F, G), eta)[z - 1]
+    dF, dG = d_plus(F, eta, z), d_plus(G, eta, z)
+    fval, gval = float(F.batch(eta)), float(G.batch(eta))
+    assert lhs == pytest.approx(fval * dG + gval * dF + dF * dG, abs=1e-11)
 
 
 @settings(deadline=None)
 @given(counts_st, site_st, functional_st)
 def test_drop_add_conjugation(counts, z, F):
-    eta = Configuration(SPACE, tuple(counts))
-    if eta.counts[z - 1] >= 1:
-        assert drop_diff(F, eta, z) == add_diff(F, eta.drop_point(z), z)
+    eta = np.array(counts)
+    minus = shift(eta, z, -1)
+    if minus is not None:
+        assert drop_diff_all(F, eta)[z - 1] == d_plus(F, minus, z)
     else:
-        assert drop_diff(F, eta, z) == 0.0
+        assert drop_diff_all(F, eta)[z - 1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +198,7 @@ class TestRegistrySpecs:
         F = functional_from_spec(
             space, {"name": "poly_count", "B": [1, 2, 3], "degree": 2}
         )
-        assert F(eta102) == 9.0
+        assert F.batch(eta102) == 9.0
 
     def test_bounds_certified(self, space):
         assert bounded_sigmoid(space, [1, 2], 1.0).bound == 1.0
@@ -217,7 +220,7 @@ class TestRegistrySpecs:
             "constant": 1.0,
         }
         F = functional_from_spec(space, spec)
-        assert F(eta102) == pytest.approx(1.0 + 0.5 * 3)
+        assert F.batch(eta102) == pytest.approx(1.0 + 0.5 * 3)
 
     def test_unknown_name(self, space):
         functionals = (
@@ -241,12 +244,12 @@ class TestRegistrySpecs:
 
     def test_field_specs(self, space, eta102):
         u = field_from_spec(space, {"name": "site_indicator", "B": [2]})
-        assert [u(eta102, z) for z in space.sites] == [0.0, 1.0, 0.0]
+        assert u.values(eta102).tolist() == [0.0, 1.0, 0.0]
         v = field_from_spec(
             space,
             {"name": "derivative", "F": {"name": "linear_count", "B": [1, 2]}},
         )
-        assert [v(eta102, z) for z in space.sites] == [1.0, 1.0, 0.0]
+        assert v.values(eta102).tolist() == [1.0, 1.0, 0.0]
 
     def test_names_identify_bindings(self, space):
         assert linear_count(space, [1]).name == "linear_count(B=[1])"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -30,6 +31,7 @@ from poisson_malliavin import (
     product_formula_check,
     site_indicator_field,
     skorokhod_check,
+    SiteSet,
 )
 
 MC_CFG = SamplerConfig(seed=20260810, samples=50_000, workers=1)
@@ -124,11 +126,23 @@ class TestCommutation:
             assert r.passed, r
 
     def test_site_subset(self, space):
-        from poisson_malliavin import SiteSet
-
         u = site_indicator_field(space, [1, 3])
         r = commutation_check(u, SiteSet.of([2]), seed=1, points=50)
         assert r.passed and r.n == 50
+
+    def test_empty_site_set_is_config_error(self, space):
+        with pytest.raises(ConfigError, match="needs at least one site"):
+            commutation_check(site_indicator_field(space, [1, 3]), SiteSet.of([]))
+
+
+@pytest.mark.parametrize("points", [0, -1, 2.5, True, "3"])
+def test_bad_points_is_config_error(space, points):
+    u = site_indicator_field(space, [1, 3])
+    message = re.escape(f"points must be an integer >= 1, got {points!r}")
+    with pytest.raises(ConfigError, match=message):
+        commutation_check(u, points=points)
+    with pytest.raises(ConfigError, match=message):
+        product_formula_check(constant(space, 1.0), u, points=points)
 
 
 class TestProductFormula:

@@ -23,7 +23,7 @@ from poisson_malliavin import (
     poly_count,
     product_of,
 )
-from poisson_malliavin import Configuration, GroundSpace, montecarlo
+from poisson_malliavin import GroundSpace, montecarlo
 from poisson_malliavin.montecarlo import sample_counts
 from poisson_malliavin.identities import mecke_kernel
 
@@ -36,9 +36,7 @@ class TestSampler:
         counts = sample_counts(space, rng, 1)
         assert counts.shape == (1, space.n)
         assert counts.dtype == np.int64
-        eta = Configuration(space, tuple(int(k) for k in counts[0]))
-        assert eta.space == space
-        assert all(k >= 0 for k in eta.counts)
+        assert (counts >= 0).all()
 
     def test_mean_total_count(self, space):
         F = linear_count(space, [1, 2, 3])

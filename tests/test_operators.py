@@ -5,28 +5,27 @@ import pytest
 
 from poisson_malliavin import (
     BracketKind,
-    Configuration,
     Functional,
-    add_diff,
-    bracket,
+    RandomField,
+    affine_of,
+    bracket_batch,
     constant,
     count_times_deterministic,
     derivative_field,
     deterministic_field,
-    dirichlet_energy,
-    divergence,
+    dirichlet_integrand,
+    divergence_batch,
     functional_times_indicator,
-    gamma,
+    gamma_batch,
     linear_count,
-    ou_generator,
+    ou_generator_batch,
     poly_count,
     product_formula_check,
     site_indicator_field,
     bounded_sigmoid,
 )
 from poisson_malliavin import identities
-from poisson_malliavin.operators import gamma_batch
-from conftest import functional_pool, sample_batch
+from conftest import d_minus, d_plus, functional_pool, sample_batch, shift
 
 
 def field_pool(space):
@@ -42,14 +41,12 @@ def field_pool(space):
 
 
 def divergence_oracle(u, eta):
-    """Independent scalar route: configuration ops and per-site evaluation."""
-    space = eta.space
+    """Independent scalar route: eta - delta_z built by hand, u read site by site."""
     total = 0.0
-    for z in space.sites:
-        k = eta.counts[z - 1]
+    for z, (k, lam) in enumerate(zip(eta, u.space.weights), start=1):
         if k >= 1:
-            total += k * u(eta.drop_point(z), z)
-        total -= space.weights[z - 1] * u(eta, z)
+            total += k * u.values(shift(eta, z, -1))[z - 1]
+        total -= lam * u.values(eta)[z - 1]
     return total
 
 
@@ -57,139 +54,119 @@ class TestDivergence:
     def test_centered_unit_field(self, space, eta102):
         u = deterministic_field(space, [1.0, 1.0, 1.0])
         # eta(Z) - nu(Z) = 3 - 3
-        assert divergence(u, eta102) == 0.0
+        assert divergence_batch(u, eta102) == 0.0
 
     def test_zero_field(self, space, eta102):
         u = deterministic_field(space, [0.0, 0.0, 0.0])
-        assert divergence(u, eta102) == 0.0
+        assert divergence_batch(u, eta102) == 0.0
 
     def test_hand_evaluation(self, space):
         u = deterministic_field(space, [1.0, 0.0, 0.0])
-        eta = Configuration(space, (2, 1, 0))
         # 2*1 - 0.5*1
-        assert divergence(u, eta) == pytest.approx(1.5)
+        assert divergence_batch(u, np.array([2, 1, 0])) == pytest.approx(1.5)
 
     def test_matches_scalar_oracle(self, space):
-        counts = sample_batch(space, seed=11, m=40)
+        counts = sample_batch(space, seed=11, m=40)[:15]
         for u in field_pool(space):
-            for row in counts[:15]:
-                eta = Configuration(space, tuple(int(k) for k in row))
-                assert divergence(u, eta) == pytest.approx(
-                    divergence_oracle(u, eta), abs=1e-12
-                )
+            expected = [divergence_oracle(u, row) for row in counts]
+            assert divergence_batch(u, counts) == pytest.approx(expected, abs=1e-12)
 
 
 class TestOuGenerator:
     def test_first_chaos_hand_value(self, space, eta102):
         # L eta(B) = nu(B) - eta(B) = 1.5 - 1
         F = linear_count(space, [1, 2])
-        assert ou_generator(F, eta102) == pytest.approx(0.5)
+        assert ou_generator_batch(F, eta102) == pytest.approx(0.5)
 
     def test_constants_in_kernel(self, space):
         F = constant(space, 7.0)
-        for row in sample_batch(space, seed=5, m=20):
-            eta = Configuration(space, tuple(int(k) for k in row))
-            assert ou_generator(F, eta) == 0.0
+        assert (ou_generator_batch(F, sample_batch(space, seed=5, m=20)) == 0.0).all()
 
     def test_eigenvalue_minus_one_on_centered_first_chaos(self, space):
-        from poisson_malliavin import affine_of, measure_of, SiteSet
-
         B = [1, 2]
-        nuB = measure_of(space, SiteSet.of(B))
+        nuB = sum(space.weights[z - 1] for z in B)
         F = affine_of([(1.0, linear_count(space, B))], -nuB)
-        for row in sample_batch(space, seed=13, m=10):
-            eta = Configuration(space, tuple(int(k) for k in row))
-            assert ou_generator(F, eta) == pytest.approx(-F(eta), abs=1e-12)
+        counts = sample_batch(space, seed=13, m=10)
+        assert ou_generator_batch(F, counts) == pytest.approx(-F.batch(counts), abs=1e-12)
 
 
 class TestBrackets:
     def test_unit_field_hand_sums(self, space, eta102):
         u = deterministic_field(space, [1.0, 1.0, 1.0])
-        assert bracket(u, u, BracketKind.PLUS, eta102) == pytest.approx(3.0)
-        assert bracket(u, u, BracketKind.MINUS, eta102) == pytest.approx(3.0)
-        assert bracket(u, u, BracketKind.GAMMA, eta102) == pytest.approx(3.0)
+        assert bracket_batch(u, u, BracketKind.PLUS, eta102) == pytest.approx(3.0)
+        assert bracket_batch(u, u, BracketKind.MINUS, eta102) == pytest.approx(3.0)
+        assert bracket_batch(u, u, BracketKind.GAMMA, eta102) == pytest.approx(3.0)
 
     def test_zero_field(self, space, eta102):
         z = deterministic_field(space, [0.0, 0.0, 0.0])
         for kind in BracketKind:
-            assert bracket(z, z, kind, eta102) == 0.0
+            assert bracket_batch(z, z, kind, eta102) == 0.0
             for v in field_pool(space):
-                assert bracket(z, v, kind, eta102) == 0.0
+                assert bracket_batch(z, v, kind, eta102) == 0.0
 
     def test_gamma_is_mean_of_plus_and_minus(self, space):
-        counts = sample_batch(space, seed=17, m=25)
+        counts = sample_batch(space, seed=17, m=25)[:8]
         pool = field_pool(space)
         for i, u in enumerate(pool):
             v = pool[(i + 1) % len(pool)]
-            for row in counts[:8]:
-                eta = Configuration(space, tuple(int(k) for k in row))
-                g = bracket(u, v, BracketKind.GAMMA, eta)
-                p = bracket(u, v, BracketKind.PLUS, eta)
-                m = bracket(u, v, BracketKind.MINUS, eta)
-                assert g == pytest.approx(0.5 * (p + m), abs=1e-12)
+            g = bracket_batch(u, v, BracketKind.GAMMA, counts)
+            p = bracket_batch(u, v, BracketKind.PLUS, counts)
+            m = bracket_batch(u, v, BracketKind.MINUS, counts)
+            assert g == pytest.approx(0.5 * (p + m), abs=1e-12)
+
+
+def gamma_oracle(F, G, eta):
+    """1/2 sum_z lambda_z D+F D+G + 1/2 sum_z k_z D-F D-G from the hand-built
+    differences: the paper's two integrals, independent of ``gamma_batch``."""
+    plus = minus = 0.0
+    for z, (k, lam) in enumerate(zip(eta, F.space.weights), start=1):
+        plus += lam * d_plus(F, eta, z) * d_plus(G, eta, z)
+        minus += k * d_minus(F, eta, z) * d_minus(G, eta, z)
+    return 0.5 * plus + 0.5 * minus
 
 
 class TestGamma:
     def test_hand_anchor(self, space, eta102):
         # 1/2 nu(B) + 1/2 eta(B) with B = {1,2}
         F = linear_count(space, [1, 2])
-        assert gamma(F, F, eta102) == pytest.approx(1.25)
+        assert gamma_batch(F, F, eta102) == pytest.approx(1.25)
 
     def test_constant_vanishes(self, space, eta102):
         F = constant(space, 3.0)
-        assert gamma(F, F, eta102) == 0.0
+        assert gamma_batch(F, F, eta102) == 0.0
 
     def test_nonnegative(self, space):
-        counts = sample_batch(space, seed=19, m=30)
+        counts = sample_batch(space, seed=19, m=30)[:10]
         for F in functional_pool(space):
-            for row in counts[:10]:
-                eta = Configuration(space, tuple(int(k) for k in row))
-                assert gamma(F, F, eta) >= 0.0
+            assert (gamma_batch(F, F, counts) >= 0.0).all()
 
     def test_pointwise_cauchy_schwarz(self, space):
-        counts = sample_batch(space, seed=23, m=30)
+        counts = sample_batch(space, seed=23, m=30)[:10]
         pool = functional_pool(space)
         for i, F in enumerate(pool):
             G = pool[(i + 3) % len(pool)]
-            for row in counts[:10]:
-                eta = Configuration(space, tuple(int(k) for k in row))
-                lhs = gamma(F, G, eta) ** 2
-                rhs = gamma(F, F, eta) * gamma(G, G, eta)
-                assert lhs <= rhs + 1e-12
+            lhs = gamma_batch(F, G, counts) ** 2
+            rhs = gamma_batch(F, F, counts) * gamma_batch(G, G, counts)
+            assert (lhs <= rhs + 1e-12).all()
 
     def test_symmetry_and_bilinearity(self, space, eta102):
-        from poisson_malliavin import affine_of
-
         pool = functional_pool(space)
         F, G, H = pool[2], pool[6], pool[8]
-        assert gamma(F, G, eta102) == pytest.approx(gamma(G, F, eta102), abs=1e-12)
+        assert gamma_batch(F, G, eta102) == pytest.approx(gamma_batch(G, F, eta102), abs=1e-12)
         combo = affine_of([(0.5, F), (2.0, G)])
-        assert gamma(combo, H, eta102) == pytest.approx(
-            0.5 * gamma(F, H, eta102) + 2.0 * gamma(G, H, eta102), abs=1e-12
+        assert gamma_batch(combo, H, eta102) == pytest.approx(
+            0.5 * gamma_batch(F, H, eta102) + 2.0 * gamma_batch(G, H, eta102), abs=1e-12
         )
 
     def test_drop_route_representation(self, space):
-        """Gamma(F, F) equals the two displayed integrals computed with
-        add and drop differences directly (the independent route)."""
-        from poisson_malliavin import drop_diff
-
-        counts = sample_batch(space, seed=29, m=20)
-        w = space.weights
-        for F in functional_pool(space):
-            for row in counts[:8]:
-                eta = Configuration(space, tuple(int(k) for k in row))
-                plus = sum(
-                    w[z - 1] * add_diff(F, eta, z) ** 2 for z in space.sites
-                )
-                minus = sum(
-                    eta.counts[z - 1] * drop_diff(F, eta, z) ** 2
-                    if eta.counts[z - 1] >= 1
-                    else 0.0
-                    for z in space.sites
-                )
-                assert gamma(F, F, eta) == pytest.approx(
-                    0.5 * plus + 0.5 * minus, abs=1e-11
-                )
+        """Gamma(F, G) equals the two displayed integrals computed with
+        hand-built add and drop differences (the independent route)."""
+        counts = sample_batch(space, seed=29, m=20)[:8]
+        pool = functional_pool(space)
+        for i, F in enumerate(pool):
+            for G in (F, pool[(i + 5) % len(pool)]):
+                expected = [gamma_oracle(F, G, row) for row in counts]
+                assert gamma_batch(F, G, counts) == pytest.approx(expected, abs=1e-11)
 
     def test_evaluations_per_row(self, space):
         """D+ reads F at eta and every eta + delta_z, D- at eta and every
@@ -215,18 +192,19 @@ class TestGamma:
 class TestDirichletEnergy:
     def test_first_chaos_value(self, space, exact):
         F = linear_count(space, [1, 2])
-        assert dirichlet_energy(F, F, exact) == pytest.approx(1.5, abs=1e-10)
+        assert exact.expectation(dirichlet_integrand(F, F)).value == pytest.approx(1.5, abs=1e-10)
 
     def test_constant(self, space, exact):
-        assert dirichlet_energy(constant(space, 2.0), constant(space, 2.0), exact) == 0.0
+        c = constant(space, 2.0)
+        assert exact.expectation(dirichlet_integrand(c, c)).value == 0.0
 
     def test_symmetry(self, space, exact):
         pool = functional_pool(space)
         for i in range(0, len(pool), 3):
             F, G = pool[i], pool[(i + 4) % len(pool)]
-            assert dirichlet_energy(F, G, exact) == pytest.approx(
-                dirichlet_energy(G, F, exact), abs=1e-12
-            )
+            FG = exact.expectation(dirichlet_integrand(F, G)).value
+            GF = exact.expectation(dirichlet_integrand(G, F)).value
+            assert FG == pytest.approx(GF, abs=1e-12)
 
 
 class TestDivergenceProductFormula:
@@ -258,16 +236,13 @@ class TestDivergenceProductFormula:
 
 class TestHeisenbergPathwise:
     def test_relation_on_random_draws(self, space):
-        """D+_z(delta u) = u(., z) + delta(D+_z u), checked through the scalar
-        configuration API (independent of the batched implementation)."""
-        from poisson_malliavin import RandomField
-
+        """D+_z(delta u) = u(., z) + delta(D+_z u), with eta + delta_z and the
+        field D+_z u built by hand around the batch divergence."""
         counts = sample_batch(space, seed=37, m=20)
         for u in field_pool(space):
-            for row in counts[:6]:
-                eta = Configuration(space, tuple(int(k) for k in row))
+            for eta in counts[:6]:
                 for z in space.sites:
-                    lhs = divergence(u, eta.add_point(z)) - divergence(u, eta)
+                    lhs = divergence_batch(u, shift(eta, z, 1)) - divergence_batch(u, eta)
 
                     def vfn(c, zi=z - 1):
                         bumped = np.asarray(c).copy()
@@ -275,11 +250,11 @@ class TestHeisenbergPathwise:
                         return np.asarray(u.fn(bumped)) - np.asarray(u.fn(c))
 
                     v = RandomField(space, vfn, f"D+_{z}(u)")
-                    rhs = u(eta, z) + divergence(v, eta)
+                    rhs = u.values(eta)[z - 1] + divergence_batch(v, eta)
                     assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_deterministic_field_shifts_by_its_value(self, space, eta102):
         u = deterministic_field(space, [1.0, -0.5, 2.0])
         for z in space.sites:
-            lhs = divergence(u, eta102.add_point(z)) - divergence(u, eta102)
-            assert lhs == pytest.approx(u(eta102, z), abs=1e-14)
+            lhs = divergence_batch(u, shift(eta102, z, 1)) - divergence_batch(u, eta102)
+            assert lhs == pytest.approx(u.values(eta102)[z - 1], abs=1e-14)

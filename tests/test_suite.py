@@ -117,6 +117,7 @@ BAD_VALUES = [
     ("gates-list", {"identity": "mecke", "u": UNIT_FIELD, "gates": [1e-9]}, "cases[0].gates: must be an object"),
     ("sites-int", {"identity": "commutation", "u": UNIT_FIELD, "sites": 3}, "cases[0].sites: must be a list"),
     ("sites-float", {"identity": "commutation", "u": UNIT_FIELD, "sites": [1.5]}, "cases[0].sites: must be a list"),
+    ("sites-empty", {"identity": "commutation", "u": UNIT_FIELD, "sites": []}, "cases[0].sites: must be a list of at least one site number, got []"),
     ("budget-float", dict(NON_DIFFUSION, budget=2.5), "cases[0].budget: must be a non-negative integer"),
     ("budget-string", dict(NON_DIFFUSION, budget="3"), "cases[0].budget: must be a non-negative integer"),
     ("budget-negative", dict(NON_DIFFUSION, budget=-1), "cases[0].budget: must be a non-negative integer"),
