@@ -36,7 +36,7 @@ from .functionals import (
     derivative_field,
     product_field,
 )
-from .ground import GroundSpace, SiteSet
+from .ground import GroundSpace
 from .identities import (
     DEFAULT_GATES,
     Gates,

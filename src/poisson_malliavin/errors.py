@@ -10,7 +10,8 @@ class PoissonMalliavinError(Exception):
 
 
 class InvalidSiteError(PoissonMalliavinError):
-    """A site index or site set refers outside the ground space."""
+    """A site is not an integer in 1..n of its ground space: out of range, or
+    a bool, string or other non-integer."""
 
 
 class ShapeError(PoissonMalliavinError):

@@ -566,8 +566,6 @@ class ExactBackend:
     """Expectation engine backed by full enumeration of a truncated table.
     A check sweeps it once and reduces each output (``mean``, ``expectation``)."""
 
-    label = "exact"
-
     def __init__(
         self,
         space: GroundSpace,

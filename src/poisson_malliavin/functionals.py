@@ -22,7 +22,7 @@ Evaluations are pure, hence safe for concurrent use.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -75,7 +75,6 @@ class Functional:
     space: GroundSpace
     fn: Callable[[np.ndarray], np.ndarray]
     name: str
-    params: dict = field(default_factory=dict)
     bound: float | None = None
 
     def batch(self, counts) -> np.ndarray:
@@ -87,7 +86,7 @@ class Functional:
         return np.asarray(self.fn(arr), dtype=np.float64)
 
     def __repr__(self) -> str:
-        return f"Functional({self.name!r}, params={self.params!r}, bound={self.bound!r})"
+        return f"Functional({self.name!r}, bound={self.bound!r})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +101,6 @@ class RandomField:
     space: GroundSpace
     fn: Callable[[np.ndarray], np.ndarray]
     name: str
-    params: dict = field(default_factory=dict)
     bound: float | None = None
     gradient_of: Functional | None = None
 
@@ -116,7 +114,7 @@ class RandomField:
         return np.asarray(self.fn(arr), dtype=np.float64)
 
     def __repr__(self) -> str:
-        return f"RandomField({self.name!r}, params={self.params!r}, bound={self.bound!r})"
+        return f"RandomField({self.name!r}, bound={self.bound!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +127,9 @@ def shifted_all(F: Functional, counts: np.ndarray, step: int) -> np.ndarray:
     stride offsets into F's halo."""
     if lattice.is_slice(counts):
         return lattice.shifted(F, counts, step)
+    counts = _as_counts(F.space, counts)
     if step == 1:
         return F.batch(counts[..., None, :] + _eye(F.space.n))
-    counts = _as_counts(F.space, counts)
     return np.stack([F.batch(minus) for _, minus in _drop_each(counts)], axis=-1)
 
 
@@ -171,7 +169,6 @@ def derivative_field(F: Functional) -> RandomField:
         space=F.space,
         fn=fn,
         name=f"D({F.name})",
-        params=dict(F.params),
         bound=None if F.bound is None else 2.0 * F.bound,
         gradient_of=F,
     )
@@ -188,13 +185,7 @@ def product_field(F: Functional, u: RandomField) -> RandomField:
     bound = None
     if F.bound is not None and u.bound is not None:
         bound = F.bound * u.bound
-    return RandomField(
-        space=F.space,
-        fn=fn,
-        name=f"({F.name})*({u.name})",
-        params={},
-        bound=bound,
-    )
+    return RandomField(F.space, fn, f"({F.name})*({u.name})", bound)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +242,7 @@ def field_add_tensor(u: RandomField, counts: np.ndarray) -> np.ndarray:
     """
     if lattice.is_slice(counts):
         return lattice.field_add_tensor(u, counts)
-    n = u.space.n
-    return u.values(counts[..., None, :] + _eye(n))
+    return u.values(_as_counts(u.space, counts)[..., None, :] + _eye(u.space.n))
 
 
 def field_dropped_diag(u: RandomField, counts: np.ndarray) -> np.ndarray:

@@ -1,20 +1,22 @@
-"""Finite ground space and site sets.
+"""Finite ground space.
 
 The state space is a finite indexed set of sites Z = {1, ..., n}, each site
 carrying a strictly positive intensity weight lambda_i.  A point configuration
 eta is an N-valued multiplicity vector over the sites, held as an integer
 counts array of shape (..., n), so eta(B) counts the points inside a site set
-B.  Together they realise the pair (eta, nu) on which every operator in this
-package acts; keeping Z finite with finite total mass makes all expectations
-exactly enumerable while leaving the operator identities intact.
-Multiplicities above one are allowed.
+B, given as a plain iterable of site numbers and held as the 0/1 mask
+``GroundSpace.site_mask(B)``.  Together they realise the pair (eta, nu) on
+which every operator in this package acts; keeping Z finite with finite total
+mass makes all expectations exactly enumerable while leaving the operator
+identities intact.  Multiplicities above one are allowed.
 
 Sites are 1-based in the public API, matching the configuration-file
-conventions.  Both types are immutable value objects, so instances can be
-shared across concurrent workers without synchronisation.
+conventions.  A ground space is an immutable value object, so instances can
+be shared across concurrent workers without synchronisation.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidSiteError
 
-__all__ = ["GroundSpace", "SiteSet"]
+__all__ = ["GroundSpace"]
 
 
 @dataclass(frozen=True)
@@ -71,33 +73,14 @@ class GroundSpace:
         """All site labels, 1-based."""
         return range(1, self.n + 1)
 
-
-@dataclass(frozen=True)
-class SiteSet:
-    """Subset of the 1-based site labels of some ground space."""
-
-    members: frozenset[int]
-
-    @classmethod
-    def of(cls, sites: Iterable[int]) -> "SiteSet":
-        return cls(frozenset(int(z) for z in sites))
-
-    def validate_for(self, space: GroundSpace) -> None:
-        for z in self.members:
-            if not 1 <= z <= space.n:
-                raise InvalidSiteError(
-                    f"site {z} not in ground space with {space.n} sites"
-                )
-
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
-
-    def imask(self, space: GroundSpace) -> np.ndarray:
-        """0/1 integer vector with ones at member sites: exact in integer
-        count sums, and bit for bit a 0.0/1.0 factor on float values."""
-        self.validate_for(space)
-        m = np.zeros(space.n, dtype=np.int64)
-        for z in self.members:
-            m[z - 1] = 1
-        return m
-
+    def site_mask(self, sites: Iterable[int]) -> np.ndarray:
+        """0/1 integer vector with ones at the given 1-based sites, repeats
+        collapsing: exact in integer count sums, and bit for bit a 0.0/1.0
+        factor on float values.  Anything but an integer in 1..n, bools and
+        strings included, raises ``InvalidSiteError``."""
+        mask = np.zeros(self.n, dtype=np.int64)
+        for z in sites:
+            if isinstance(z, bool) or not isinstance(z, numbers.Integral) or not 1 <= z <= self.n:
+                raise InvalidSiteError(f"site {z!r} is not an integer in 1..{self.n}")
+            mask[z - 1] = 1
+        return mask

@@ -115,8 +115,6 @@ class MonteCarloBackend:
     each output (``mean``, ``expectation``).
     """
 
-    label = "mc"
-
     def __init__(self, space: GroundSpace, cfg: SamplerConfig):
         self.space = space
         self.cfg = cfg

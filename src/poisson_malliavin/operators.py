@@ -141,7 +141,7 @@ def dirichlet_integrand(F: Functional, G: Functional) -> Functional:
     bound = None
     if F.bound is not None and G.bound is not None:
         bound = 4.0 * F.bound * G.bound * space.total_mass
-    return Functional(space, fn, f"dirichlet[{F.name},{G.name}]", {}, bound=bound)
+    return Functional(space, fn, f"dirichlet[{F.name},{G.name}]", bound)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ algebra dom D ^ L-infinity (sigmoids, indicators, their products) and
 unbounded ones (counts and polynomials of counts), plus product and affine
 combinations.  Everything is addressable by name + params from configuration
 files, e.g. ``{"name": "poly_count", "B": [1, 2, 3], "degree": 2}``, so new
-identity bindings never require code changes.
+identity bindings never require code changes.  A site set ``B`` is any
+iterable of 1-based site numbers, checked by ``GroundSpace.site_mask``.  Each
+object's name, ``poly_count(B=[1,2,3],degree=2)`` here, is the one record of
+its binding's parameters.
 
 Certified sup-norm bounds are tracked through every combinator; they feed the
 exact oracle's rigorous truncation error bounds and the boundedness checks.
@@ -21,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .functionals import Functional, RandomField, derivative_field
-from .ground import GroundSpace, SiteSet
+from .ground import GroundSpace
 
 __all__ = [
     "constant",
@@ -57,8 +60,14 @@ def _describe(value) -> str:
 
 
 def _named(cls, space: GroundSpace, fn, name: str, bound=None, **params):
-    """A ``Functional`` or ``RandomField`` named ``name(key=value,...)``."""
-    return cls(space, fn, _describe({"name": name, **params}), params, bound=bound)
+    """A ``Functional`` or ``RandomField`` named ``name(key=value,...)``, the
+    one record of its binding's parameters."""
+    return cls(space, fn, _describe({"name": name, **params}), bound=bound)
+
+
+def _members(mask: np.ndarray) -> list[int]:
+    """The sorted 1-based sites of a ``GroundSpace.site_mask``."""
+    return (np.flatnonzero(mask) + 1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -77,51 +86,49 @@ def constant(space: GroundSpace, value: float) -> Functional:
 
 def linear_count(space: GroundSpace, B) -> Functional:
     """F(eta) = eta(B), the point count inside B.  Unbounded."""
-    B = _as_siteset(B)
-    mask = B.imask(space)
+    mask = space.site_mask(B)
 
     def fn(c: np.ndarray) -> np.ndarray:
         return (c @ mask).astype(np.float64)
 
-    return _named(Functional, space, fn, "linear_count", B=B.sorted_members())
+    return _named(Functional, space, fn, "linear_count", B=_members(mask))
 
 
 def poly_count(space: GroundSpace, B, degree: int) -> Functional:
     """F(eta) = eta(B)^degree.  Unbounded."""
-    B = _as_siteset(B)
+    if not (_is_int(degree) and degree >= 1):
+        raise ConfigError(f"poly_count degree must be an integer >= 1, got {degree!r}")
     d = int(degree)
-    if d < 1:
-        raise ConfigError(f"poly_count degree must be >= 1, got {degree}")
-    mask = B.imask(space)
+    mask = space.site_mask(B)
 
     def fn(c: np.ndarray) -> np.ndarray:
         return (c @ mask).astype(np.float64) ** d
 
-    return _named(Functional, space, fn, "poly_count", B=B.sorted_members(), degree=d)
+    return _named(Functional, space, fn, "poly_count", B=_members(mask), degree=d)
 
 
 def bounded_sigmoid(space: GroundSpace, B, scale: float) -> Functional:
     """F(eta) = tanh(scale * eta(B)); member of the bounded algebra, |F| <= 1."""
-    B = _as_siteset(B)
     s = float(scale)
-    mask = B.imask(space)
+    mask = space.site_mask(B)
 
     def fn(c: np.ndarray) -> np.ndarray:
         return np.tanh(s * (c @ mask))
 
-    return _named(Functional, space, fn, "bounded_sigmoid", 1.0, B=B.sorted_members(), scale=s)
+    return _named(Functional, space, fn, "bounded_sigmoid", 1.0, B=_members(mask), scale=s)
 
 
 def indicator_leq(space: GroundSpace, B, m: int) -> Functional:
     """F(eta) = 1 when eta(B) <= m, else 0; bounded by 1."""
-    B = _as_siteset(B)
+    if not _is_int(m):
+        raise ConfigError(f"indicator_leq m must be an integer, got {m!r}")
     m = int(m)
-    mask = B.imask(space)
+    mask = space.site_mask(B)
 
     def fn(c: np.ndarray) -> np.ndarray:
         return ((c @ mask) <= m).astype(np.float64)
 
-    return _named(Functional, space, fn, "indicator_leq", 1.0, B=B.sorted_members(), m=m)
+    return _named(Functional, space, fn, "indicator_leq", 1.0, B=_members(mask), m=m)
 
 
 def product_of(*factors: Functional) -> Functional:
@@ -142,8 +149,7 @@ def product_of(*factors: Functional) -> Functional:
     bound = None
     if all(f.bound is not None for f in factors):
         bound = float(np.prod([f.bound for f in factors]))
-    name = _describe({"name": "product", "factors": [f.name for f in factors]})
-    return Functional(space, fn, name, {}, bound=bound)
+    return _named(Functional, space, fn, "product", bound, factors=[f.name for f in factors])
 
 
 def affine_of(
@@ -168,10 +174,10 @@ def affine_of(
     bound = None
     if all(f.bound is not None for _, f in coeffs):
         bound = abs(c0) + float(sum(abs(a) * f.bound for a, f in coeffs))
-    name = _describe(
-        {"name": "affine", "terms": [[a, f.name] for a, f in coeffs], "constant": c0}
+    return _named(
+        Functional, space, fn, "affine", bound,
+        terms=[[a, f.name] for a, f in coeffs], constant=c0,
     )
-    return Functional(space, fn, name, {}, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +225,7 @@ def compose(phi: ScalarMap | str, F: Functional) -> Functional:
     bound = None if F.bound is None else float(phi.bound_map(F.bound))
     if phi.name == "tanh":
         bound = 1.0 if bound is None else bound
-    name = _describe({"name": "compose", "phi": phi.name, "F": F.name})
-    return Functional(F.space, fn, name, {}, bound=bound)
+    return _named(Functional, F.space, fn, "compose", bound, phi=phi.name, F=F.name)
 
 
 # ---------------------------------------------------------------------------
@@ -245,27 +250,26 @@ def deterministic_field(space: GroundSpace, values) -> RandomField:
 
 def site_indicator_field(space: GroundSpace, B) -> RandomField:
     """u(eta, z) = 1_B(z)."""
-    B = _as_siteset(B)
-    field = deterministic_field(space, B.imask(space))
-    return _named(RandomField, space, field.fn, "site_indicator", 1.0, B=B.sorted_members())
+    mask = space.site_mask(B)
+    field = deterministic_field(space, mask)
+    return _named(RandomField, space, field.fn, "site_indicator", 1.0, B=_members(mask))
 
 
 def functional_times_indicator(space: GroundSpace, B, F: Functional) -> RandomField:
     """u(eta, z) = 1_B(z) F(eta)."""
-    B = _as_siteset(B)
-    imask = B.imask(space)
+    mask = space.site_mask(B)
 
     def fn(c: np.ndarray) -> np.ndarray:
-        return F.batch(c)[..., None] * imask
+        return F.batch(c)[..., None] * mask
 
-    name = _describe({"name": "functional_times_indicator", "B": B.sorted_members(), "F": F.name})
-    return RandomField(space, fn, name, {"B": B.sorted_members()}, bound=F.bound)
+    return _named(
+        RandomField, space, fn, "functional_times_indicator", F.bound, B=_members(mask), F=F.name
+    )
 
 
 def count_times_deterministic(space: GroundSpace, B, values) -> RandomField:
     """u(eta, z) = eta(B) g(z).  Unbounded."""
-    B = _as_siteset(B)
-    imask = B.imask(space)
+    mask = space.site_mask(B)
     g = np.asarray(values, dtype=np.float64)
     if g.shape != (space.n,):
         raise ConfigError(
@@ -273,10 +277,10 @@ def count_times_deterministic(space: GroundSpace, B, values) -> RandomField:
         )
 
     def fn(c: np.ndarray) -> np.ndarray:
-        return (c @ imask).astype(np.float64)[..., None] * g
+        return (c @ mask).astype(np.float64)[..., None] * g
 
     return _named(
-        RandomField, space, fn, "count_times_deterministic", B=B.sorted_members(), values=g.tolist()
+        RandomField, space, fn, "count_times_deterministic", B=_members(mask), values=g.tolist()
     )
 
 
@@ -443,8 +447,3 @@ def random_functional_spec(rng: np.random.Generator, n_sites: int) -> dict:
         "constant": round(float(rng.uniform(-1.0, 1.0)), 3),
     }
 
-
-def _as_siteset(B) -> SiteSet:
-    if isinstance(B, SiteSet):
-        return B
-    return SiteSet.of(B)

@@ -25,7 +25,7 @@ import numpy as np
 from . import identities
 from .errors import ConfigError, PoissonMalliavinError
 from .exact import DEFAULT_BUDGET, ExactBackend
-from .ground import GroundSpace, SiteSet
+from .ground import GroundSpace
 from .identities import Gates, VerificationReport
 from .montecarlo import MonteCarloBackend, SamplerConfig
 from .registry import _describe, _is_int, _is_real, field_from_spec, functional_from_spec
@@ -84,11 +84,9 @@ def _bind(key: str, value, space: GroundSpace):
         return functional_from_spec(space, value)
     if key in ("Fs", "Gs"):
         return [functional_from_spec(space, spec) for spec in value]
-    if key == "sites":
-        return SiteSet.of(value)
     if key == "budget":
         return int(value)
-    return list(value)  # phis: scalar map names, resolved by the check
+    return list(value)  # sites, or phis: scalar map names, resolved by the check
 
 
 @dataclass(frozen=True)

@@ -234,8 +234,8 @@ def _counting(obj, log, where):
         return inner(counts)
 
     if isinstance(obj, Functional):
-        return Functional(obj.space, fn, obj.name, obj.params, obj.bound)
-    return RandomField(obj.space, fn, obj.name, obj.params, obj.bound)
+        return Functional(obj.space, fn, obj.name, obj.bound)
+    return RandomField(obj.space, fn, obj.name, obj.bound)
 
 
 @pytest.mark.parametrize("shape", ["one level", "several levels", "second site"])

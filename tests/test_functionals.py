@@ -33,10 +33,12 @@ from poisson_malliavin.functionals import (
     drop_diff_all,
     field_add_tensor,
     field_dropped_diag,
+    shifted_all,
 )
 from poisson_malliavin.identities import _shifted_diff_field
-from poisson_malliavin.operators import dirichlet_integrand
+from poisson_malliavin.operators import dirichlet_integrand, gamma_batch
 from poisson_malliavin.registry import _describe
+from poisson_malliavin.suite import _random_space, load_config
 from conftest import d_minus, d_plus, functional_pool, sample_batch, shift
 
 
@@ -266,6 +268,22 @@ class TestRegistrySpecs:
         assert functional_from_spec(space, F).name == _describe(F)
         u = {"name": "functional_times_indicator", "B": [2], "F": F}
         assert field_from_spec(space, u).name == _describe(u)
+        # so is every functional and field the packaged config binds, on both
+        # spaces; a gradient field is named D(<its functional's name>)
+        cfg = load_config(None)
+        built = 0
+        for bound_space in (cfg.space, _random_space(cfg)):
+            for case in cfg.cases:
+                specs = [(k, case[k]) for k in ("F", "G", "Phi", "u", "v") if k in case]
+                specs += [("F", spec) for k in ("Fs", "Gs") for spec in case.get(k, [])]
+                for key, spec in specs:
+                    build = field_from_spec if key in ("u", "v") else functional_from_spec
+                    expected = _describe(spec)
+                    if spec["name"] == "derivative":
+                        expected = f"D({_describe(spec['F'])})"
+                    assert build(bound_space, spec).name == expected
+                    built += 1
+        assert built == 196
 
     def test_non_finite_errors_name_the_failing_pair(self, space, exact):
         G = poly_count(space, [1], 400)  # overflows from 6 points at site 1 on
@@ -283,6 +301,25 @@ class TestRegistrySpecs:
         assert F.batch(counts).shape == (17,)
         u = deterministic_field(space, [1.0, 2.0, 3.0])
         assert u.values(counts).shape == (17, 3)
+
+
+class TestAddSideCountsWidth:
+    """The add-side shifts check the counts width before broadcasting, as the
+    drop side does, and take plain sequences like the operators do."""
+
+    def test_field_add_tensor_refuses_narrow_counts(self, space):
+        u = deterministic_field(space, [1, 2, 3])
+        with pytest.raises(ShapeError):
+            field_add_tensor(u, np.zeros((2, 1), dtype=np.int64))
+
+    def test_shifted_all_refuses_narrow_counts(self, space):
+        with pytest.raises(ShapeError):
+            shifted_all(linear_count(space, [1]), np.zeros((2, 2), dtype=np.int64), 1)
+
+    def test_tuple_counts_match_the_array(self, space):
+        F = linear_count(space, [1])
+        assert add_diff_all(F, (1, 0, 2)).tolist() == add_diff_all(F, np.array([1, 0, 2])).tolist()
+        assert gamma_batch(F, F, (1, 0, 2)) == 0.75
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import importlib
+import pkgutil
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import poisson_malliavin
 from poisson_malliavin import (
     BracketKind,
     ConfigError,
@@ -11,9 +16,11 @@ from poisson_malliavin import (
     GroundSpace,
     InvalidSiteError,
     ShapeError,
-    SiteSet,
     bracket_batch,
+    commutation_check,
+    indicator_leq,
     linear_count,
+    poly_count,
     site_indicator_field,
 )
 from poisson_malliavin.functionals import add_diff_all, drop_diff_all, shifted_all
@@ -57,7 +64,46 @@ class TestMeasureOf:
 
     def test_out_of_range_site(self, space):
         with pytest.raises(InvalidSiteError):
-            SiteSet.of([4]).imask(space)
+            space.site_mask([4])
+
+
+class TestSiteNumbers:
+    """Sites are integers in 1..n, given as any iterable; nothing else is
+    rounded or parsed into one."""
+
+    @pytest.mark.parametrize("bad", [[1.5], ["2"], [True], [4], [0], [1, 2.0]])
+    def test_non_integer_or_outside_site_is_refused(self, space, bad):
+        message = re.escape(f"site {bad[-1]!r} is not an integer in 1..3")
+        with pytest.raises(InvalidSiteError, match=message):
+            space.site_mask(bad)
+        for build in (linear_count, site_indicator_field):
+            with pytest.raises(InvalidSiteError):
+                build(space, bad)
+        with pytest.raises(InvalidSiteError):
+            commutation_check(site_indicator_field(space, [1]), bad)
+
+    def test_repeated_sites_collapse(self, space):
+        assert space.site_mask((3, 1, 3)).tolist() == [1, 0, 1]
+        assert space.site_mask(np.array([2])).tolist() == [0, 1, 0]
+        assert linear_count(space, [3, 1, 3]).name == "linear_count(B=[1,3])"
+
+    @pytest.mark.parametrize("degree", [2.7, 2.0, "2", True, 0])
+    def test_non_integer_degree_is_refused(self, space, degree):
+        with pytest.raises(ConfigError, match="degree must be an integer >= 1"):
+            poly_count(space, [1], degree)
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, "2", None])
+    def test_non_integer_m_is_refused(self, space, m):
+        with pytest.raises(ConfigError, match="m must be an integer"):
+            indicator_leq(space, [1], m)
+
+
+def test_every_export_resolves():
+    for info in pkgutil.iter_modules(poisson_malliavin.__path__):
+        module = importlib.import_module(f"poisson_malliavin.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{info.name}.__all__ names missing {name!r}"
+    assert not hasattr(poisson_malliavin, "SiteSet")
 
 
 class TestCountOf:

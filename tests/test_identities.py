@@ -31,7 +31,6 @@ from poisson_malliavin import (
     product_formula_check,
     site_indicator_field,
     skorokhod_check,
-    SiteSet,
 )
 
 MC_CFG = SamplerConfig(seed=20260810, samples=50_000, workers=1)
@@ -127,12 +126,12 @@ class TestCommutation:
 
     def test_site_subset(self, space):
         u = site_indicator_field(space, [1, 3])
-        r = commutation_check(u, SiteSet.of([2]), seed=1, points=50)
+        r = commutation_check(u, [2], seed=1, points=50)
         assert r.passed and r.n == 50
 
     def test_empty_site_set_is_config_error(self, space):
         with pytest.raises(ConfigError, match="needs at least one site"):
-            commutation_check(site_indicator_field(space, [1, 3]), SiteSet.of([]))
+            commutation_check(site_indicator_field(space, [1, 3]), [])
 
 
 @pytest.mark.parametrize("points", [0, -1, 2.5, True, "3"])
