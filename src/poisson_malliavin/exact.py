@@ -305,7 +305,7 @@ def _sweep_table(kernel, table: StateTable, names: tuple[str, ...]) -> tuple[np.
     """``kernel(counts) -> tuple of per-state values`` over the table, in
     table order (``_sweep`` over ``lattice.sweep_parts``): box slices of
     whole levels of one site where their halos evaluate no more rows than
-    plain counts would, plain counts otherwise.  On a box slice every
+    row stencils would, row stencils otherwise.  On a box slice every
     functional and field is evaluated once, on the slice grown by one level
     per site when it is shifted, and D+ / D- are stride offsets into those
     values, bit for bit the plain evaluation's.  Memory is the (S,) value

@@ -13,17 +13,17 @@ values of shape (...) for functionals and (..., n) for fields (one value per
 site), so the exact oracle sweeps its truncated state table and the Monte Carlo
 engine its distinct sample rows in a few numpy calls.  Both go through one
 loop, ``_sweep``, over parts of at most ``_sweep_step(n)`` rows, which also
-holds both engines' non-finite check.  The exact oracle's parts are box
-slices where they evaluate less (``lattice.sweep_parts``): counts rows tagged
-with their place in the box, which ``Functional.batch``,
-``RandomField.values`` and the shift helpers hand to ``lattice``, to evaluate
-each functional once per slice and read eta +- delta_z as a stride offset.
-Evaluations are pure, hence safe for concurrent use.
+holds both engines' non-finite check.  Every part's counts rows are tagged
+with a memo (``lattice``): a box slice of the exact oracle's table where
+that evaluates less (``lattice.sweep_parts``), else a row stencil.
+``Functional.batch``, ``RandomField.values`` and the shift helpers hand
+tagged rows to ``lattice``, which evaluates each functional once per part
+at eta and at its neighbours eta +- delta_z.  Evaluations are pure, hence
+safe for concurrent use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -43,13 +43,6 @@ __all__ = [
     "field_add_tensor",
     "field_dropped_diag",
 ]
-
-
-@lru_cache(maxsize=None)
-def _eye(n: int) -> np.ndarray:
-    e = np.eye(n, dtype=np.int64)
-    e.setflags(write=False)
-    return e
 
 
 def _as_counts(space: GroundSpace, counts) -> np.ndarray:
@@ -79,7 +72,7 @@ class Functional:
 
     def batch(self, counts) -> np.ndarray:
         """Evaluate on a counts array of shape (..., n); returns shape (...).
-        Rows of a box slice are evaluated once per slice (``lattice``)."""
+        Tagged rows are evaluated once per sweep part (``lattice``)."""
         arr = _as_counts(self.space, counts)
         if lattice.is_tagged(counts):
             return lattice.values(self, counts)
@@ -106,8 +99,8 @@ class RandomField:
 
     def values(self, counts) -> np.ndarray:
         """Evaluate on counts of shape (..., n); returns shape (..., n).
-        Rows of a box slice are evaluated once per slice (``lattice``); a
-        gradient field there reads its functional's halo."""
+        Tagged rows are evaluated once per sweep part (``lattice``); a
+        gradient field there reads its functional's shifts."""
         arr = _as_counts(self.space, counts)
         if lattice.is_tagged(counts):
             return lattice.field_values(self, counts)
@@ -123,14 +116,11 @@ class RandomField:
 
 def shifted_all(F: Functional, counts: np.ndarray, step: int) -> np.ndarray:
     """out[..., z-1] = F(eta + step delta_z) for step 1 or -1, a drop
-    clipped at 0 (``_drop_each``).  Shape (..., n).  On a box slice they are
-    stride offsets into F's halo."""
+    clipped at 0 (``lattice.neighbour_rows``).  Shape (..., n).  On a sweep
+    part they are F's memoised values at the part's neighbours."""
     if lattice.is_slice(counts):
         return lattice.shifted(F, counts, step)
-    counts = _as_counts(F.space, counts)
-    if step == 1:
-        return F.batch(counts[..., None, :] + _eye(F.space.n))
-    return np.stack([F.batch(minus) for _, minus in _drop_each(counts)], axis=-1)
+    return F.batch(lattice.neighbour_rows(_as_counts(F.space, counts), step))
 
 
 def add_diff_all(F: Functional, counts: np.ndarray) -> np.ndarray:
@@ -138,18 +128,9 @@ def add_diff_all(F: Functional, counts: np.ndarray) -> np.ndarray:
     return shifted_all(F, counts, 1) - F.batch(counts)[..., None]
 
 
-def _drop_each(counts: np.ndarray):
-    """Yield (z - 1, counts with site z lowered by one) for every site z; the
-    clip at 0 keeps evaluation total, callers zero those sites by 1_{z in eta}."""
-    for j in range(counts.shape[-1]):
-        minus = counts.copy()
-        minus[..., j] = np.maximum(minus[..., j] - 1, 0)
-        yield j, minus
-
-
 def drop_diff_all(F: Functional, counts: np.ndarray) -> np.ndarray:
     """All drop differences, indicator included, from n + 1 evaluations of F
-    per configuration, or from F's halo on a box slice.  Shape (..., n)."""
+    per configuration, memoised on a sweep part.  Shape (..., n)."""
     return (F.batch(counts)[..., None] - shifted_all(F, counts, -1)) * (np.asarray(counts) > 0)
 
 
@@ -159,11 +140,9 @@ def derivative_field(F: Functional) -> RandomField:
     A sup-norm bound M on F certifies |D+_z F| <= 2M, so boundedness is
     inherited with the doubled constant.
     """
-    n = F.space.n
 
     def fn(counts: np.ndarray) -> np.ndarray:
-        plus = counts[..., None, :] + _eye(n)
-        return F.batch(plus) - F.batch(counts)[..., None]
+        return F.batch(lattice.neighbour_rows(counts, 1)) - F.batch(counts)[..., None]
 
     return RandomField(
         space=F.space,
@@ -199,7 +178,8 @@ _SWEEP_BYTES = 8 << 20
 
 
 def _sweep_step(n: int) -> int:
-    """Rows per slice on n sites: at most ``_SWEEP_BYTES // (8 n^2)``."""
+    """Rows per box slice on n sites: at most ``_SWEEP_BYTES // (8 n^2)``;
+    a row stencil holds an eighth of that (``lattice.stencil_parts``)."""
     return max(1, _SWEEP_BYTES // (8 * n * n))
 
 
@@ -209,8 +189,8 @@ def _sweep(kernel, m: int, parts, names: tuple[str, ...], locate) -> tuple[np.nd
     each output into a preallocated (m,) float64 array at [start, stop).
 
     Kernels are row-wise, so every value equals a one-call sweep's bit for
-    bit, whatever the parts: plain counts of at most ``_sweep_step(n)`` rows
-    or the exact engine's box slices (``lattice.sweep_parts``).  Memory is
+    bit, whatever the parts: row stencils (``lattice.stencil_parts``) or the
+    exact engine's box slices (``lattice.sweep_parts``).  Memory is
     the (m,) outputs plus one part's temporaries.  The first output, in
     ``names`` order, holding a non-finite value raises
     ``NonFiniteValueError`` naming it and the configuration that
@@ -236,13 +216,13 @@ def _sweep(kernel, m: int, parts, names: tuple[str, ...], locate) -> tuple[np.nd
 def field_add_tensor(u: RandomField, counts: np.ndarray) -> np.ndarray:
     """T[..., z-1, zp-1] = u(eta + delta_z, zp).  Shape (..., n, n).
 
-    On a box slice it is read off u's halo; for a gradient field u = DF it
-    is F(eta + delta_z + delta_zp) - F(eta + delta_z), read off F's halo and
-    the second-order points past it.
+    On a sweep part it is read off u's memoised shifts; for a gradient
+    field u = DF it is F(eta + delta_z + delta_zp) - F(eta + delta_z), read
+    off F's shifts and the second-order points past them.
     """
     if lattice.is_slice(counts):
         return lattice.field_add_tensor(u, counts)
-    return u.values(_as_counts(u.space, counts)[..., None, :] + _eye(u.space.n))
+    return u.values(lattice.neighbour_rows(_as_counts(u.space, counts), 1))
 
 
 def field_dropped_diag(u: RandomField, counts: np.ndarray) -> np.ndarray:
@@ -251,15 +231,13 @@ def field_dropped_diag(u: RandomField, counts: np.ndarray) -> np.ndarray:
     This shifted evaluation is what the eta-integral of the divergence and
     the minus bracket pair with the multiplicity k_z.  For a gradient field
     u = DF it is D+_z F(eta - delta_z) 1_{z in eta} = D-_z F(eta), computed
-    by ``drop_diff_all``; any other field is evaluated once per site at
-    eta - delta_z, or read off its halo on a box slice.
+    by ``drop_diff_all``; any other field is evaluated at every
+    eta - delta_z, memoised on a sweep part.
     """
     if u.gradient_of is not None:
         return drop_diff_all(u.gradient_of, counts)
     if lattice.is_slice(counts):
         return lattice.field_dropped_diag(u, counts)
     counts = _as_counts(u.space, counts)
-    out = np.empty(counts.shape, dtype=np.float64)
-    for j, minus in _drop_each(counts):
-        out[..., j] = u.values(minus)[..., j]
-    return out * (counts > 0)
+    dropped = u.values(lattice.neighbour_rows(counts, -1))
+    return np.diagonal(dropped, axis1=-2, axis2=-1) * (counts > 0)

@@ -39,7 +39,6 @@ from .functionals import (
     field_add_tensor,
     product_field,
     shifted_all,
-    _eye,
 )
 from .ground import GroundSpace
 from .montecarlo import sample_counts
@@ -425,7 +424,7 @@ def bracket_expectation_check(
 
 def _shifted_diff_field(u: RandomField, z_index: int) -> RandomField:
     """The field (eta, y) -> D+_z u(eta, y) for a fixed site index."""
-    row = _eye(u.space.n)[z_index]
+    row = np.eye(u.space.n, dtype=np.int64)[z_index]
 
     def fn(counts: np.ndarray) -> np.ndarray:
         return u.values(counts + row) - u.values(counts)
@@ -461,7 +460,7 @@ def commutation_check(
     worst = 0.0
     lhs_mag = 0.0
     rhs_mag = 0.0
-    eye = _eye(space.n)
+    eye = np.eye(space.n, dtype=np.int64)
     for zi in zis:
         lhs = divergence_batch(u, counts + eye[zi]) - base_div
         rhs = vals[:, zi] + divergence_batch(_shifted_diff_field(u, zi), counts)

@@ -1,22 +1,21 @@
-"""Box slices of the exact engine's truncated table: lattice-shift
-evaluation of functionals and fields.
+"""Memo geometries of the sweeps: each functional and field is evaluated
+once per part of a sweep, at the part's rows and their neighbours
+eta +- delta_z, and the add and drop differences of the paper's carre du
+champ representation are read off values already computed.
 
-``functionals`` evaluates functionals and fields on any counts array, which
-is all Monte Carlo rows and the pointwise checks have.  The exact engine's
-table is more: the whole box prod_z {0..cap_z} in lexicographic order, so
-eta +- delta_z of a configuration in it is a neighbouring lattice point, a
-mixed-radix stride away.  This module holds what only the box allows.  It
-cuts the table into slices of consecutive rows (``sweep_parts``, the parts
-that the one sweep loop, ``functionals._sweep``, runs kernels on) and hands
-kernels each slice's counts rows tagged with the slice (``_SliceRows``).
+The one sweep loop, ``functionals._sweep``, runs kernels on parts of rows
+and hands them each part's counts tagged with its memo (``_SliceRows``).
 Given tagged rows, ``Functional.batch``, ``RandomField.values`` and the
-shift helpers of ``functionals`` call the entry points below, which evaluate
-each functional and field once per slice and read the add and drop
-differences of the paper's carre du champ representation off values already
-computed (``_BoxSlice``).  Every value is the one a plain evaluation gives,
-bit for bit.  The module needs nothing from ``functionals``: the sweep
-budget arrives as a row count, and each entry point is told how to evaluate
-the object it shifts.
+shift helpers of ``functionals`` call the entry points below.  The exact
+engine's table is the whole box prod_z {0..cap_z} in lexicographic order,
+so eta +- delta_z of a configuration in it is a neighbouring lattice point,
+a mixed-radix stride away: ``sweep_parts`` cuts it into box slices of
+consecutive rows whose halo holds every neighbour once (``_BoxSlice``).
+Other rows, Monte Carlo's and tables too thin to slice, go in row stencils
+that build each row's neighbours (``stencil_parts``, ``_RowStencil``).
+Every value is the one a plain evaluation gives, bit for bit.  The module
+needs nothing from ``functionals``: the sweep budget arrives as a row count,
+and each entry point is told how to evaluate the object it shifts.
 """
 from __future__ import annotations
 
@@ -49,10 +48,23 @@ def _box_rows(lo, hi) -> np.ndarray:
     return rows
 
 
+def neighbour_rows(counts, step: int) -> np.ndarray:
+    """out[..., z - 1, :] = eta + step * delta_z for step 1 or -1, a drop
+    clipped at 0 (callers zero those sites by 1_{z in eta}): n copies of
+    each row, with the shifted count written to the diagonal."""
+    counts = np.asarray(counts)
+    n = counts.shape[-1]
+    rows = np.repeat(counts[..., None, :], n, axis=-2)
+    diagonal = rows.reshape(rows.shape[:-2] + (n * n,))[..., :: n + 1]
+    np.maximum(counts + step, 0, out=diagonal)
+    return rows
+
+
 class _SliceRows(np.ndarray):
-    """Counts rows of a box slice: ``part`` is "slice" (the rows a kernel
-    receives), "halo" or "fresh" (see ``_BoxSlice``).  Views, copies and
-    arithmetic results are plain: their ``box`` is None."""
+    """Counts rows that know their memo, a ``_BoxSlice`` or ``_RowStencil``
+    (``box``): ``part`` is "slice" for the rows a kernel receives, otherwise
+    which of the memo's other rows they are.  Views, copies and arithmetic
+    results are plain: their ``box`` is None."""
 
     box = None
     part = None
@@ -212,7 +224,7 @@ class _BoxSlice:
         """out[...] = halo ``values`` at eta + sum of step * delta_z over
         ``moves`` ((z, step) pairs) for every eta in the slice, ``out``
         shaped like the slice's grid.  A drop at a site whose slice starts
-        at level 0 reads eta itself there, the clip of ``_drop_each``."""
+        at level 0 reads eta itself there, the clip of ``neighbour_rows``."""
         at = list(self._inside)
         for z, step in moves:
             at[z] = slice(at[z].start + step, at[z].stop + step)
@@ -272,45 +284,97 @@ class _BoxSlice:
         return out.reshape((len(self.rows), n, n))
 
 
+# the rows of a stencil's parts: ``neighbour_rows`` of which part, at which step
+_NEIGHBOURS = {"plus": ("slice", 1), "minus": ("slice", -1), "second": ("plus", 1)}
+
+
+class _RowStencil:
+    """A part of any counts rows with the neighbours a check reads: the rows
+    themselves ("slice"), eta + delta_z ("plus"), eta - delta_z clipped at 0
+    ("minus") and, for a gradient's add tensor, eta + delta_z + delta_zp
+    ("second"), each built on first use by ``neighbour_rows``.
+
+    Each functional or field evaluated on a stencil is memoised here by
+    object and part: its fn sees at most (2n + 1) m rows for the slice's m,
+    plus n^2 m for a second-order shift.  Composites pass the tagged rows on
+    to their inner functionals, so those are memoised too.  Only the tagged
+    rows refer to the stencil, so it and its values go with the last of them.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self._rows = {"slice": rows}
+        self._values: dict = {}
+
+    def tagged(self, part: str) -> _SliceRows:
+        """The rows of ``part``, as read-only counts that know this stencil."""
+        rows = self._rows.get(part)
+        if rows is None:
+            base, step = _NEIGHBOURS[part]
+            rows = self._rows[part] = neighbour_rows(self.tagged(base), step)
+        tagged = rows.view(_SliceRows)
+        tagged.setflags(write=False)
+        tagged.box, tagged.part = self, part
+        return tagged
+
+    def values(self, obj, part: str) -> np.ndarray:
+        """``obj``'s values at the rows of ``part``."""
+        values = self._values.get((obj, part))
+        if values is None:
+            values = self._values[obj, part] = _evaluate(obj, self.tagged(part))
+        return values
+
+    def around(self, obj, evaluate, step: int, own_site: bool = False) -> np.ndarray:
+        """``_BoxSlice.around`` from ``obj``'s values at the plus or minus
+        rows, asked through ``evaluate`` (``batch`` or ``values``)."""
+        values = evaluate(self.tagged("plus" if step == 1 else "minus"))
+        return np.diagonal(values, axis1=-2, axis2=-1) if own_site else values
+
+    def second_order(self, F) -> np.ndarray:
+        """F(eta + delta_z + delta_zp) for every eta in the slice, shape
+        (rows, n, n)."""
+        return F.batch(self.tagged("second"))
+
+
 # ---------------------------------------------------------------------------
 # entry points: ``functionals`` calls these whenever it is given tagged rows
 # ---------------------------------------------------------------------------
 
 
 def is_tagged(counts) -> bool:
-    """Whether ``counts`` are rows of a box slice, its own or its halo's."""
+    """Whether ``counts`` are rows of a memo: a box slice's or a row
+    stencil's own rows or their neighbours."""
     return getattr(counts, "box", None) is not None
 
 
 def is_slice(counts) -> bool:
-    """Whether ``counts`` are a box slice's own rows, the ones a kernel
-    receives: the rows whose shifts the slice can read off."""
+    """Whether ``counts`` are a memo's own rows, the ones a kernel
+    receives: the rows whose shifts the memo can read off."""
     return is_tagged(counts) and counts.part == "slice"
 
 
 def values(obj, counts: _SliceRows) -> np.ndarray:
-    """A functional's or field's values at tagged rows, memoised on the
-    slice."""
+    """A functional's or field's values at tagged rows, memoised on their
+    box slice or stencil."""
     return counts.box.values(obj, counts.part)
 
 
 def field_values(u, counts: _SliceRows) -> np.ndarray:
     """A field's values at tagged rows; a gradient field DF on the slice's
-    own rows reads F's halo."""
+    own rows reads F's shifts."""
     if u.gradient_of is not None and counts.part == "slice":
         return shifted(u.gradient_of, counts, 1) - values(u.gradient_of, counts)[:, None]
     return values(u, counts)
 
 
 def shifted(F, counts: _SliceRows, step: int) -> np.ndarray:
-    """``functionals.shifted_all`` on a slice's own rows."""
+    """``functionals.shifted_all`` on a memo's own rows."""
     return counts.box.around(F, F.batch, step)
 
 
 def field_add_tensor(u, counts: _SliceRows) -> np.ndarray:
-    """``functionals.field_add_tensor`` on a slice's own rows: u's halo, or
-    for a gradient field u = DF, F(eta + delta_z + delta_zp) -
-    F(eta + delta_z) from F's halo and the faces past it."""
+    """``functionals.field_add_tensor`` on a memo's own rows: u at
+    eta + delta_z, or for a gradient field u = DF, F(eta + delta_z +
+    delta_zp) - F(eta + delta_z) from F's memoised shifts."""
     box = counts.box
     if u.gradient_of is None:
         return box.around(u, u.values, 1)
@@ -320,7 +384,7 @@ def field_add_tensor(u, counts: _SliceRows) -> np.ndarray:
 
 def field_dropped_diag(u, counts: _SliceRows) -> np.ndarray:
     """``functionals.field_dropped_diag`` of a non-gradient field on a
-    slice's own rows."""
+    memo's own rows."""
     return counts.box.around(u, u.values, -1, own_site=True) * (counts > 0)
 
 
@@ -332,20 +396,20 @@ def field_dropped_diag(u, counts: _SliceRows) -> np.ndarray:
 def _box_slicing(caps, step: int) -> tuple[int, int] | None:
     """The slices of the box with per-site ``caps``: k whole levels of site
     d at fixed levels of the sites before it, as ``(d, k)``; None when box
-    slices would evaluate more rows than plain counts.
+    slices would evaluate more rows than row stencils.
 
     A slice holds at most ``step`` rows, and its halo at most n * step, so
     its (rows, n) float64 values keep to the byte budget of a (step, n, n)
-    slab.  The choice is also bounded by work.  Plain counts evaluate every
-    shifted object on at least n rows per table row (n shifted copies of
-    each); box slices evaluate it once on each slice's halo, which for a
+    slab.  The choice is also bounded by work.  A row stencil evaluates
+    every shifted object on at least n rows per table row (its n shifted
+    copies of the row); box slices evaluate it once on each slice's halo, which for a
     fixed site holds 3 levels per level (2 at level 0), for site d k + 2
     per k, and for each later site cap + 2 per cap + 1.  So d is the first
     site whose largest k within the byte bounds keeps the halos of a whole
     sweep to at most n rows per table row; on tables of up to ``step`` rows
     that is the whole table in one slice.  Tables with few levels per site
     (11 sites at cap 1: 3^11 halo rows against 11 * 2^11) are swept as
-    plain counts.
+    row stencils.
     """
     shape = tuple(c + 1 for c in caps)
     n = len(shape)
@@ -365,19 +429,31 @@ def _box_slicing(caps, step: int) -> tuple[int, int] | None:
     return None
 
 
+def stencil_parts(total: int, step: int, rows_of):
+    """``(start, stop, counts)`` parts of ``total`` rows, ``rows_of(a, b)``
+    being rows a to b, tagged with a ``_RowStencil`` each.  A part holds
+    ``step // 8`` rows, so its plus and minus rows, (rows, n, n) int64 each,
+    take a quarter of the byte budget of a (step, n, n) slab."""
+    size = max(1, step // 8)
+    for a in range(0, total, size):
+        b = min(a + size, total)
+        yield a, b, _RowStencil(rows_of(a, b)).tagged("slice")
+
+
 def sweep_parts(caps, step: int):
     """The box of per-site ``caps`` as ``(start, stop, counts)`` runs of
     consecutive table rows in table order: box slices (``_box_slicing``)
-    whose counts are tagged, or, where those would evaluate more, plain
-    counts of at most ``step`` rows.  Either way no (S, n) array is held."""
+    or, where those would evaluate more, row stencils (``stencil_parts``),
+    their counts tagged either way.  No (S, n) array is held."""
     shape = tuple(c + 1 for c in caps)
     n = len(shape)
     total = math.prod(shape)
     slicing = _box_slicing(caps, step)
     if slicing is None:
-        for a in range(0, total, step):
-            b = min(a + step, total)
-            yield a, b, np.stack(np.unravel_index(np.arange(a, b), shape), axis=-1)
+        yield from stencil_parts(
+            total, step,
+            lambda a, b: np.stack(np.unravel_index(np.arange(a, b), shape), axis=-1),
+        )
         return
     d, k = slicing
     strides = _box_strides(shape)

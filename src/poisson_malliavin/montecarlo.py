@@ -14,12 +14,12 @@ rejection above numpy's internal switchover near lambda = 10).
 Workers are stream partitions, not processes: they run one after another in
 the calling process.  A ``MonteCarloBackend`` draws each worker's block once,
 on first use, and deduplicates it on its own into distinct rows plus an
-inverse index.  Kernels are evaluated on the distinct rows only, through the
-sweep loop both engines share (``functionals._sweep``), and scattered back
-into one per-sample array per output, so every estimate is computed from the
-same per-sample arrays, in the same worker order, as a sweep over the full
-block.  The backend holds the deduplicated blocks in memory for its
-lifetime.
+inverse index.  Kernels are evaluated once per stencil part of the distinct
+rows (``lattice.stencil_parts``), through the sweep loop both engines share
+(``functionals._sweep``), and scattered back into one per-sample array per
+output, so every estimate is computed from the same per-sample arrays, in
+the same worker order, as a sweep over the full block.  The backend holds
+the deduplicated blocks in memory for its lifetime.
 
 Every estimate is one sweep (per-sample values) and one reduction (the sample
 mean with standard error std(ddof=1) / sqrt(n)), returned as a ``Mean``.
@@ -38,6 +38,7 @@ import numpy as np
 from .errors import ConfigError
 from .functionals import Functional, _sweep, _sweep_step
 from .ground import GroundSpace
+from .lattice import stencil_parts
 from .operators import Mean
 from .registry import _is_int
 
@@ -138,22 +139,22 @@ class MonteCarloBackend:
     def sweep(self, kernel, names: tuple[str, ...]) -> tuple[np.ndarray, ...]:
         """Run ``kernel(counts) -> tuple of arrays`` over the worker blocks.
 
-        The kernel sees each distinct row once, in slices of at most
-        ``_sweep_step(n)`` rows of the block (``_sweep``), so memory is the
-        per-row and per-sample arrays plus a fixed 8 MiB of slice
-        temporaries.  A non-finite value is named by its output's ``names``
-        entry and the first such sample in draw order.  Each block's outputs
-        are scattered back to one value per sample, straight into the
-        per-sample arrays, in worker-index order.
+        The kernel sees each distinct row once, in row stencils of
+        ``_sweep_step(n) // 8`` rows of the block (``_sweep``), so memory is
+        the per-row and per-sample arrays plus one part's neighbour rows,
+        memoised values and temporaries, within the 8 MiB budget of a
+        (``_sweep_step(n)``, n, n) slab.  A non-finite value is named by its
+        output's ``names`` entry and the first such sample in draw order.
+        Each block's outputs are scattered back to one value per sample,
+        straight into the per-sample arrays, in worker-index order.
         """
         step = _sweep_step(self.space.n)
         outs: tuple[np.ndarray, ...] = ()
         offset = 0
         for rows, inverse in self._worker_blocks():
             m = len(rows)
-            parts = ((a, min(a + step, m), rows[a : a + step]) for a in range(0, m, step))
             values = _sweep(
-                kernel, m, parts, names,
+                kernel, m, stencil_parts(m, step, lambda a, b: rows[a:b]), names,
                 lambda finite: rows[inverse[int(np.argmin(finite[inverse]))]],
             )
             if not outs:

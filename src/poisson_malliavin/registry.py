@@ -70,13 +70,28 @@ def _members(mask: np.ndarray) -> list[int]:
     return (np.flatnonzero(mask) + 1).tolist()
 
 
+def _real(what: str, value) -> float:
+    """``value`` as a float, refused as on the config path (``_is_real``)."""
+    if not _is_real(value):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _reals(what: str, values) -> np.ndarray:
+    """``values`` as a float64 array, every entry checked as by ``_real``."""
+    entries = np.asarray(values, dtype=object)
+    if not all(map(_is_real, entries.flat)):
+        raise ConfigError(f"{what} must be numbers, got {values!r}")
+    return entries.astype(np.float64)
+
+
 # ---------------------------------------------------------------------------
 # functional constructors
 # ---------------------------------------------------------------------------
 
 def constant(space: GroundSpace, value: float) -> Functional:
     """F(eta) = value."""
-    v = float(value)
+    v = _real("constant value", value)
 
     def fn(c: np.ndarray) -> np.ndarray:
         return np.full(c.shape[:-1], v)
@@ -109,7 +124,7 @@ def poly_count(space: GroundSpace, B, degree: int) -> Functional:
 
 def bounded_sigmoid(space: GroundSpace, B, scale: float) -> Functional:
     """F(eta) = tanh(scale * eta(B)); member of the bounded algebra, |F| <= 1."""
-    s = float(scale)
+    s = _real("bounded_sigmoid scale", scale)
     mask = space.site_mask(B)
 
     def fn(c: np.ndarray) -> np.ndarray:
@@ -159,11 +174,11 @@ def affine_of(
     if not terms:
         raise ConfigError("affine needs at least one term")
     space = terms[0][1].space
-    coeffs = [(float(a), f) for a, f in terms]
+    coeffs = [(_real("affine coefficient", a), f) for a, f in terms]
     for _, f in coeffs:
         if f.space != space:
             raise ConfigError("affine terms must share one ground space")
-    c0 = float(const)
+    c0 = _real("affine constant", const)
 
     def fn(c: np.ndarray) -> np.ndarray:
         out = np.full(c.shape[:-1], c0)
@@ -234,7 +249,7 @@ def compose(phi: ScalarMap | str, F: Functional) -> Functional:
 
 def deterministic_field(space: GroundSpace, values) -> RandomField:
     """u(eta, z) = g(z) with no eta-dependence."""
-    g = np.asarray(values, dtype=np.float64)
+    g = _reals("deterministic field values", values)
     if g.shape != (space.n,):
         raise ConfigError(
             f"deterministic field needs {space.n} site values, got shape {g.shape}"
@@ -270,7 +285,7 @@ def functional_times_indicator(space: GroundSpace, B, F: Functional) -> RandomFi
 def count_times_deterministic(space: GroundSpace, B, values) -> RandomField:
     """u(eta, z) = eta(B) g(z).  Unbounded."""
     mask = space.site_mask(B)
-    g = np.asarray(values, dtype=np.float64)
+    g = _reals("count_times_deterministic values", values)
     if g.shape != (space.n,):
         raise ConfigError(
             f"count_times_deterministic needs {space.n} site values, got {g.shape}"

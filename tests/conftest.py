@@ -14,6 +14,7 @@ from poisson_malliavin import (
     product_of,
     affine_of,
 )
+from poisson_malliavin import functionals
 
 CANONICAL_WEIGHTS = (0.5, 1.0, 1.5)
 
@@ -86,3 +87,18 @@ def sample_batch(space: GroundSpace, seed: int, m: int) -> np.ndarray:
     return rng.poisson(lam=np.asarray(space.weights), size=(m, space.n)).astype(
         np.int64
     )
+
+
+def same_bits(a, b) -> bool:
+    """Equal with ``np.array_equal`` and bit for bit, signed zeros too."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def plain_sweep(kernel, states: np.ndarray, names) -> tuple[np.ndarray, ...]:
+    """The one sweep loop over untagged parts of ``states``, of a box
+    slice's row count: the plain evaluation every memo must reproduce."""
+    m, n = states.shape
+    step = functionals._sweep_step(n)
+    parts = ((a, min(a + step, m), states[a : a + step]) for a in range(0, m, step))
+    return functionals._sweep(kernel, m, parts, names, lambda finite: states[np.argmin(finite)])

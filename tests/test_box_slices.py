@@ -3,7 +3,7 @@ fields are evaluated once and D+ / D- are stride offsets into their values.
 Every shifted value must equal the plain counts-array evaluation bit for bit,
 whatever the slice shape; each object's fn runs once per slice after a
 sweep's first; and the sweep takes box slices only where they evaluate no
-more rows than plain ones."""
+more rows than row stencils."""
 from __future__ import annotations
 
 import math
@@ -36,12 +36,7 @@ from poisson_malliavin.functionals import (
     field_add_tensor,
     field_dropped_diag,
 )
-
-
-def _same(a, b) -> bool:
-    """Equal with ``np.array_equal`` and bit for bit, signed zeros too."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+from conftest import plain_sweep, same_bits
 
 
 def _random_space() -> GroundSpace:
@@ -127,18 +122,18 @@ def test_shift_helpers_match_plain_counts_bitwise(monkeypatch, backend, shape, f
         assert counts.box is not None and getattr(plain, "box", None) is None
         if first == "slice":
             for F in Fs:
-                assert _same(F.batch(counts), F.batch(plain))
+                assert same_bits(F.batch(counts), F.batch(plain))
             for u in us:
-                assert _same(u.values(counts), u.values(plain))
+                assert same_bits(u.values(counts), u.values(plain))
         for F in Fs:
             for helper in (add_diff_all, drop_diff_all):
-                assert _same(helper(F, counts), helper(F, plain)), helper
+                assert same_bits(helper(F, counts), helper(F, plain)), helper
                 checked[helper.__name__] += 1
         for u in us:
             for helper in (field_add_tensor, field_dropped_diag):
-                assert _same(helper(u, counts), helper(u, plain)), (helper, u)
+                assert same_bits(helper(u, counts), helper(u, plain)), (helper, u)
                 checked[helper.__name__] += 1
-            assert _same(u.values(counts), u.values(plain))
+            assert same_bits(u.values(counts), u.values(plain))
 
     seen = _sweep_slices(backend, kernel)
     _assert_slicing(seen, backend, shape)
@@ -173,22 +168,13 @@ def test_shift_helpers_match_plain_counts_on_other_sizes(monkeypatch, weights, l
         plain = np.array(counts)
         for F in Fs:
             for helper in (add_diff_all, drop_diff_all):
-                assert _same(helper(F, counts), helper(F, plain)), helper
+                assert same_bits(helper(F, counts), helper(F, plain)), helper
         for u in us:
             for helper in (field_add_tensor, field_dropped_diag):
-                assert _same(helper(u, counts), helper(u, plain)), (helper, u)
+                assert same_bits(helper(u, counts), helper(u, plain)), (helper, u)
 
     seen = _sweep_slices(backend, kernel)
     assert len(seen) > 1
-
-
-def _plain_sweep(kernel, states: np.ndarray, names) -> tuple[np.ndarray, ...]:
-    """The one sweep loop over plain counts parts of ``states``, as Monte
-    Carlo rows reach it."""
-    m, n = states.shape
-    step = functionals._sweep_step(n)
-    parts = ((a, min(a + step, m), states[a : a + step]) for a in range(0, m, step))
-    return functionals._sweep(kernel, m, parts, names, lambda finite: states[np.argmin(finite)])
 
 
 @pytest.mark.parametrize("shape", ["one level", "several levels", "second site"])
@@ -212,12 +198,12 @@ def test_exact_results_match_plain_states_bitwise(monkeypatch, backend, shape):
     ]
     names = [("lhs", "rhs")] * 4 + [(Fs[3].name,)]
     states = backend.table.states
-    plain = [_plain_sweep(k, states, w) for k, w in zip(kernels, names)]
+    plain = [plain_sweep(k, states, w) for k, w in zip(kernels, names)]
     _slice_rows(monkeypatch, shape)
     boxed = [exact_module._sweep_table(k, backend.table, w) for k, w in zip(kernels, names)]
     for want, got in zip(plain, boxed):
         for a, b in zip(want, got):
-            assert _same(a, b)
+            assert same_bits(a, b)
     assert exact_expectation(Fs[3], backend.table).value == float(
         backend.table.probs @ plain[-1][0]
     )
@@ -307,7 +293,7 @@ def _step(n: int) -> int:
 def test_box_slicing_rule_on_known_tables():
     """Hand-computed choices: one level of the first site on 5 sites at
     cap 12, several levels of the second site on 5 sites at cap 15, the
-    whole table on small 3-site tables, and plain counts where few levels
+    whole table on small 3-site tables, and row stencils where few levels
     per site make halos large: 11 sites at cap 1 (3^11 halo rows against
     11 * 2^11 table rows) and 7 sites at cap 6 (two levels of the third
     site fit the budget, but their halos hold 4x the plain rows)."""
@@ -330,7 +316,7 @@ def _sweep_halos(caps, step: int) -> int:
         want = np.stack(np.unravel_index(np.arange(start, stop), shape), axis=-1)
         assert np.array_equal(np.asarray(counts), want)
         at = stop
-        if lattice.is_slice(counts):
+        if isinstance(counts.box, lattice._BoxSlice):
             halo = math.prod(counts.box.shape)
             assert halo <= n * step
             halos += halo
@@ -341,8 +327,8 @@ def _sweep_halos(caps, step: int) -> int:
 def test_box_slices_keep_to_budget_and_plain_work():
     """On random boxes and budgets, and on two shapes where the rule takes
     one level of the first site or eight of the second, the halos of a
-    whole box-sliced sweep hold at most n rows per table row, the least
-    plain counts evaluate a shifted object on."""
+    whole box-sliced sweep hold at most n rows per table row, the least a
+    row stencil evaluates a shifted object on."""
     rng = np.random.default_rng(11)
     sliced = set()
     cases = [((12,) * 5, _step(5)), ((30,) * 4, 8000)]
@@ -362,7 +348,7 @@ def test_box_slices_keep_to_budget_and_plain_work():
 
 def _rows_seen(backend, objects, plain: bool, monkeypatch) -> dict:
     """Rows each object's fn sees over a set of identity checks, on the
-    slicing the rule picks, or on plain counts with ``plain``."""
+    slicing the rule picks, or on row stencils with ``plain``."""
     with monkeypatch.context() as m:
         if plain:
             m.setattr(lattice, "_box_slicing", lambda caps, step: None)
@@ -384,8 +370,8 @@ def _rows_seen(backend, objects, plain: bool, monkeypatch) -> dict:
 @pytest.mark.parametrize("table", ["11 sites at cap 1", "canonical"])
 def test_box_slices_evaluate_no_more_rows_than_plain(monkeypatch, exact, table):
     """Over the identity checks, every object's fn sees no more rows on the
-    sweep's slicing than on plain counts: on 11 sites at weight 0.01 (cap 1)
-    the sweep takes plain counts, on the canonical table one box slice."""
+    sweep's slicing than on row stencils: on 11 sites at weight 0.01 (cap 1)
+    the sweep takes row stencils, on the canonical table one box slice."""
     if table == "11 sites at cap 1":
         backend = ExactBackend(GroundSpace((0.01,) * 11), tol=1e-3)
         assert backend.plan.caps == (1,) * 11

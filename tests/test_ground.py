@@ -16,8 +16,13 @@ from poisson_malliavin import (
     GroundSpace,
     InvalidSiteError,
     ShapeError,
+    affine_of,
+    bounded_sigmoid,
     bracket_batch,
     commutation_check,
+    constant,
+    count_times_deterministic,
+    deterministic_field,
     indicator_leq,
     linear_count,
     poly_count,
@@ -96,6 +101,52 @@ class TestSiteNumbers:
     def test_non_integer_m_is_refused(self, space, m):
         with pytest.raises(ConfigError, match="m must be an integer"):
             indicator_leq(space, [1], m)
+
+
+class TestRealParameters:
+    """Real parameters of a direct constructor call are numbers within the
+    double range, as on the config path: strings, bools, nan and inf are
+    refused, not parsed or coerced."""
+
+    BAD = ["0.5", True, float("nan"), float("inf"), None]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_constant_value(self, space, bad):
+        with pytest.raises(ConfigError, match="constant value must be a number"):
+            constant(space, bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_bounded_sigmoid_scale(self, space, bad):
+        with pytest.raises(ConfigError, match="bounded_sigmoid scale must be a number"):
+            bounded_sigmoid(space, [1], bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_affine_coefficients_and_constant(self, space, bad):
+        F = linear_count(space, [1])
+        with pytest.raises(ConfigError, match="affine coefficient must be a number"):
+            affine_of([(1.0, F), (bad, F)])
+        with pytest.raises(ConfigError, match="affine constant must be a number"):
+            affine_of([(2, F)], bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_deterministic_field_values(self, space, bad):
+        with pytest.raises(ConfigError, match="deterministic field values must be numbers"):
+            deterministic_field(space, [1.0, 2, bad])
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_count_times_deterministic_values(self, space, bad):
+        with pytest.raises(ConfigError, match="count_times_deterministic values must be numbers"):
+            count_times_deterministic(space, [1], [bad, 2, 3])
+
+    def test_numbers_of_any_type_are_taken(self, space):
+        assert constant(space, 2).name == "constant(value=2.0)"
+        assert bounded_sigmoid(space, [1], np.float64(0.5)).name == (
+            "bounded_sigmoid(B=[1],scale=0.5)"
+        )
+        assert deterministic_field(space, np.array([1, 2, 3])).name == (
+            "deterministic(values=[1.0,2.0,3.0])"
+        )
+        assert site_indicator_field(space, [2]).name == "site_indicator(B=[2])"
 
 
 def test_every_export_resolves():

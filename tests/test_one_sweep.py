@@ -157,7 +157,7 @@ def _old_gamma_form_bound(F, Phi, backend):
 
 
 # ---------------------------------------------------------------------------
-# tables: canonical, a random 3-site one, and one swept as plain counts
+# tables: canonical, a random 3-site one, and one swept in row stencils
 # ---------------------------------------------------------------------------
 
 def _random_space() -> GroundSpace:
