@@ -81,7 +81,6 @@ from .registry import (
     linear_count,
     poly_count,
     product_of,
-    random_functional_spec,
     scalar_map,
     site_indicator_field,
 )

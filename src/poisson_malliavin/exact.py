@@ -228,9 +228,9 @@ def plan_truncation(
 class StateTable:
     """All configurations under the caps with their product-Poisson weights.
 
-    ``states`` has shape (S, n) in fixed lexicographic order, ``probs`` the
-    matching probabilities; their sum is at least 1 - tail_bound, and
-    ``build`` checks that up to rounding.  ``states`` is made from the caps
+    ``states`` has shape (S, n), C-ordered, in fixed lexicographic order,
+    ``probs`` the matching probabilities; their sum is at least
+    1 - tail_bound, and ``build`` checks that up to rounding.  ``states`` is made from the caps
     on first use: the exact sweeps make each slice's counts themselves
     (``lattice.sweep_parts``), so they never hold the (S, n) array.
     """
@@ -242,7 +242,8 @@ class StateTable:
 
     @cached_property
     def states(self) -> np.ndarray:
-        states = _box_rows((0,) * self.space.n, tuple(cap + 1 for cap in self.plan.caps))
+        hi = tuple(cap + 1 for cap in self.plan.caps)
+        states = _box_rows((0,) * self.space.n, hi, site_major=False)
         states.setflags(write=False)
         return states
 

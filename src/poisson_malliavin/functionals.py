@@ -41,6 +41,7 @@ __all__ = [
     "add_diff_all",
     "drop_diff_all",
     "field_add_tensor",
+    "field_added_diag",
     "field_dropped_diag",
 ]
 
@@ -129,9 +130,12 @@ def add_diff_all(F: Functional, counts: np.ndarray) -> np.ndarray:
 
 
 def drop_diff_all(F: Functional, counts: np.ndarray) -> np.ndarray:
-    """All drop differences, indicator included, from n + 1 evaluations of F
-    per configuration, memoised on a sweep part.  Shape (..., n)."""
-    return (F.batch(counts)[..., None] - shifted_all(F, counts, -1)) * (np.asarray(counts) > 0)
+    """All drop differences at once: out[..., z-1] = D-_z F, from n + 1
+    evaluations of F per configuration, memoised on a sweep part.  Shape
+    (..., n).  The indicator 1_{z in eta} needs no factor: at an empty site
+    the drop is clipped to eta itself, so the difference is F(eta) - F(eta),
+    exactly 0.0 for a finite value."""
+    return F.batch(counts)[..., None] - shifted_all(F, counts, -1)
 
 
 def derivative_field(F: Functional) -> RandomField:
@@ -190,7 +194,11 @@ def _sweep(kernel, m: int, parts, names: tuple[str, ...], locate) -> tuple[np.nd
 
     Kernels are row-wise, so every value equals a one-call sweep's bit for
     bit, whatever the parts: row stencils (``lattice.stencil_parts``) or the
-    exact engine's box slices (``lattice.sweep_parts``).  Memory is
+    exact engine's box slices (``lattice.sweep_parts``).  Box slices may
+    hand over site-major (rows, n) arrays, whose sums over the site axis
+    keep their bits; a kernel that reduces over two site axes at once adds
+    its terms in a fixed order, as the Skorokhod double integral does.
+    Memory is
     the (m,) outputs plus one part's temporaries.  The first output, in
     ``names`` order, holding a non-finite value raises
     ``NonFiniteValueError`` naming it and the configuration that
@@ -223,6 +231,15 @@ def field_add_tensor(u: RandomField, counts: np.ndarray) -> np.ndarray:
     if lattice.is_slice(counts):
         return lattice.field_add_tensor(u, counts)
     return u.values(lattice.neighbour_rows(_as_counts(u.space, counts), 1))
+
+
+def field_added_diag(u: RandomField, counts: np.ndarray) -> np.ndarray:
+    """out[..., z-1] = u(eta + delta_z, z), the diagonal of
+    ``field_add_tensor``.  Shape (..., n).  On a sweep part a non-gradient
+    field copies only these n values per row out of its memoised shifts."""
+    if lattice.is_slice(counts) and u.gradient_of is None:
+        return lattice.field_added_diag(u, counts)
+    return np.diagonal(field_add_tensor(u, counts), axis1=-2, axis2=-1)
 
 
 def field_dropped_diag(u: RandomField, counts: np.ndarray) -> np.ndarray:

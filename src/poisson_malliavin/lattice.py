@@ -13,7 +13,11 @@ a mixed-radix stride away: ``sweep_parts`` cuts it into box slices of
 consecutive rows whose halo holds every neighbour once (``_BoxSlice``).
 Other rows, Monte Carlo's and tables too thin to slice, go in row stencils
 that build each row's neighbours (``stencil_parts``, ``_RowStencil``).
-Every value is the one a plain evaluation gives, bit for bit.  The module
+Every value is the one a plain evaluation gives, bit for bit.  On fewer
+than 8 sites a box slice stores its (rows, n) counts, field values and
+shifts site-major, the row axis innermost in memory, so a sum over sites
+adds whole columns in the order numpy sums a C-ordered row; (rows, n, n)
+tensors stay C-ordered (``_site_major``, ``_BoxSlice._empty``).  The module
 needs nothing from ``functionals``: the sweep budget arrives as a row count,
 and each entry point is told how to evaluate the object it shifts.
 """
@@ -33,13 +37,26 @@ def _box_strides(shape) -> np.ndarray:
     return strides
 
 
-def _box_rows(lo, hi) -> np.ndarray:
+# NumPy adds a contiguous run of fewer than 8 values one by one, left to
+# right, the order in which a site-major array's columns are added; from 8
+# values on it sums in 8 interleaved partial sums.  Box slices store rows
+# and shifted values site-major (the row axis innermost) on fewer sites
+# only, so every sum over sites has the plain evaluation's bits either way.
+def _site_major(n: int) -> bool:
+    return n < 8
+
+
+def _box_rows(lo, hi, site_major: bool = True) -> np.ndarray:
     """Every configuration with lo[z] <= eta_z < hi[z], in lexicographic
     order, as one (rows, n) int64 array filled column by column from
-    broadcast views of arange."""
+    broadcast views of arange: with ``site_major`` (and fewer than 8 sites)
+    the transpose of an (n, rows) array, else C-ordered."""
     shape = tuple(h - l for l, h in zip(lo, hi))
     n = len(shape)
-    rows = np.empty((math.prod(shape), n), dtype=np.int64)
+    if site_major and _site_major(n):
+        rows = np.empty((n, math.prod(shape)), dtype=np.int64).T
+    else:
+        rows = np.empty((math.prod(shape), n), dtype=np.int64)
     grid = rows.reshape(shape + (n,))
     for z in range(n):
         grid[..., z] = np.arange(lo[z], hi[z], dtype=np.int64).reshape(
@@ -181,11 +198,17 @@ class _BoxSlice:
             here = self._slice.get(obj)
             if here is None:
                 if obj in self._halo or obj in self._expected:
-                    grid = self._grid(self._grow(obj))
-                    trailing = grid.shape[len(self.shape) :]
-                    here = grid[self._inside].reshape((len(self.rows),) + trailing)
+                    here = self._grid(self._grow(obj))[self._inside]
                 else:
                     here = _evaluate(obj, self.tagged("slice"))
+                    here = here.reshape(self._size + here.shape[1:])
+                if here.ndim == len(self.shape):
+                    here = here.reshape(len(self.rows))
+                else:  # a field's (rows, n) values, laid out as its shifts
+                    out, targets = self._empty()
+                    np.moveaxis(targets, 0, -1)[...] = here
+                    out.setflags(write=False)
+                    here = out
                 self._slice[obj] = here
             return here
         halo = self._grow(obj)
@@ -237,18 +260,31 @@ class _BoxSlice:
                 at[z] = slice(0, s.stop)
         out[...] = grid[tuple(at)]
 
+    def _empty(self, trailing: tuple = ()):
+        """An uninitialised float64 array of shape (rows, n) + trailing and
+        its view of shape (n,) + the slice's grid + trailing, whose entry z
+        is the ``_copy`` target of the shift along site z.  A (rows, n)
+        array is stored site-major on fewer than 8 sites (``_site_major``),
+        so each target is contiguous and a sum over sites adds whole
+        columns.  A (rows, n, n) tensor stays C-ordered: numpy sums its n^2
+        entries per row in partial sums that no other layout reproduces."""
+        n = len(self.shape)
+        if not trailing and _site_major(n):
+            targets = np.empty((n,) + self._size)
+            return targets.reshape(n, -1).T, targets
+        out = np.empty(self._size + (n,) + trailing)
+        return out.reshape((len(self.rows), n) + trailing), np.moveaxis(out, n, 0)
+
     def around(self, obj, evaluate, step: int, own_site: bool = False) -> np.ndarray:
         """out[r, z - 1] = ``obj`` at eta_r + step * delta_z, shape (rows, n)
         for a functional and (rows, n, n) for a field; with ``own_site`` only
         the field's site-z value, shape (rows, n)."""
         values = self.halo(obj, evaluate)
         n = len(self.shape)
-        trailing = () if own_site else values.shape[1:]
-        out = np.empty(self._size + (n,) + trailing)
+        out, targets = self._empty(() if own_site else values.shape[1:])
         for z in range(n):
-            column = values[:, z] if own_site else values
-            self._copy(out[(slice(None),) * n + (z,)], column, [(z, step)])
-        return out.reshape((len(self.rows), n) + trailing)
+            self._copy(targets[z], values[:, z] if own_site else values, [(z, step)])
+        return out
 
     def second_order(self, F) -> np.ndarray:
         """F(eta + delta_z + delta_zp) for every eta in the slice, shape
@@ -380,6 +416,12 @@ def field_add_tensor(u, counts: _SliceRows) -> np.ndarray:
         return box.around(u, u.values, 1)
     F = u.gradient_of
     return box.second_order(F) - box.around(F, F.batch, 1)[..., None]
+
+
+def field_added_diag(u, counts: _SliceRows) -> np.ndarray:
+    """``functionals.field_added_diag`` of a non-gradient field on a memo's
+    own rows."""
+    return counts.box.around(u, u.values, 1, own_site=True)
 
 
 def field_dropped_diag(u, counts: _SliceRows) -> np.ndarray:

@@ -44,7 +44,6 @@ __all__ = [
     "SCALAR_MAPS",
     "functional_from_spec",
     "field_from_spec",
-    "random_functional_spec",
 ]
 
 
@@ -349,12 +348,18 @@ _DEFAULTS = {"constant": 0.0}
 
 
 def _is_real(value) -> bool:
-    """A number within the double range; bools, inf and nan are not."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
+    """A number within the double range; bools, inf and nan are not.  A
+    non-integral value is compared as a Python float: compared as itself, a
+    numpy float narrower than a double casts the bound to its own type and
+    overflows."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    if isinstance(value, numbers.Integral):
+        return abs(value) <= sys.float_info.max
+    try:
+        return abs(float(value)) <= sys.float_info.max
+    except OverflowError:  # a Fraction past the double range
+        return False
 
 
 def _is_int(value) -> bool:
@@ -414,51 +419,3 @@ def functional_from_spec(space: GroundSpace, spec: Mapping) -> Functional:
 def field_from_spec(space: GroundSpace, spec: Mapping) -> RandomField:
     """Build a registry random field from a ``{"name": ..., ...}`` mapping."""
     return _from_spec("field", _FIELDS, space, spec)
-
-
-def random_functional_spec(rng: np.random.Generator, n_sites: int) -> dict:
-    """Draw a reproducible random functional spec from the registry family.
-
-    Used for randomized cross-validation between the exact and Monte Carlo
-    backends; degrees stay <= 2 so fourth moments (hence standard errors)
-    exist comfortably.
-    """
-    def random_sites() -> list[int]:
-        k = int(rng.integers(1, n_sites + 1))
-        return sorted(int(z) for z in rng.choice(n_sites, size=k, replace=False) + 1)
-
-    kind = rng.choice(
-        ["linear_count", "poly_count", "bounded_sigmoid", "indicator_leq",
-         "product", "affine"]
-    )
-    if kind == "linear_count":
-        return {"name": "linear_count", "B": random_sites()}
-    if kind == "poly_count":
-        return {"name": "poly_count", "B": random_sites(), "degree": int(rng.integers(1, 3))}
-    if kind == "bounded_sigmoid":
-        return {
-            "name": "bounded_sigmoid",
-            "B": random_sites(),
-            "scale": round(float(rng.uniform(0.25, 1.5)), 3),
-        }
-    if kind == "indicator_leq":
-        return {"name": "indicator_leq", "B": random_sites(), "m": int(rng.integers(0, 5))}
-    if kind == "product":
-        return {
-            "name": "product",
-            "factors": [
-                {"name": "bounded_sigmoid", "B": random_sites(),
-                 "scale": round(float(rng.uniform(0.25, 1.5)), 3)},
-                {"name": "indicator_leq", "B": random_sites(), "m": int(rng.integers(0, 5))},
-            ],
-        }
-    return {
-        "name": "affine",
-        "terms": [
-            [0.5, {"name": "linear_count", "B": random_sites()}],
-            [-0.25, {"name": "bounded_sigmoid", "B": random_sites(),
-                     "scale": round(float(rng.uniform(0.25, 1.5)), 3)}],
-        ],
-        "constant": round(float(rng.uniform(-1.0, 1.0)), 3),
-    }
-

@@ -89,6 +89,53 @@ def sample_batch(space: GroundSpace, seed: int, m: int) -> np.ndarray:
     )
 
 
+def random_functional_spec(rng: np.random.Generator, n_sites: int) -> dict:
+    """Draw a reproducible random functional spec from the registry family.
+
+    Used for randomized cross-validation between the exact and Monte Carlo
+    backends; degrees stay <= 2 so fourth moments (hence standard errors)
+    exist comfortably.
+    """
+    def random_sites() -> list[int]:
+        k = int(rng.integers(1, n_sites + 1))
+        return sorted(int(z) for z in rng.choice(n_sites, size=k, replace=False) + 1)
+
+    kind = rng.choice(
+        ["linear_count", "poly_count", "bounded_sigmoid", "indicator_leq",
+         "product", "affine"]
+    )
+    if kind == "linear_count":
+        return {"name": "linear_count", "B": random_sites()}
+    if kind == "poly_count":
+        return {"name": "poly_count", "B": random_sites(), "degree": int(rng.integers(1, 3))}
+    if kind == "bounded_sigmoid":
+        return {
+            "name": "bounded_sigmoid",
+            "B": random_sites(),
+            "scale": round(float(rng.uniform(0.25, 1.5)), 3),
+        }
+    if kind == "indicator_leq":
+        return {"name": "indicator_leq", "B": random_sites(), "m": int(rng.integers(0, 5))}
+    if kind == "product":
+        return {
+            "name": "product",
+            "factors": [
+                {"name": "bounded_sigmoid", "B": random_sites(),
+                 "scale": round(float(rng.uniform(0.25, 1.5)), 3)},
+                {"name": "indicator_leq", "B": random_sites(), "m": int(rng.integers(0, 5))},
+            ],
+        }
+    return {
+        "name": "affine",
+        "terms": [
+            [0.5, {"name": "linear_count", "B": random_sites()}],
+            [-0.25, {"name": "bounded_sigmoid", "B": random_sites(),
+                     "scale": round(float(rng.uniform(0.25, 1.5)), 3)}],
+        ],
+        "constant": round(float(rng.uniform(-1.0, 1.0)), 3),
+    }
+
+
 def same_bits(a, b) -> bool:
     """Equal with ``np.array_equal`` and bit for bit, signed zeros too."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)

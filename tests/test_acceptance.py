@@ -45,13 +45,12 @@ from poisson_malliavin import (
     chain_rule_control_check,
     poly_count,
     product_of,
-    random_functional_spec,
     reports_to_json,
     run_suite,
     skorokhod_check,
 )
 from poisson_malliavin.functionals import add_diff_all, drop_diff_all
-from conftest import d_minus, d_plus, functional_pool, sample_batch, shift
+from conftest import d_minus, d_plus, functional_pool, random_functional_spec, sample_batch, shift
 
 
 def _criterion(name: str, ok: bool, detail: str) -> None:

@@ -34,7 +34,9 @@ from poisson_malliavin.functionals import (
     derivative_field,
     drop_diff_all,
     field_add_tensor,
+    field_added_diag,
     field_dropped_diag,
+    shifted_all,
 )
 from conftest import plain_sweep, same_bits
 
@@ -145,6 +147,56 @@ def test_shift_helpers_match_plain_counts_bitwise(monkeypatch, backend, shape, f
     }
 
 
+def _is_site_major(a: np.ndarray) -> bool:
+    """Whether a (rows, n) array has its row axis innermost in memory."""
+    return a.strides[0] == a.itemsize and a.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape", ["one level", "several levels", "second site"])
+def test_site_major_slices_match_plain_counts_in_either_order(monkeypatch, backend, shape):
+    """A box slice's counts, field values and the (rows, n) shifts read off
+    it are stored site-major, and every shift helper equals its plain result bit for bit
+    on C- and Fortran-ordered counts alike; the table's public states stay
+    C-ordered."""
+    _slice_rows(monkeypatch, shape)
+    Fs, us = _pool(backend.space)
+    helpers = (field_add_tensor, field_added_diag, field_dropped_diag)
+    checked = defaultdict(int)
+
+    def kernel(counts):
+        assert _is_site_major(counts)
+        for plain in (np.array(counts, order="C"), np.array(counts, order="F")):
+            for F in Fs:
+                for step in (1, -1):
+                    shifted = shifted_all(F, counts, step)
+                    assert _is_site_major(shifted)
+                    assert same_bits(shifted, shifted_all(F, plain, step))
+                assert same_bits(drop_diff_all(F, counts), drop_diff_all(F, plain))
+            for u in us:
+                assert _is_site_major(u.values(counts))
+                for helper in helpers:
+                    assert same_bits(helper(u, counts), helper(u, plain)), (helper, u)
+                    checked[helper.__name__, u.gradient_of is None] += 1
+
+    _sweep_slices(backend, kernel)
+    assert len(checked) == 2 * len(helpers)
+    assert backend.table.states.flags.c_contiguous
+
+
+def test_numpy_adds_fewer_than_8_sites_in_column_order():
+    """The premise of site-major slices: on fewer than 8 sites numpy sums
+    each row of a C-ordered array left to right, the order in which the
+    columns of a site-major array add up, signed zeros included.  From 8
+    sites on it does not, so box slices keep C order there."""
+    rng = np.random.default_rng(5)
+    for n in range(1, 8):
+        a = rng.standard_normal((4000, n)) * 10.0 ** rng.integers(-8, 9, (4000, n))
+        a[rng.random(a.shape) < 0.2] = -0.0
+        assert same_bits(a.sum(axis=-1), np.ascontiguousarray(a.T).T.sum(axis=-1)), n
+        assert _is_site_major(lattice._box_rows((0,) * n, (2,) * n))
+    assert lattice._box_rows((0,) * 8, (2,) * 8).flags.c_contiguous
+
+
 @pytest.mark.parametrize(
     "weights, levels", [((0.8,), 2), ((0.3, 1.2), 3), ((0.5, 0.2, 1.1, 0.7), 2)]
 )
@@ -169,8 +221,9 @@ def test_shift_helpers_match_plain_counts_on_other_sizes(monkeypatch, weights, l
         for F in Fs:
             for helper in (add_diff_all, drop_diff_all):
                 assert same_bits(helper(F, counts), helper(F, plain)), helper
-        for u in us:
-            for helper in (field_add_tensor, field_dropped_diag):
+        for u in us:  # values first: in the first slice they are not on the halo yet
+            assert same_bits(u.values(counts), u.values(plain))
+            for helper in (field_add_tensor, field_added_diag, field_dropped_diag):
                 assert same_bits(helper(u, counts), helper(u, plain)), (helper, u)
 
     seen = _sweep_slices(backend, kernel)

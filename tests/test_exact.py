@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from conftest import CANONICAL_WEIGHTS
+from conftest import CANONICAL_WEIGHTS, random_functional_spec
 from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import poisson as poisson_dist
 
@@ -35,7 +35,6 @@ from poisson_malliavin import (
     ou_pseudo_inverse,
     plan_truncation,
     poly_count,
-    random_functional_spec,
     site_indicator_field,
 )
 from poisson_malliavin import exact as exact_module

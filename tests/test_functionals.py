@@ -25,7 +25,6 @@ from poisson_malliavin import (
     poly_count,
     product_field,
     product_of,
-    random_functional_spec,
     site_indicator_field,
 )
 from poisson_malliavin.functionals import (
@@ -39,7 +38,7 @@ from poisson_malliavin.identities import _shifted_diff_field
 from poisson_malliavin.operators import dirichlet_integrand, gamma_batch
 from poisson_malliavin.registry import _describe
 from poisson_malliavin.suite import _random_space, load_config
-from conftest import d_minus, d_plus, functional_pool, sample_batch, shift
+from conftest import d_minus, d_plus, functional_pool, random_functional_spec, sample_batch, shift
 
 
 class TestAddDiff:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import importlib
 import pkgutil
 import re
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from poisson_malliavin import (
     poly_count,
     site_indicator_field,
 )
+from poisson_malliavin.registry import _is_real
 from poisson_malliavin.functionals import add_diff_all, drop_diff_all, shifted_all
 
 
@@ -147,6 +150,23 @@ class TestRealParameters:
             "deterministic(values=[1.0,2.0,3.0])"
         )
         assert site_indicator_field(space, [2]).name == "site_indicator(B=[2])"
+
+    def test_narrow_numpy_floats_are_taken_without_warnings(self, space):
+        """The double-range check compares a float32 or float16 parameter as
+        a Python float, so no overflowing cast warns, and values past the
+        double range are still refused, as every warning here is an error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bounded_sigmoid(space, [1], np.float32(0.5)).name == (
+                "bounded_sigmoid(B=[1],scale=0.5)"
+            )
+            assert constant(space, np.float16(-2.0)).name == "constant(value=-2.0)"
+            assert deterministic_field(space, np.array([1, 2, 3], np.float32)).bound == 3.0
+            for good in (np.float32(3e38), np.int8(-7), 10**300, Fraction(1, 3)):
+                assert _is_real(good), good
+            for bad in (np.float32("inf"), np.float16("nan"), np.longdouble(2.0) ** 2000,
+                        10**400, Fraction(10**400)):
+                assert not _is_real(bad), bad
 
 
 def test_every_export_resolves():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 
+import numpy as np
 import pytest
 
 from poisson_malliavin import (
@@ -32,6 +33,8 @@ from poisson_malliavin import (
     site_indicator_field,
     skorokhod_check,
 )
+from poisson_malliavin import identities
+from conftest import same_bits
 
 MC_CFG = SamplerConfig(seed=20260810, samples=50_000, workers=1)
 
@@ -108,6 +111,33 @@ class TestSkorokhod:
     def test_zero_field(self, space, exact):
         r = skorokhod_check(deterministic_field(space, [0.0, 0.0, 0.0]), exact)
         assert r.passed and r.defect == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+    def test_double_integral_is_the_transposed_einsum_bitwise(self, n):
+        """The double integral's column loop equals the einsum it replaces,
+        sum_ij d_ij d_ji w_i w_j, bit for bit on asymmetric d, whatever the
+        layout of its inputs, across row blocks and on one configuration;
+        it is not the untransposed pairing sum_ij d_ij d_ij w_i w_j."""
+        rng = np.random.default_rng(n)
+        rows = 2 * identities._DOUBLE_INTEGRAL_BYTES // (8 * n * n) + 7  # three blocks
+        added = rng.standard_normal((rows, n, n)) * 10.0 ** rng.integers(-3, 4, (rows, n, n))
+        vals = rng.standard_normal((rows, n))
+        w = rng.uniform(0.1, 2.0, n)
+        d = added - vals[..., None, :]
+        want = np.einsum("...ij,...ji,i,j->...", d, d, w, w)
+        layouts = [
+            (added, vals),
+            # site-major: the row axis innermost in memory
+            (np.moveaxis(np.ascontiguousarray(np.moveaxis(added, 0, -1)), -1, 0),
+             np.ascontiguousarray(vals.T).T),
+            (np.ascontiguousarray(added.transpose(1, 0, 2)).transpose(1, 0, 2), vals),
+        ]
+        for a, v in layouts:
+            assert same_bits(identities._double_integral(a, v, w), want)
+        assert same_bits(identities._double_integral(added[3], vals[3], w), want[3])
+        if n > 1:
+            untransposed = np.einsum("...ij,...ij,i,j->...", d, d, w, w)
+            assert not np.allclose(identities._double_integral(added, vals, w), untransposed)
 
 
 class TestCommutation:
