@@ -48,7 +48,7 @@ from .errors import (
     SolverError,
     TruncationError,
 )
-from .functionals import Functional, _sweep, _sweep_step
+from .functionals import Functional, _check_per_row, _sweep, _sweep_step
 from .ground import GroundSpace
 from .lattice import _box_rows, _box_strides, sweep_parts
 from .operators import Mean
@@ -327,7 +327,8 @@ def _table_mean(values: np.ndarray, table: StateTable, bound: float | None = Non
     """sum_s probs(s) values(s), with error bound tail_bound times the
     certified sup-norm ``bound`` when there is one and tail_bound times the
     enumerated sup otherwise (heuristic for unbounded integrands, reported
-    as such)."""
+    as such); a ``ShapeError`` unless there is one value per state."""
+    _check_per_row(values, table.state_count)
     sup = bound if bound is not None else float(np.abs(values).max())
     return Mean(
         float(table.probs @ values), table.state_count, error_bound=table.plan.tail_bound * sup

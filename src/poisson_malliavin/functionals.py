@@ -221,6 +221,15 @@ def _sweep(kernel, m: int, parts, names: tuple[str, ...], locate) -> tuple[np.nd
     return outs
 
 
+def _check_per_row(values, m: int) -> None:
+    """A ``ShapeError`` unless ``values`` holds one value per row of an
+    m-row sweep, as a backend's ``mean`` reduces it."""
+    if np.shape(values) != (m,):
+        raise ShapeError(
+            f"values must hold one value per row, shape ({m},), got shape {np.shape(values)}"
+        )
+
+
 def field_add_tensor(u: RandomField, counts: np.ndarray) -> np.ndarray:
     """T[..., z-1, zp-1] = u(eta + delta_z, zp).  Shape (..., n, n).
 

@@ -3,7 +3,7 @@
 Stream discipline: a run is keyed by (seed, samples, workers).  The master
 ``numpy.random.SeedSequence(seed)`` is spawned into one independent child
 stream per worker, workers receive a fixed partition of the sample budget,
-and per-worker results are merged in worker-index order.  Identical
+and their draws are concatenated in worker-index order.  Identical
 configurations therefore reproduce bitwise-identical estimates regardless of
 how the workers are scheduled, while different worker counts agree in
 distribution (not bitwise).  The PCG64 bit generator behind
@@ -12,21 +12,21 @@ its Poisson sampler is exact (inversion for small means, transformed
 rejection above numpy's internal switchover near lambda = 10).
 
 Workers are stream partitions, not processes: they run one after another in
-the calling process.  A ``MonteCarloBackend`` draws each worker's block once,
-on first use, and deduplicates it on its own into distinct rows plus an
-inverse index.  Kernels are evaluated once per stencil part of the distinct
-rows (``lattice.stencil_parts``), through the sweep loop both engines share
-(``functionals._sweep``), and scattered back into one per-sample array per
-output, so every estimate is computed from the same per-sample arrays, in
-the same worker order, as a sweep over the full block.  The backend holds
-the deduplicated blocks in memory for its lifetime.
+the calling process.  A ``MonteCarloBackend`` draws all blocks once, on
+first use, and deduplicates their concatenation once into distinct rows,
+each with its multiplicity and the index of its first draw.  Kernels run
+once per stencil part of the distinct rows (``lattice.stencil_parts``),
+through the sweep loop both engines share (``functionals._sweep``).
 
-Every estimate is one sweep (per-sample values) and one reduction (the sample
-mean with standard error std(ddof=1) / sqrt(n)), returned as a ``Mean``.
-Identity defects are always estimated as paired per-sample differences, one
-stream of LHS - RHS values per draw, never as two independently estimated
-expectations subtracted, so the reported standard error gates the quantity
-actually under test.
+Every estimate is one sweep (one value per distinct row) and one reduction,
+returned as a ``Mean``: the multiplicity-weighted mean sum w v / samples
+and the standard error from the two-pass weighted variance, summed pairwise
+in row order.  Estimates reproduce bit for bit for the same (seed, samples,
+workers); against a per-sample reduction they agree to rounding, not bit
+for bit.  Identity defects are always paired per-sample differences, one
+LHS - RHS value per distinct row weighted by its multiplicity, never two
+independently estimated expectations subtracted, so the reported standard
+error gates the quantity actually under test.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .functionals import Functional, _sweep, _sweep_step
+from .functionals import Functional, _check_per_row, _sweep, _sweep_step
 from .ground import GroundSpace
 from .lattice import stencil_parts
 from .operators import Mean
@@ -85,22 +85,23 @@ def _worker_sizes(samples: int, workers: int) -> list[int]:
     return [base + (1 if j < rem else 0) for j in range(workers)]
 
 
-def _distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split an (m, n) counts block into ``(distinct_rows, inverse)``.
+def _distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split an (m, n) counts block into ``(rows, first, multiplicity)``.
 
-    ``distinct_rows[inverse]`` rebuilds the block row for row.  Rows are keyed
-    by one mixed-radix int64 per row when the radix product fits in int64;
+    ``rows[r]`` is ``counts[first[r]]``, the first draw of that row, and
+    ``multiplicity[r]`` the number of draws equal to it.  Rows are keyed by
+    one mixed-radix int64 per row when the radix product fits in int64;
     otherwise the rows are compared whole.
     """
     radix = counts.max(axis=0) + 1
     if math.prod(radix.tolist()) <= np.iinfo(np.int64).max:
-        place = np.concatenate(([1], np.cumprod(radix[:-1])))
-        _, first, inverse = np.unique(
-            counts @ place, return_index=True, return_inverse=True
+        keys = counts @ np.concatenate(([1], np.cumprod(radix[:-1])))
+        _, first, multiplicity = np.unique(keys, return_index=True, return_counts=True)
+    else:
+        _, first, multiplicity = np.unique(
+            counts, axis=0, return_index=True, return_counts=True
         )
-        return counts[first], inverse
-    rows, inverse = np.unique(counts, axis=0, return_inverse=True)
-    return rows, inverse.reshape(-1)
+    return counts[first], first, multiplicity
 
 
 def mc_expectation(F: Functional, space: GroundSpace, cfg: SamplerConfig) -> Mean:
@@ -111,64 +112,65 @@ def mc_expectation(F: Functional, space: GroundSpace, cfg: SamplerConfig) -> Mea
 class MonteCarloBackend:
     """Expectation engine backed by the seeded Poisson sampler.
 
-    Each worker's block is drawn once, on first use, and kept deduplicated
-    for the backend's lifetime.  A check sweeps the samples once and reduces
-    each output (``mean``, ``expectation``).
+    The draws are made once, on first use, and kept as distinct rows with
+    their multiplicities for the backend's lifetime.  A check sweeps the
+    distinct rows once and reduces each output (``mean``, ``expectation``).
     """
 
     def __init__(self, space: GroundSpace, cfg: SamplerConfig):
         self.space = space
         self.cfg = cfg
-        self._blocks: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def seed(self) -> int:
         return self.cfg.seed
 
-    def _worker_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``(distinct_rows, inverse)`` per worker stream, in worker order."""
-        if self._blocks is None:
+    def _distinct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_distinct_rows`` of all workers' draws in worker order, the
+        multiplicities as float64 weights."""
+        if self._rows is None:
             children = np.random.SeedSequence(self.cfg.seed).spawn(self.cfg.workers)
             sizes = _worker_sizes(self.cfg.samples, self.cfg.workers)
-            self._blocks = [
-                _distinct_rows(sample_counts(self.space, np.random.default_rng(child), m))
+            rows, first, multiplicity = _distinct_rows(np.concatenate([
+                sample_counts(self.space, np.random.default_rng(child), m)
                 for child, m in zip(children, sizes)
-            ]
-        return self._blocks
+            ]))
+            self._rows = rows, first, multiplicity.astype(np.float64)
+        return self._rows
 
     def sweep(self, kernel, names: tuple[str, ...]) -> tuple[np.ndarray, ...]:
-        """Run ``kernel(counts) -> tuple of arrays`` over the worker blocks.
+        """Run ``kernel(counts) -> tuple of arrays`` over the distinct rows,
+        returning one value per distinct row and output.
 
         The kernel sees each distinct row once, in row stencils of
-        ``_sweep_step(n) // 8`` rows of the block (``_sweep``), so memory is
-        the per-row and per-sample arrays plus one part's neighbour rows,
-        memoised values and temporaries, within the 8 MiB budget of a
-        (``_sweep_step(n)``, n, n) slab.  A non-finite value is named by its
-        output's ``names`` entry and the first such sample in draw order.
-        Each block's outputs are scattered back to one value per sample,
-        straight into the per-sample arrays, in worker-index order.
+        ``_sweep_step(n) // 8`` rows (``_sweep``), so memory is the per-row
+        arrays plus one part's neighbour rows, memoised values and
+        temporaries, within the 8 MiB budget of a (``_sweep_step(n)``, n, n)
+        slab.  A non-finite value is named by its output's ``names`` entry
+        and the first such sample in draw order: of the rows holding one,
+        the row drawn first.
         """
-        step = _sweep_step(self.space.n)
-        outs: tuple[np.ndarray, ...] = ()
-        offset = 0
-        for rows, inverse in self._worker_blocks():
-            m = len(rows)
-            values = _sweep(
-                kernel, m, stencil_parts(m, step, lambda a, b: rows[a:b]), names,
-                lambda finite: rows[inverse[int(np.argmin(finite[inverse]))]],
-            )
-            if not outs:
-                outs = tuple(np.empty(self.cfg.samples, dtype=np.float64) for _ in values)
-            stop = offset + len(inverse)
-            for out, v in zip(outs, values):
-                np.take(v, inverse, out=out[offset:stop])
-            offset = stop
-        return outs
+        rows, first, _ = self._distinct()
+        m = len(rows)
+        return _sweep(
+            kernel, m, stencil_parts(m, _sweep_step(self.space.n), lambda a, b: rows[a:b]),
+            names, lambda finite: rows[np.argmin(np.where(finite, self.cfg.samples, first))],
+        )
+
+    def _average(self, values: np.ndarray) -> np.float64:
+        return np.sum(self._distinct()[2] * values) / self.cfg.samples
 
     def mean(self, values: np.ndarray) -> Mean:
-        """The sample mean, with standard error std(ddof=1) / sqrt(n)."""
-        n = values.size
-        return Mean(float(values.mean()), n, std_error=float(values.std(ddof=1) / np.sqrt(n)))
+        """The sample mean of a sweep's per-row ``values`` weighted by
+        multiplicity, with standard error std(ddof=1) / sqrt(n) from the
+        two-pass weighted variance; a ``ShapeError`` unless one per row."""
+        weights = self._distinct()[2]
+        _check_per_row(values, len(weights))
+        n = self.cfg.samples
+        value = self._average(values)
+        var = np.sum(weights * (values - value) ** 2) / (n - 1)
+        return Mean(float(value), n, std_error=float(np.sqrt(var) / np.sqrt(n)))
 
     def expectation(self, F: Functional, values: np.ndarray | None = None) -> Mean:
         if values is None:
@@ -177,6 +179,6 @@ class MonteCarloBackend:
 
     def paired(self, kernel) -> tuple[float, float, Mean]:
         """The LHS and RHS sample means of a paired kernel, and the defect:
-        the ``Mean`` of the per-sample differences."""
+        the ``Mean`` of the per-row differences, weighted as ``mean``."""
         lhs, rhs = self.sweep(kernel, ("paired lhs", "paired rhs"))
-        return float(lhs.mean()), float(rhs.mean()), self.mean(lhs - rhs)
+        return float(self._average(lhs)), float(self._average(rhs)), self.mean(lhs - rhs)

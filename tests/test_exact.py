@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -383,6 +384,16 @@ class TestExactExpectation:
             res = exact_expectation(F, exact.table)
             nu = space.weights[z - 1]
             assert abs(res.value - nu) <= 1e-10 + res.error_bound
+
+    def test_mean_needs_one_value_per_state(self, space, exact):
+        S = exact.state_count
+        for values in (np.ones(5), np.ones(S + 1), np.ones((S, 1))):
+            message = rf"one value per row, shape \({S},\), got shape {re.escape(str(values.shape))}"
+            with pytest.raises(ShapeError, match=message):
+                exact.mean(values)
+            with pytest.raises(ShapeError, match=message):
+                exact_expectation(constant(space, 1.0), exact.table, values)
+        assert exact.mean(np.ones(S)).value == float(exact.table.probs @ np.ones(S))
 
 
 class TestExactPairing:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from poisson_malliavin import (
     MonteCarloBackend,
     NonFiniteValueError,
     SamplerConfig,
+    ShapeError,
     affine_of,
     bounded_sigmoid,
     constant,
@@ -26,6 +28,8 @@ from poisson_malliavin import (
 from poisson_malliavin import GroundSpace, montecarlo
 from poisson_malliavin.montecarlo import sample_counts
 from poisson_malliavin.identities import mecke_kernel
+
+from conftest import same_bits
 
 CFG = SamplerConfig(seed=424242, samples=100_000, workers=1)
 
@@ -80,6 +84,16 @@ class TestEstimate:
     def test_constant_functional(self, space):
         est = mc_expectation(constant(space, 2.5), space, SamplerConfig(0, 1000))
         assert est == Mean(2.5, 1000, std_error=0.0)
+
+    def test_mean_needs_one_value_per_row(self, space):
+        be = MonteCarloBackend(space, SamplerConfig(1, 1000))
+        rows = len(be._distinct()[0])
+        assert rows < 1000  # a per-sample array is refused too
+        for values in (np.ones(5), np.ones(1000), np.ones((rows, 1))):
+            message = rf"one value per row, shape \({rows},\), got shape {re.escape(str(values.shape))}"
+            with pytest.raises(ShapeError, match=message):
+                be.mean(values)
+        assert be.mean(np.ones(rows)) == Mean(1.0, 1000, std_error=0.0)
 
     def test_needs_two_samples(self):
         with pytest.raises(ConfigError, match="samples must be an integer >= 2"):
@@ -182,8 +196,36 @@ def _full_blocks(space, cfg):
 WIDE = GroundSpace((60.0,) * 12)  # 60^12 > 2^62: rows cannot share an int64 key
 
 
+def _summation_bound(m: int) -> float:
+    """k eps for numpy's pairwise ``np.sum`` of m terms, k bounding the
+    rounding depth (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3-4: the error of a summation tree of depth k is at
+    most about k eps sum |x_i|).  Below 8 terms numpy adds in sequence;
+    up to 128 it runs 8 accumulators of at most 16 terms and joins them in
+    3 levels; longer sums are halved first.  So the depth is at most
+    ceil(log2 m) + 16, plus 2 for the weighting product and the final
+    division."""
+    return (math.ceil(math.log2(max(m, 2))) + 18) * np.finfo(np.float64).eps
+
+
+def _assert_reduced(mean: Mean, per_sample: np.ndarray, rows: int) -> None:
+    """``mean`` lies within the summation bound of the correctly rounded
+    sample mean and standard error, both from ``math.fsum`` over the
+    per-sample values; the variance's terms are all >= 0, so its bound is
+    relative."""
+    n = per_sample.size
+    tol = _summation_bound(rows)
+    ref = math.fsum(per_sample) / n
+    se_ref = math.sqrt(math.fsum((per_sample - ref) ** 2) / (n - 1) / n)
+    assert mean.n == n
+    assert abs(mean.value - ref) <= tol * math.fsum(np.abs(per_sample)) / n
+    assert abs(mean.std_error - se_ref) <= tol * se_ref
+
+
 class TestDedupEquivalence:
-    """Kernels on distinct rows must reproduce a sweep over the full block bitwise."""
+    """Kernels on distinct rows reproduce a sweep over the full block bit
+    for bit, row for row, and the multiplicity-weighted means lie within
+    the summation bound of the correctly rounded per-sample means."""
 
     # decreasing weights give the first site the widest radix, which an
     # off-by-one place value would fold onto the next site
@@ -200,43 +242,49 @@ class TestDedupEquivalence:
         sp, samples, B = case
         cfg = SamplerConfig(seed=5, samples=samples, workers=workers)
         blocks = _full_blocks(sp, cfg)
-        fits = [
-            math.prod((b.max(axis=0) + 1).tolist()) <= np.iinfo(np.int64).max
-            for b in blocks
-        ]
-        assert all(fits) if sp.n == 3 else not any(fits)
+        counts = np.concatenate(blocks)
+        fits = math.prod((counts.max(axis=0) + 1).tolist()) <= np.iinfo(np.int64).max
+        assert fits == (sp.n == 3)
+
+        be = MonteCarloBackend(sp, cfg)
+        rows, _, weights = be._distinct()
+        # every draw's distinct row, found here by the row's bytes
+        index = {row.tobytes(): r for r, row in enumerate(rows)}
+        inverse = np.array([index[draw.tobytes()] for draw in counts])
+        assert np.array_equal(rows[inverse], counts)
+        assert np.array_equal(weights, np.bincount(inverse, minlength=len(rows)))
 
         F = poly_count(sp, B, 2)
         values = np.concatenate([F.batch(b) for b in blocks])
+        (per_row,) = be.sweep(lambda c: (F.batch(c),), (F.name,))
+        assert same_bits(per_row[inverse], values)
         est = mc_expectation(F, sp, cfg)
-        assert est == Mean(
-            float(values.mean()),
-            values.size,
-            std_error=float(values.std(ddof=1) / np.sqrt(values.size)),
-        )
+        assert est == be.expectation(F, per_row)
+        _assert_reduced(est, values, len(rows))
 
         u = functional_times_indicator(sp, B, bounded_sigmoid(sp, B, 1.0))
         kernel = mecke_kernel(u)
         outs = [kernel(b) for b in blocks]
         lhs = np.concatenate([o[0] for o in outs])
         rhs = np.concatenate([o[1] for o in outs])
-        diff = lhs - rhs
-        assert MonteCarloBackend(sp, cfg).paired(kernel) == (
-            float(lhs.mean()),
-            float(rhs.mean()),
-            Mean(
-                float(diff.mean()),
-                diff.size,
-                std_error=float(diff.std(ddof=1) / np.sqrt(diff.size)),
-            ),
-        )
+        row_lhs, row_rhs = be.sweep(kernel, ("lhs", "rhs"))
+        assert same_bits(row_lhs[inverse], lhs) and same_bits(row_rhs[inverse], rhs)
+        means = [be.mean(v) for v in (row_lhs, row_rhs, row_lhs - row_rhs)]
+        assert be.paired(kernel) == (means[0].value, means[1].value, means[2])
+        for mean, per_sample in zip(means, (lhs, rhs, lhs - rhs)):
+            _assert_reduced(mean, per_sample, len(rows))
 
     def test_distinct_rows_rebuild_the_block(self, case):
         sp, samples, _ = case
         (counts,) = _full_blocks(sp, SamplerConfig(seed=9, samples=samples))
-        rows, inverse = montecarlo._distinct_rows(counts)
-        assert np.array_equal(rows[inverse], counts)
+        rows, first, multiplicity = montecarlo._distinct_rows(counts)
+        assert np.array_equal(rows, counts[first])
         assert len(rows) == len(np.unique(counts, axis=0))
+        assert multiplicity.sum() == samples
+        # each row's first draw is at ``first`` and it is drawn ``multiplicity`` times
+        for row, at, k in zip(rows, first, multiplicity):
+            (draws,) = np.nonzero((counts == row).all(axis=1))
+            assert draws[0] == at and len(draws) == k
 
 
 class TestDrawOnce:
@@ -267,7 +315,5 @@ class TestDrawOnce:
             be.expectation(Functional(space, sized(F.batch), "sized"))
 
         assert len(drawn) == 3
-        distinct = [len(np.unique(block, axis=0)) for block in drawn]
-        assert len(seen) == 4 * 3
-        for i, rows in enumerate(seen):
-            assert rows <= distinct[i % 3]
+        # the workers' draws are deduplicated together, once
+        assert seen == [len(np.unique(np.concatenate(drawn), axis=0))] * 4

@@ -82,7 +82,7 @@ def test_stencil_matches_plain_counts_bitwise(which):
     Fs, us = _packaged_bindings(space)
     assert any(u.gradient_of is not None for u in us)
     assert any(u.gradient_of is None for u in us)
-    ((rows, _),) = MonteCarloBackend(space, SamplerConfig(seed=5, samples=400))._worker_blocks()
+    rows, _, _ = MonteCarloBackend(space, SamplerConfig(seed=5, samples=400))._distinct()
     assert (rows == 0).any() and len(rows) > 2  # the drop clip is reached
     for part in (rows[:1], rows[1:]):
         stencil = lattice._RowStencil(part)
@@ -214,7 +214,7 @@ def test_monte_carlo_sweep_peak_memory(monkeypatch):
     plus and minus rows and a field's values at both, 5.7 MB each."""
     space = GroundSpace((8.0,) * 6)
     backend = MonteCarloBackend(space, SamplerConfig(seed=20260810, samples=20_000))
-    ((rows, _),) = backend._worker_blocks()  # drawn before tracing: not the sweep's
+    rows, _, _ = backend._distinct()  # drawn before tracing: not the sweep's
     assert len(rows) == 19_787
     u = functional_times_indicator(space, [2, 4, 6], bounded_sigmoid(space, [1, 3, 5], 0.1))
     peaks = []

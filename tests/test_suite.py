@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 
 import pytest
@@ -29,7 +30,7 @@ CASE_IDS_SHA256 = {
 # byte: values, gates, error terms and the order in which gates are summed
 REPORT_SHA256 = {
     "exact": "923173e17addafb324cfc3f23d87dc020487eee205a92068188caba52d0f8fbf",
-    "mc": "91943aa286199aae9a89357f4e53bc05b5bc56a3c69887271ae88431c34bdb21",
+    "mc": "04f8c653b463b52465c3efa5a221c254a1ca5b7ad534ca3226d7f3ddbe1c46bc",
 }
 UNIT_FIELD = {"name": "deterministic", "values": [1.0, 1.0, 1.0]}
 REQUIRED = [(name, key) for name, ident in _IDENTITIES.items() for key in ident.required]
@@ -51,6 +52,13 @@ def test_case_ids_pinned(backend, cases):
 def test_report_bytes_pinned(backend):
     text = reports_to_json(run_suite(load_config(None), backend))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[backend]
+
+
+def test_mc_report_reruns_are_byte_identical_with_four_workers():
+    cfg = load_config(None)
+    cfg = dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc, workers=4))
+    first, second = (reports_to_json(run_suite(cfg, "mc")) for _ in range(2))
+    assert first == second
 
 
 @pytest.mark.parametrize("identity, key", REQUIRED, ids=[f"{i}-{k}" for i, k in REQUIRED])

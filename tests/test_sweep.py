@@ -30,6 +30,7 @@ from poisson_malliavin import (
 )
 from poisson_malliavin import functionals
 from poisson_malliavin.identities import mecke_kernel
+from poisson_malliavin.montecarlo import sample_counts
 
 # rows per slice in the sliced runs: prime, so the last slice is partial
 ROWS = 97
@@ -101,7 +102,7 @@ def test_monte_carlo_matches_one_slice_bitwise(monkeypatch):
 
     def run():
         backend = MonteCarloBackend(space, cfg)
-        rows = sum(len(r) for r, _ in backend._worker_blocks())
+        rows = len(backend._distinct()[0])
         pv = backend.paired(mecke_kernel(u))
         return rows, repr(pv), backend.expectation(F)
 
@@ -148,11 +149,12 @@ def test_exact_non_finite_names_first_state_in_later_slice(monkeypatch, space, e
 def test_monte_carlo_non_finite_names_first_draw_in_later_slice(monkeypatch):
     space = GroundSpace((3.0, 3.0, 3.0))
     backend = MonteCarloBackend(space, SamplerConfig(seed=5, samples=20_000))
-    ((rows, inverse),) = backend._worker_blocks()
+    rows, _, _ = backend._distinct()
     late = rows[[5 * ROWS + 1, 3 * ROWS + 2]]
     F = _nan_at(space, late)
     # the first sample, in draw order, that holds either bad row
-    drawn = rows[inverse]
+    (child,) = np.random.SeedSequence(5).spawn(1)
+    drawn = sample_counts(space, np.random.default_rng(child), 20_000)
     first = int(np.flatnonzero((drawn[:, None, :] == late).all(-1).any(-1))[0])
     whole = _message(lambda: backend.expectation(F))
     assert f"counts={drawn[first].tolist()}" in whole
