@@ -42,10 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--workers", type=int,
         help="override the worker count, at most the sample count: workers"
-        " partition the sample stream and run one after another in this"
-        " process; each worker's block is drawn once per backend and"
-        " deduplicated on its own, so results merge bitwise in worker order,"
-        " and is held in memory for the whole run",
+        " partition the sample stream and draw one after another in this"
+        " process; their blocks are concatenated in worker order and"
+        " deduplicated once per backend, so reruns match bitwise, and the"
+        " distinct rows are held in memory for the whole run",
     )
     verify.add_argument("--report", help="write the JSON report to this path")
     verify.add_argument(

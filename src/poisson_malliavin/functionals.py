@@ -15,11 +15,11 @@ engine its distinct sample rows in a few numpy calls.  Both go through one
 loop, ``_sweep``, over parts of at most ``_sweep_step(n)`` rows, which also
 holds both engines' non-finite check.  Every part's counts rows are tagged
 with a memo (``lattice``): a box slice of the exact oracle's table where
-that evaluates less (``lattice.sweep_parts``), else a row stencil.
-``Functional.batch``, ``RandomField.values`` and the shift helpers hand
-tagged rows to ``lattice``, which evaluates each functional once per part
-at eta and at its neighbours eta +- delta_z.  Evaluations are pure, hence
-safe for concurrent use.
+that evaluates less (``lattice.sweep_parts``), else a row stencil, which
+evaluates each object once per part, at eta and eta +- delta_z.
+``Functional.batch``, ``RandomField.values`` and the shift helpers read
+its values and shifts and build every difference here, a gradient
+field's included.  Evaluations are pure, hence safe for concurrent use.
 """
 from __future__ import annotations
 
@@ -76,7 +76,7 @@ class Functional:
         Tagged rows are evaluated once per sweep part (``lattice``)."""
         arr = _as_counts(self.space, counts)
         if lattice.is_tagged(counts):
-            return lattice.values(self, counts)
+            return counts.box.values(self, counts.part)
         return np.asarray(self.fn(arr), dtype=np.float64)
 
     def __repr__(self) -> str:
@@ -100,11 +100,13 @@ class RandomField:
 
     def values(self, counts) -> np.ndarray:
         """Evaluate on counts of shape (..., n); returns shape (..., n).
-        Tagged rows are evaluated once per sweep part (``lattice``); a
-        gradient field there reads its functional's shifts."""
+        Tagged rows are evaluated once per sweep part (``lattice``); DF on
+        a part's own rows is ``add_diff_all`` of F's memoised shifts."""
         arr = _as_counts(self.space, counts)
+        if lattice.is_slice(counts) and self.gradient_of is not None:
+            return add_diff_all(self.gradient_of, counts)
         if lattice.is_tagged(counts):
-            return lattice.field_values(self, counts)
+            return counts.box.values(self, counts.part)
         return np.asarray(self.fn(arr), dtype=np.float64)
 
     def __repr__(self) -> str:
@@ -120,7 +122,7 @@ def shifted_all(F: Functional, counts: np.ndarray, step: int) -> np.ndarray:
     clipped at 0 (``lattice.neighbour_rows``).  Shape (..., n).  On a sweep
     part they are F's memoised values at the part's neighbours."""
     if lattice.is_slice(counts):
-        return lattice.shifted(F, counts, step)
+        return counts.box.around(F, step)
     return F.batch(lattice.neighbour_rows(_as_counts(F.space, counts), step))
 
 
@@ -146,7 +148,7 @@ def derivative_field(F: Functional) -> RandomField:
     """
 
     def fn(counts: np.ndarray) -> np.ndarray:
-        return F.batch(lattice.neighbour_rows(counts, 1)) - F.batch(counts)[..., None]
+        return add_diff_all(F, counts)
 
     return RandomField(
         space=F.space,
@@ -238,7 +240,10 @@ def field_add_tensor(u: RandomField, counts: np.ndarray) -> np.ndarray:
     off F's shifts and the second-order points past them.
     """
     if lattice.is_slice(counts):
-        return lattice.field_add_tensor(u, counts)
+        F = u.gradient_of
+        if F is None:
+            return counts.box.around(u, 1)
+        return counts.box.second_order(F) - shifted_all(F, counts, 1)[..., None]
     return u.values(lattice.neighbour_rows(_as_counts(u.space, counts), 1))
 
 
@@ -247,7 +252,7 @@ def field_added_diag(u: RandomField, counts: np.ndarray) -> np.ndarray:
     ``field_add_tensor``.  Shape (..., n).  On a sweep part a non-gradient
     field copies only these n values per row out of its memoised shifts."""
     if lattice.is_slice(counts) and u.gradient_of is None:
-        return lattice.field_added_diag(u, counts)
+        return counts.box.around(u, 1, own_site=True)
     return np.diagonal(field_add_tensor(u, counts), axis1=-2, axis2=-1)
 
 
@@ -263,7 +268,7 @@ def field_dropped_diag(u: RandomField, counts: np.ndarray) -> np.ndarray:
     if u.gradient_of is not None:
         return drop_diff_all(u.gradient_of, counts)
     if lattice.is_slice(counts):
-        return lattice.field_dropped_diag(u, counts)
+        return counts.box.around(u, -1, own_site=True) * (counts > 0)
     counts = _as_counts(u.space, counts)
     dropped = u.values(lattice.neighbour_rows(counts, -1))
     return np.diagonal(dropped, axis1=-2, axis2=-1) * (counts > 0)

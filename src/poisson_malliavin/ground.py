@@ -76,8 +76,12 @@ class GroundSpace:
     def site_mask(self, sites: Iterable[int]) -> np.ndarray:
         """0/1 integer vector with ones at the given 1-based sites, repeats
         collapsing: exact in integer count sums, and bit for bit a 0.0/1.0
-        factor on float values.  Anything but an integer in 1..n, bools and
-        strings included, raises ``InvalidSiteError``."""
+        factor on float values.  Anything but an iterable of integers in
+        1..n, bools and strings included, raises ``InvalidSiteError``."""
+        try:
+            sites = iter(sites)
+        except TypeError:
+            raise InvalidSiteError(f"site set {sites!r} is not iterable") from None
         mask = np.zeros(self.n, dtype=np.int64)
         for z in sites:
             if isinstance(z, bool) or not isinstance(z, numbers.Integral) or not 1 <= z <= self.n:

@@ -23,6 +23,7 @@ yield byte-identical report files.
 from __future__ import annotations
 
 import itertools
+import math
 import zlib
 from dataclasses import dataclass, fields
 from typing import Iterable
@@ -112,7 +113,8 @@ class VerificationReport:
     when both bounds hold with slack, and it passes iff ``defect <= gate``.
     ``wall_time`` is set by the suite runner around each check (0.0 on a
     direct call) and excluded from serialization; reports with equal inputs
-    must be byte-identical.
+    must be byte-identical.  ``to_dict`` writes a non-finite number, such as
+    the NaN values of a check that failed with an error, as None (JSON null).
     """
 
     case: str
@@ -131,20 +133,24 @@ class VerificationReport:
     def to_dict(self) -> dict:
         out = {
             "case": self.case,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "defect": self.defect,
-            "gate": self.gate,
+            "lhs": _finite(self.lhs),
+            "rhs": _finite(self.rhs),
+            "defect": _finite(self.defect),
+            "gate": _finite(self.gate),
             "gate_kind": self.gate_kind,
             "pass": self.passed,
             "seed": self.seed,
             "n": self.n,
         }
         if self.tail_bound is not None:
-            out["tail_bound"] = self.tail_bound
+            out["tail_bound"] = _finite(self.tail_bound)
         if self.error is not None:
             out["error"] = self.error
         return out
+
+
+def _finite(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def _gate_for(defect: Mean, gates: Gates) -> float:
@@ -410,9 +416,9 @@ def bracket_expectation_check(
     """Bracket expectation identities: E[u,v]_Gamma = E[u,v]_+ = E[u,v]_-.
 
     One sweep yields the plus and minus brackets, and the energy bracket is
-    their average; both comparisons against it are paired per configuration.
-    The report keeps the worse of the two (relative to its own gate), with
-    lhs = E[u,v]_+ and rhs = E[u,v]_-.
+    their average, so E[u,v]_Gamma - E[u,v]_- is exactly the negative of
+    E[u,v]_Gamma - E[u,v]_+.  The report checks the latter, paired per
+    configuration, with lhs = E[u,v]_+ and rhs = E[u,v]_-.
     """
     _check_binding(backend, u, v)
 
@@ -425,22 +431,17 @@ def bracket_expectation_check(
     plus_values, minus_values = backend.sweep(kernel, ("plus bracket", "minus bracket"))
     gamma_values = 0.5 * plus_values + 0.5 * minus_values
     plus, minus = backend.mean(plus_values).value, backend.mean(minus_values).value
-    d_plus, d_minus = (backend.mean(gamma_values - side) for side in (plus_values, minus_values))
-    gate_plus, gate_minus = _gate_for(d_plus, gates), _gate_for(d_minus, gates)
-    # keep the comparison with the larger gate excess
-    if abs(d_plus.value) - gate_plus >= abs(d_minus.value) - gate_minus:
-        defect, gate = d_plus.value, gate_plus
-    else:
-        defect, gate = d_minus.value, gate_minus
+    defect = backend.mean(gamma_values - plus_values)
+    gate = _gate_for(defect, gates)
     return _report(
         case,
         backend,
         lhs=plus,
         rhs=minus,
-        defect=defect,
+        defect=defect.value,
         gate=gate,
-        passed=abs(defect) <= gate,
-        n=d_plus.n,
+        passed=abs(defect.value) <= gate,
+        n=defect.n,
     )
 
 
@@ -605,15 +606,18 @@ def non_diffusion_counterexample(
     pointwise).  The pass convention is inverted: the check passes only when
     the defect clears ``counterexample_factor * exact`` (the report's
     gate_kind says "lower"), because a local chain rule holding everywhere
-    would mean the generator is a diffusion, which it is not.
+    would mean the generator is a diffusion, which it is not.  A ``budget``
+    that is not an integer >= 0 raises ``ConfigError``.
     """
     _require_exact(backend, "non_diffusion_counterexample")
     _check_binding(backend, *Fs, *Gs)
+    if not (_is_int(budget) and budget >= 0):
+        raise ConfigError(f"budget must be a non-negative integer, got {budget!r}")
     maps = [scalar_map(p) if isinstance(p, str) else p for p in phis]
     # the first ``budget`` combinations in (phi, F, G) order, one sweep per (F, G)
     groups: dict[tuple[int, int], list[ScalarMap]] = {}
     for phi, i, j in itertools.islice(
-        itertools.product(maps, range(len(Fs)), range(len(Gs))), max(budget, 0)
+        itertools.product(maps, range(len(Fs)), range(len(Gs))), budget
     ):
         groups.setdefault((i, j), []).append(phi)
     best_integrated = 0.0

@@ -5,21 +5,23 @@ champ representation are read off values already computed.
 
 The one sweep loop, ``functionals._sweep``, runs kernels on parts of rows
 and hands them each part's counts tagged with its memo (``_SliceRows``).
-Given tagged rows, ``Functional.batch``, ``RandomField.values`` and the
-shift helpers of ``functionals`` call the entry points below.  The exact
-engine's table is the whole box prod_z {0..cap_z} in lexicographic order,
-so eta +- delta_z of a configuration in it is a neighbouring lattice point,
-a mixed-radix stride away: ``sweep_parts`` cuts it into box slices of
-consecutive rows whose halo holds every neighbour once (``_BoxSlice``).
-Other rows, Monte Carlo's and tables too thin to slice, go in row stencils
-that build each row's neighbours (``stencil_parts``, ``_RowStencil``).
-Every value is the one a plain evaluation gives, bit for bit.  On fewer
-than 8 sites a box slice stores its (rows, n) counts, field values and
-shifts site-major, the row axis innermost in memory, so a sum over sites
-adds whole columns in the order numpy sums a C-ordered row; (rows, n, n)
-tensors stay C-ordered (``_site_major``, ``_BoxSlice._empty``).  The module
-needs nothing from ``functionals``: the sweep budget arrives as a row count,
-and each entry point is told how to evaluate the object it shifts.
+A memo stores and shifts values: an object's values at the rows of a part
+(``values``), at eta + step * delta_z for each row of the slice
+(``around``) and at eta + delta_z + delta_zp (``second_order``), from
+which ``functionals`` builds the differences.  The exact engine's table is
+the whole box prod_z {0..cap_z} in lexicographic order, so eta +- delta_z
+of a configuration in it is a neighbouring lattice point, a mixed-radix
+stride away: ``sweep_parts`` cuts it into box slices of consecutive rows
+whose halo holds every neighbour once (``_BoxSlice``).  Other rows, Monte
+Carlo's and tables too thin to slice, go in row stencils that build each
+row's neighbours (``stencil_parts``, ``_RowStencil``).  Every value is the
+one a plain evaluation gives, bit for bit.  On fewer than 8 sites a box
+slice stores its (rows, n) counts, field values and shifts site-major, the
+row axis innermost in memory, so a sum over sites adds whole columns in
+the order numpy sums a C-ordered row; (rows, n, n) tensors stay C-ordered
+(``_site_major``, ``_BoxSlice._empty``).  The module needs nothing from
+``functionals``: the sweep budget arrives as a row count, and an object is
+evaluated only through its ``fn`` (``_evaluate``).
 """
 from __future__ import annotations
 
@@ -233,16 +235,6 @@ class _BoxSlice:
         self._halo[obj] = halo
         return halo
 
-    def halo(self, obj, evaluate) -> np.ndarray:
-        """``obj``'s values on the halo.  Rows not known yet are evaluated
-        through ``evaluate`` (``batch`` or ``values``), like any other
-        evaluation; those calls come back to ``values``."""
-        halo = self._halo.get(obj)
-        if halo is None:
-            evaluate(self.tagged("fresh" if obj in self._carry else "halo"))
-            halo = self._halo[obj]
-        return halo
-
     def _copy(self, out: np.ndarray, values: np.ndarray, moves) -> None:
         """out[...] = halo ``values`` at eta + sum of step * delta_z over
         ``moves`` ((z, step) pairs) for every eta in the slice, ``out``
@@ -275,11 +267,11 @@ class _BoxSlice:
         out = np.empty(self._size + (n,) + trailing)
         return out.reshape((len(self.rows), n) + trailing), np.moveaxis(out, n, 0)
 
-    def around(self, obj, evaluate, step: int, own_site: bool = False) -> np.ndarray:
+    def around(self, obj, step: int, own_site: bool = False) -> np.ndarray:
         """out[r, z - 1] = ``obj`` at eta_r + step * delta_z, shape (rows, n)
         for a functional and (rows, n, n) for a field; with ``own_site`` only
         the field's site-z value, shape (rows, n)."""
-        values = self.halo(obj, evaluate)
+        values = self._grow(obj)
         n = len(self.shape)
         out, targets = self._empty(() if own_site else values.shape[1:])
         for z in range(n):
@@ -290,12 +282,13 @@ class _BoxSlice:
         """F(eta + delta_z + delta_zp) for every eta in the slice, shape
         (rows, n, n).  For z = zp the slice's top level at site z reaches
         one past the halo, to a face evaluated on its own."""
-        halo = self.halo(F, F.batch)
+        halo = self._grow(F)
         n = len(self.shape)
         faces = self._faces.get(F)
         if faces is None:
             faces = self._faces[F] = [
-                F.batch(
+                _evaluate(
+                    F,
                     _box_rows(
                         self._lo[:z] + (self._hi[z] + 1,) + self._lo[z + 1 :],
                         self._hi[:z] + (self._hi[z] + 2,) + self._hi[z + 1 :],
@@ -359,21 +352,15 @@ class _RowStencil:
             values = self._values[obj, part] = _evaluate(obj, self.tagged(part))
         return values
 
-    def around(self, obj, evaluate, step: int, own_site: bool = False) -> np.ndarray:
-        """``_BoxSlice.around`` from ``obj``'s values at the plus or minus
-        rows, asked through ``evaluate`` (``batch`` or ``values``)."""
-        values = evaluate(self.tagged("plus" if step == 1 else "minus"))
+    def around(self, obj, step: int, own_site: bool = False) -> np.ndarray:
+        """``_BoxSlice.around`` read off ``obj``'s values at the plus or minus rows."""
+        values = self.values(obj, "plus" if step == 1 else "minus")
         return np.diagonal(values, axis1=-2, axis2=-1) if own_site else values
 
     def second_order(self, F) -> np.ndarray:
         """F(eta + delta_z + delta_zp) for every eta in the slice, shape
         (rows, n, n)."""
-        return F.batch(self.tagged("second"))
-
-
-# ---------------------------------------------------------------------------
-# entry points: ``functionals`` calls these whenever it is given tagged rows
-# ---------------------------------------------------------------------------
+        return self.values(F, "second")
 
 
 def is_tagged(counts) -> bool:
@@ -386,48 +373,6 @@ def is_slice(counts) -> bool:
     """Whether ``counts`` are a memo's own rows, the ones a kernel
     receives: the rows whose shifts the memo can read off."""
     return is_tagged(counts) and counts.part == "slice"
-
-
-def values(obj, counts: _SliceRows) -> np.ndarray:
-    """A functional's or field's values at tagged rows, memoised on their
-    box slice or stencil."""
-    return counts.box.values(obj, counts.part)
-
-
-def field_values(u, counts: _SliceRows) -> np.ndarray:
-    """A field's values at tagged rows; a gradient field DF on the slice's
-    own rows reads F's shifts."""
-    if u.gradient_of is not None and counts.part == "slice":
-        return shifted(u.gradient_of, counts, 1) - values(u.gradient_of, counts)[:, None]
-    return values(u, counts)
-
-
-def shifted(F, counts: _SliceRows, step: int) -> np.ndarray:
-    """``functionals.shifted_all`` on a memo's own rows."""
-    return counts.box.around(F, F.batch, step)
-
-
-def field_add_tensor(u, counts: _SliceRows) -> np.ndarray:
-    """``functionals.field_add_tensor`` on a memo's own rows: u at
-    eta + delta_z, or for a gradient field u = DF, F(eta + delta_z +
-    delta_zp) - F(eta + delta_z) from F's memoised shifts."""
-    box = counts.box
-    if u.gradient_of is None:
-        return box.around(u, u.values, 1)
-    F = u.gradient_of
-    return box.second_order(F) - box.around(F, F.batch, 1)[..., None]
-
-
-def field_added_diag(u, counts: _SliceRows) -> np.ndarray:
-    """``functionals.field_added_diag`` of a non-gradient field on a memo's
-    own rows."""
-    return counts.box.around(u, u.values, 1, own_site=True)
-
-
-def field_dropped_diag(u, counts: _SliceRows) -> np.ndarray:
-    """``functionals.field_dropped_diag`` of a non-gradient field on a
-    memo's own rows."""
-    return counts.box.around(u, u.values, -1, own_site=True) * (counts > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -375,7 +375,8 @@ def run_suite(cfg: SuiteConfig, backend: str = "both") -> list[VerificationRepor
 # ---------------------------------------------------------------------------
 
 def reports_to_json(reports: list[VerificationReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
+    """The reports as strict JSON: non-finite numbers are written as null."""
+    return json.dumps([r.to_dict() for r in reports], indent=2, allow_nan=False) + "\n"
 
 
 def write_report(reports: list[VerificationReport], path: str) -> None:

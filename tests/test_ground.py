@@ -90,6 +90,16 @@ class TestSiteNumbers:
         with pytest.raises(InvalidSiteError):
             commutation_check(site_indicator_field(space, [1]), bad)
 
+    @pytest.mark.parametrize("bad", [2, np.int64(2), np.array(2)])
+    def test_site_set_that_is_not_iterable_is_refused(self, space, bad):
+        message = re.escape(f"site set {bad!r} is not iterable")
+        with pytest.raises(InvalidSiteError, match=message):
+            space.site_mask(bad)
+        with pytest.raises(InvalidSiteError, match=message):
+            linear_count(space, bad)
+        with pytest.raises(InvalidSiteError, match=message):
+            commutation_check(site_indicator_field(space, [1]), bad)
+
     def test_repeated_sites_collapse(self, space):
         assert space.site_mask((3, 1, 3)).tolist() == [1, 0, 1]
         assert space.site_mask(np.array([2])).tolist() == [0, 1, 0]

@@ -275,6 +275,16 @@ class TestBracketExpectation:
         r = bracket_expectation_check(u, v, mc)
         assert r.passed
 
+    def test_defect_is_gamma_minus_plus(self, space, exact):
+        """The defect is E[u,v]_Gamma - E[u,v]_+, about half of rhs - lhs,
+        even where the opposite comparison, gamma - minus, has the larger
+        gate excess by rounding (as it has on this binding)."""
+        u = functional_times_indicator(space, [1, 2], bounded_sigmoid(space, [1, 2], 1.0))
+        v = count_times_deterministic(space, [1, 2, 3], [1.0, 1.0, 1.0])
+        r = bracket_expectation_check(u, v, exact)
+        assert r.passed and r.rhs < r.lhs and r.defect < 0
+        assert r.defect == pytest.approx(0.5 * (r.rhs - r.lhs), abs=1e-15)
+
 
 class TestNonDiffusion:
     def test_search_exhibits_counterexample(self, space, exact):
@@ -308,6 +318,13 @@ class TestNonDiffusion:
         Fs = [linear_count(space, [1]), linear_count(space, [2])]
         r = non_diffusion_counterexample(exact, ["identity"], Fs, Fs, budget=0)
         assert not r.passed  # nothing evaluated, nothing exhibited
+
+    @pytest.mark.parametrize("budget", [2.5, "3", -1, None, True])
+    def test_bad_budget_is_config_error(self, space, exact, budget):
+        Fs = [linear_count(space, [1])]
+        message = re.escape(f"budget must be a non-negative integer, got {budget!r}")
+        with pytest.raises(ConfigError, match=message):
+            non_diffusion_counterexample(exact, ["identity"], Fs, Fs, budget=budget)
 
     def test_search_needs_exact_backend(self, space, mc):
         F = [linear_count(space, [1])]

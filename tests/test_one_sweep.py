@@ -127,15 +127,11 @@ def _old_bracket_expectation(u, v, backend):
         _, other, d = backend.paired(kernel)
         return other, d, _gate_for(d)
 
-    plus, d_plus, gate_plus = against(BracketKind.PLUS)
-    minus, d_minus, gate_minus = against(BracketKind.MINUS)
-    if abs(d_plus.value) - gate_plus >= abs(d_minus.value) - gate_minus:
-        defect, gate = d_plus.value, gate_plus
-    else:
-        defect, gate = d_minus.value, gate_minus
+    plus, d_plus, gate = against(BracketKind.PLUS)
+    minus, *_ = against(BracketKind.MINUS)
     return _report(
-        backend, "bracket_expectation", plus, minus, defect, gate, abs(defect) <= gate,
-        d_plus.n,
+        backend, "bracket_expectation", plus, minus, d_plus.value, gate,
+        abs(d_plus.value) <= gate, d_plus.n,
     )
 
 

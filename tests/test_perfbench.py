@@ -9,6 +9,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -141,3 +143,53 @@ def test_traced_mc_wide_fires_every_span(tmp_path):
     assert out["layers"]["montecarlo.sample_counts.rows"] == 2000
     assert out["ops"] == 7
     assert out["failed"] == 0
+
+
+def _verify_config() -> dict:
+    """The packaged config's first case of every identity, with a smaller
+    counterexample grid, on its 3-site canonical space only, at truncation
+    tol 1e-6 and 2,000 Monte Carlo samples."""
+    values = {"name": "deterministic", "values": [1.0, -0.5, 2.0]}
+    ones = {"name": "deterministic", "values": [1.0, 1.0, 1.0]}
+    sigmoid = {"name": "bounded_sigmoid", "B": [1, 2], "scale": 1.0}
+    Fs = [{"name": "linear_count", "B": [1]}, {"name": "linear_count", "B": [1, 2]}]
+    cases = [
+        {"identity": "mecke", "u": ones},
+        {"identity": "duality", "F": Fs[1], "u": values},
+        {"identity": "skorokhod", "u": ones},
+        {"identity": "commutation", "u": values},
+        {
+            "identity": "product_formula",
+            "F": {"name": "constant", "value": 2.5},
+            "u": {"name": "count_times_deterministic", "B": [1, 2, 3], "values": [1.0, 1.0, 1.0]},
+        },
+        {
+            "identity": "energy_derivation",
+            "F": sigmoid,
+            "G": {"name": "indicator_leq", "B": [1, 2, 3], "m": 2},
+            "u": ones,
+        },
+        {"identity": "gamma_representation", "F": sigmoid, "Phi": {"name": "constant", "value": 1.0}},
+        {"identity": "gamma_form_bound", "F": sigmoid, "Phi": {"name": "constant", "value": 1.0}},
+        {"identity": "bracket_expectation", "u": ones, "v": values},
+        {"identity": "non_diffusion", "phis": ["square", "tanh"], "Fs": Fs, "Gs": Fs},
+        {"identity": "non_diffusion_control", "F": Fs[0], "G": Fs[0]},
+    ]
+    return {
+        "space": {"weights": [0.5, 1.0, 1.5]},
+        "truncation": {"tol": 1e-6},
+        "mc": {"seed": 5, "samples": 2000, "workers": 1},
+        "cases": cases,
+    }
+
+
+@pytest.mark.parametrize("workload, rows", [("verify_exact", 11), ("verify_mc", 9)])
+def test_traced_verify_fires_every_span(tmp_path, workload, rows):
+    """The verify workloads' spans, exact-only checks and the pointwise
+    sampler included, fire on one case per identity."""
+    out, fired = _traced_child(tmp_path, workload, _verify_config())
+    declared = _declared(workload)
+    assert [s for s in declared if s not in fired] == []
+    assert all(out["layers"][f"{s}.calls"] > 0 for s in declared)
+    assert out["ops"] == rows
+    assert out["failed"] == 0, out["failed_ops"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,8 +30,8 @@ CASE_IDS_SHA256 = {
 # sha256 of the packaged config's report file per backend; pins every report
 # byte: values, gates, error terms and the order in which gates are summed
 REPORT_SHA256 = {
-    "exact": "923173e17addafb324cfc3f23d87dc020487eee205a92068188caba52d0f8fbf",
-    "mc": "04f8c653b463b52465c3efa5a221c254a1ca5b7ad534ca3226d7f3ddbe1c46bc",
+    "exact": "e56645358297a0aa71558287ac823ce3a0a71af7448d6b40df3bcca86a7ffb21",
+    "mc": "31957fe9d8406c9f4ee3a3c31a10fb02fcc0a7f83ae99e31cccb5d4699653f74",
 }
 UNIT_FIELD = {"name": "deterministic", "values": [1.0, 1.0, 1.0]}
 REQUIRED = [(name, key) for name, ident in _IDENTITIES.items() for key in ident.required]
@@ -38,6 +39,15 @@ REQUIRED = [(name, key) for name, ident in _IDENTITIES.items() for key in ident.
 
 def _config(*cases) -> dict:
     return {"space": {"weights": [0.5, 1.0, 1.5]}, "cases": list(cases)}
+
+
+def _strict_json(text: str):
+    """``text`` parsed as strict JSON: NaN and Infinity are refused."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.mark.parametrize("backend, cases", [("exact", 104), ("mc", 100)])
@@ -281,6 +291,18 @@ def test_bad_spec_param_is_failed_report(name, case, message):
     assert report.error == f"ConfigError: {message}"
 
 
+def test_failed_report_is_strict_json():
+    """A check that failed with an error has no values; its report writes
+    them as null instead of the bare tokens NaN and Infinity."""
+    case = {"identity": "mecke", "u": {"name": "site_indicator", "B": [3]}}
+    cfg = parse_config({"space": {"weights": [1.0, 1.0]}, "cases": [case]})
+    (report,) = run_suite(cfg, "exact")
+    assert report.error.startswith("InvalidSiteError")
+    (row,) = _strict_json(reports_to_json([report]))
+    assert (row["lhs"], row["rhs"], row["defect"]) == (None, None, None)
+    assert row["gate"] == 0.0 and row["pass"] is False
+
+
 _JSON = st.recursive(
     st.none()
     | st.booleans()
@@ -372,3 +394,4 @@ def test_json_case_reports_or_config_error(case):
         return
     reports = run_suite(cfg, "exact")
     assert all(isinstance(r, VerificationReport) for r in reports)
+    assert len(_strict_json(reports_to_json(reports))) == len(reports)
