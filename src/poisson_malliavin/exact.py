@@ -48,11 +48,10 @@ from .errors import (
     SolverError,
     TruncationError,
 )
-from .functionals import Functional, _check_per_row, _sweep, _sweep_step
-from .ground import GroundSpace
+from .functionals import Functional, _check_binding, _check_per_row, _sweep, _sweep_step
+from .ground import GroundSpace, _is_int, _is_real
 from .lattice import _box_rows, _box_strides, sweep_parts
 from .operators import Mean
-from .registry import _is_int, _is_real
 
 __all__ = [
     "TruncationPlan",
@@ -338,7 +337,9 @@ def _table_mean(values: np.ndarray, table: StateTable, bound: float | None = Non
 def exact_expectation(F: Functional, table: StateTable, values: np.ndarray | None = None) -> Mean:
     """E[F] = sum_s probs(s) F(s) from F's per-state ``values`` of a sweep
     already made, or swept here once per box slice (``_sweep_table``); the
-    error bound uses F's certified bound when it carries one."""
+    error bound uses F's certified bound when it carries one.  An F bound
+    to another ground space than the table's raises ``ShapeError``."""
+    _check_binding(table, F)
     if values is None:
         (values,) = _sweep_table(lambda counts: (F.batch(counts),), table, (F.name,))
     return _table_mean(values, table, F.bound)
@@ -509,12 +510,14 @@ def ou_pseudo_inverse(
     misses the contract is redone once as one grounded block of the box.
 
     Refuses a ``tol`` that is not a finite number > 0 or a ``max_leak`` that
-    is not a finite number >= 0 (``ConfigError``) and a ``generator`` whose
-    matrix is not (S, S) for ``table`` (``ShapeError``), refuses to solve
+    is not a finite number >= 0 (``ConfigError``), an F bound to another
+    ground space and a ``generator`` whose matrix is not (S, S) for
+    ``table`` (``ShapeError``), refuses to solve
     when the boundary leak exceeds ``max_leak``, and reports the achieved
     residual if the interior contract ``|L g - (F - E_box F)| <= tol`` is
     missed.
     """
+    _check_binding(table, F)
     if not (_is_real(tol) and tol > 0.0):
         raise ConfigError(f"solve tol must be a finite number > 0, got {tol!r}")
     if not (_is_real(max_leak) and max_leak >= 0.0):

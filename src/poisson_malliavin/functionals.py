@@ -11,12 +11,13 @@ identity suite only needs evaluation.
 Everything evaluates on batches.  A counts array of shape (..., n) maps to
 values of shape (...) for functionals and (..., n) for fields (one value per
 site), so the exact oracle sweeps its truncated state table and the Monte Carlo
-engine its distinct sample rows in a few numpy calls.  Both go through one
-loop, ``_sweep``, over parts of at most ``_sweep_step(n)`` rows, which also
-holds both engines' non-finite check.  Every part's counts rows are tagged
-with a memo (``lattice``): a box slice of the exact oracle's table where
-that evaluates less (``lattice.sweep_parts``), else a row stencil, which
-evaluates each object once per part, at eta and eta +- delta_z.
+engine its distinct sample rows in a few numpy calls.  Both, and the
+pathwise checks, go through one loop, ``_sweep``, over parts of at most
+``_sweep_step(n)`` rows, which also holds the one non-finite check.  Every
+part's counts rows are tagged with a memo (``lattice``): a box slice of the
+exact oracle's table where that evaluates less (``lattice.sweep_parts``),
+else a row stencil, which evaluates each object once per part, at eta and
+eta +- delta_z.
 ``Functional.batch``, ``RandomField.values`` and the shift helpers read
 its values and shifts and build every difference here, a gradient
 field's included.  Evaluations are pure, hence safe for concurrent use.
@@ -190,7 +191,7 @@ def _sweep_step(n: int) -> int:
 
 
 def _sweep(kernel, m: int, parts, names: tuple[str, ...], locate) -> tuple[np.ndarray, ...]:
-    """The one sweep loop of both engines.  Run ``kernel(counts) -> tuple of
+    """The one sweep loop of every check.  Run ``kernel(counts) -> tuple of
     per-row values`` on each ``(start, stop, counts)`` of ``parts``, writing
     each output into a preallocated (m,) float64 array at [start, stop).
 
@@ -230,6 +231,15 @@ def _check_per_row(values, m: int) -> None:
         raise ShapeError(
             f"values must hold one value per row, shape ({m},), got shape {np.shape(values)}"
         )
+
+
+def _check_binding(engine, *objs) -> None:
+    """A ``ShapeError`` unless ``objs`` are bound to ``engine.space``."""
+    for obj in objs:
+        if obj.space != engine.space:
+            raise ShapeError(
+                f"{obj.name!r} is bound to a different ground space than the backend"
+            )
 
 
 def field_add_tensor(u: RandomField, counts: np.ndarray) -> np.ndarray:

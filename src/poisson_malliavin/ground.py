@@ -17,6 +17,7 @@ be shared across concurrent workers without synchronisation.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -28,27 +29,47 @@ from .errors import ConfigError, InvalidSiteError
 __all__ = ["GroundSpace"]
 
 
+def _is_real(value) -> bool:
+    """A number within the double range; bools, inf and nan are not.  A
+    non-integral value is compared as a Python float: compared as itself, a
+    numpy float narrower than a double casts the bound to its own type and
+    overflows."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    if isinstance(value, numbers.Integral):
+        return abs(value) <= sys.float_info.max
+    try:
+        return abs(float(value)) <= sys.float_info.max
+    except OverflowError:  # a Fraction past the double range
+        return False
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and _is_real(value)
+
+
 @dataclass(frozen=True)
 class GroundSpace:
     """Finite site set with strictly positive intensity weights.
 
     ``weights[i]`` is the intensity mass of site ``i + 1``; the induced
     measure of a site set is the sum of its members' weights.  Weights that
-    are missing, not real, non-positive or non-finite raise ``ConfigError``.
+    are missing, not real numbers (``_is_real``: strings, bools, inf and nan
+    are not) or not positive raise ``ConfigError``.
     """
 
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        try:
-            ws = tuple(float(w) for w in self.weights)
-        except (TypeError, ValueError):
-            raise ConfigError(f"weights must be real numbers, got {self.weights!r}") from None
+        ws = tuple(self.weights) if np.iterable(self.weights) else None
+        if ws is None or not all(map(_is_real, ws)):
+            raise ConfigError(f"weights must be real numbers, got {self.weights!r}")
         if not ws:
             raise ConfigError("a ground space needs at least one site")
+        ws = tuple(map(float, ws))
         object.__setattr__(self, "weights", ws)
         for i, w in enumerate(ws):
-            if not np.isfinite(w) or w <= 0.0:
+            if w <= 0.0:
                 raise ConfigError(
                     f"weights[{i}] must be a strictly positive finite real, got {w!r}"
                 )

@@ -16,6 +16,11 @@ gate, so tolerances always apply to one number:
   exhibit a defect strictly above its gate, confirming that the Dirichlet
   form is non-local (its generator is not a diffusion).
 
+Every check, pathwise ones included (``_pathwise_report``), runs its rows
+through the one sweep loop, ``functionals._sweep``, so a non-finite value
+raises ``NonFiniteValueError`` in each; carre du champ values come from
+``operators`` only.
+
 Reports serialize deterministically; the suite runner measures each check's
 wall time and keeps it on the in-memory report only, so equal configurations
 yield byte-identical report files.
@@ -34,15 +39,17 @@ from .errors import ConfigError, ShapeError
 from .functionals import (
     Functional,
     RandomField,
+    _check_binding,
+    _sweep,
+    _sweep_step,
     add_diff_all,
     derivative_field,
-    drop_diff_all,
     field_add_tensor,
     field_added_diag,
     product_field,
-    shifted_all,
 )
-from .ground import GroundSpace
+from .ground import GroundSpace, _is_int, _is_real
+from .lattice import stencil_parts
 from .montecarlo import sample_counts
 from .operators import (
     BracketKind,
@@ -52,7 +59,7 @@ from .operators import (
     divergence_batch,
     gamma_batch,
 )
-from .registry import ScalarMap, _is_int, _is_real, product_of, scalar_map
+from .registry import ScalarMap, compose, product_of, scalar_map
 
 __all__ = [
     "Gates",
@@ -202,20 +209,28 @@ def _pointwise_counts(space: GroundSpace, seed: int, case: str, points: int) -> 
     return sample_counts(space, np.random.default_rng(ss), points)
 
 
+def _pathwise_report(
+    case: str, kernel, space: GroundSpace, seed: int, points: int, gates: Gates, n: int
+) -> VerificationReport:
+    """A pathwise check's report: ``kernel(counts) -> (|lhs - rhs|, |lhs|,
+    |rhs|)`` per configuration, swept in row stencils of the seeded points
+    (``_sweep``, whose non-finite check it shares), each output reduced by
+    its max.  ``n`` is the number of comparisons made."""
+    counts = _pointwise_counts(space, seed, case, points)
+    parts = stencil_parts(len(counts), _sweep_step(space.n), lambda a, b: counts[a:b])
+    names = tuple(f"{case} {what}" for what in ("defect", "lhs", "rhs"))
+    outs = _sweep(kernel, len(counts), parts, names, lambda finite: counts[np.argmin(finite)])
+    defect, lhs, rhs = (float(out.max()) for out in outs)
+    passed = defect <= gates.pointwise
+    return _report(case, None, lhs, rhs, defect, gates.pointwise, passed, n, seed=seed)
+
+
 def _require_exact(backend, check: str) -> None:
     if getattr(backend, "table", None) is None:
         raise ConfigError(
             f"{check} enumerates the state table, so it needs an ExactBackend,"
             f" not a {type(backend).__name__}"
         )
-
-
-def _check_binding(backend, *objs) -> None:
-    for obj in objs:
-        if obj.space != backend.space:
-            raise ShapeError(
-                f"{obj.name!r} is bound to a different ground space than the backend"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -415,34 +430,18 @@ def bracket_expectation_check(
 ) -> VerificationReport:
     """Bracket expectation identities: E[u,v]_Gamma = E[u,v]_+ = E[u,v]_-.
 
-    One sweep yields the plus and minus brackets, and the energy bracket is
-    their average, so E[u,v]_Gamma - E[u,v]_- is exactly the negative of
-    E[u,v]_Gamma - E[u,v]_+.  The report checks the latter, paired per
-    configuration, with lhs = E[u,v]_+ and rhs = E[u,v]_-.
+    The energy bracket is the average of the plus and minus brackets, so
+    E[u,v]_Gamma - E[u,v]_- is the negative of E[u,v]_Gamma - E[u,v]_+ (up
+    to rounding).  The report checks the latter, paired per configuration,
+    with lhs = E[u,v]_Gamma and rhs = E[u,v]_+.
     """
     _check_binding(backend, u, v)
 
     def kernel(counts: np.ndarray):
-        return (
-            bracket_batch(u, v, BracketKind.PLUS, counts),
-            bracket_batch(u, v, BracketKind.MINUS, counts),
-        )
+        plus = bracket_batch(u, v, BracketKind.PLUS, counts)
+        return 0.5 * plus + 0.5 * bracket_batch(u, v, BracketKind.MINUS, counts), plus
 
-    plus_values, minus_values = backend.sweep(kernel, ("plus bracket", "minus bracket"))
-    gamma_values = 0.5 * plus_values + 0.5 * minus_values
-    plus, minus = backend.mean(plus_values).value, backend.mean(minus_values).value
-    defect = backend.mean(gamma_values - plus_values)
-    gate = _gate_for(defect, gates)
-    return _report(
-        case,
-        backend,
-        lhs=plus,
-        rhs=minus,
-        defect=defect.value,
-        gate=gate,
-        passed=abs(defect.value) <= gate,
-        n=defect.n,
-    )
+    return _paired_report(case, kernel, backend, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +472,7 @@ def commutation_check(
     D+_z (delta u)(eta) = u(eta, z) + delta(D+_z u(., .))(eta)
 
     checked at every sampled configuration and every requested site, all
-    sites by default.  ``sites`` is any iterable of 1-based site numbers,
+    sites by default; a non-finite value raises ``NonFiniteValueError``.  ``sites`` is any iterable of 1-based site numbers,
     repeats counted once (``GroundSpace.site_mask``); an empty one is a
     ``ConfigError``, not a vacuous pass.
     """
@@ -481,30 +480,16 @@ def commutation_check(
     zis = range(space.n) if sites is None else np.flatnonzero(space.site_mask(sites)).tolist()
     if not zis:
         raise ConfigError(f"{case}: needs at least one site, got an empty site set")
-    counts = _pointwise_counts(space, seed, case, points)
-    base_div = divergence_batch(u, counts)
-    vals = u.values(counts)
-    worst = 0.0
-    lhs_mag = 0.0
-    rhs_mag = 0.0
     eye = np.eye(space.n, dtype=np.int64)
-    for zi in zis:
-        lhs = divergence_batch(u, counts + eye[zi]) - base_div
-        rhs = vals[:, zi] + divergence_batch(_shifted_diff_field(u, zi), counts)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-        lhs_mag = max(lhs_mag, float(np.abs(lhs).max()))
-        rhs_mag = max(rhs_mag, float(np.abs(rhs).max()))
-    return _report(
-        case,
-        None,
-        lhs=lhs_mag,
-        rhs=rhs_mag,
-        defect=worst,
-        gate=gates.pointwise,
-        passed=worst <= gates.pointwise,
-        n=points * len(zis),
-        seed=seed,
-    )
+    shifted_diffs = [(zi, _shifted_diff_field(u, zi)) for zi in zis]
+
+    def kernel(counts: np.ndarray):
+        base, vals = divergence_batch(u, counts), u.values(counts)
+        lhs = np.stack([divergence_batch(u, counts + eye[zi]) - base for zi in zis])
+        rhs = np.stack([vals[:, zi] + divergence_batch(du, counts) for zi, du in shifted_diffs])
+        return np.abs(lhs - rhs).max(axis=0), np.abs(lhs).max(axis=0), np.abs(rhs).max(axis=0)
+
+    return _pathwise_report(case, kernel, space, seed, points, gates, points * len(zis))
 
 
 def product_formula_check(
@@ -520,27 +505,21 @@ def product_formula_check(
 
     delta(F u) = F delta u - [DF, u]_-
 
-    checked at every sampled configuration.
+    checked at every sampled configuration; a non-finite value raises
+    ``NonFiniteValueError``.
     """
     if F.space != u.space:
         raise ShapeError("F and u live on different ground spaces")
-    counts = _pointwise_counts(F.space, seed, case, points)
-    lhs = divergence_batch(product_field(F, u), counts)
-    rhs = F.batch(counts) * divergence_batch(u, counts) - bracket_batch(
-        derivative_field(F), u, BracketKind.MINUS, counts
-    )
-    worst = float(np.abs(lhs - rhs).max())
-    return _report(
-        case,
-        None,
-        lhs=float(np.abs(lhs).max()),
-        rhs=float(np.abs(rhs).max()),
-        defect=worst,
-        gate=gates.pointwise,
-        passed=worst <= gates.pointwise,
-        n=points,
-        seed=seed,
-    )
+    Fu, dF = product_field(F, u), derivative_field(F)
+
+    def kernel(counts: np.ndarray):
+        lhs = divergence_batch(Fu, counts)
+        rhs = F.batch(counts) * divergence_batch(u, counts) - bracket_batch(
+            dF, u, BracketKind.MINUS, counts
+        )
+        return np.abs(lhs - rhs), np.abs(lhs), np.abs(rhs)
+
+    return _pathwise_report(case, kernel, F.space, seed, points, gates, points)
 
 
 # ---------------------------------------------------------------------------
@@ -560,34 +539,29 @@ def _chain_rule_defects(phis: list[ScalarMap], F: Functional, G: Functional, bac
     over the enumerated states.  The integrated identity is a theorem for
     affine and quadratic phi (it is the derivation lemma), so only the
     pointwise defect can witness non-diffusion there; genuinely nonlinear
-    phi (cube, tanh) break both.  Per slice of states, F at eta +- delta_z,
-    G's differences and Gamma(F, G) serve all phis; phi(F) is phi of F's.
+    phi (cube, tanh) break both.  The energy integrand of phi(F) against G
+    is the plus bracket of their gradients; both defects are sweep outputs.
     """
-    w = F.space.weights_array
-    worst: list[list[float]] = [[] for _ in phis]
+    dG = derivative_field(G)
+    dphiFs = [derivative_field(compose(phi, F)) for phi in phis]
 
     def kernel(counts: np.ndarray):
-        here, up, down = F.batch(counts), shifted_all(F, counts, 1), shifted_all(F, counts, -1)
-        dG_add, dG_drop = add_diff_all(G, counts), drop_diff_all(G, counts)
-
-        def halves(at, plus, minus):  # of [DH, DG]_Gamma, from H at eta and eta +- delta_z
-            # the drop is clipped at 0, so at - minus is D-H with its indicator
-            add = (w * (plus - at[..., None]) * dG_add).sum(axis=-1)
-            return add, (counts * (at[..., None] - minus) * dG_drop).sum(axis=-1)
-
-        add, drop = halves(here, up, down)
-        gamma_FG = 0.5 * add + 0.5 * drop
-        defects = []
-        for phi, worst_phi in zip(phis, worst):
+        here, gamma_FG = F.batch(counts), gamma_batch(F, G, counts)
+        outs: list[np.ndarray] = []
+        for phi, dphiF in zip(phis, dphiFs):
             rhs = phi.deriv(here) * gamma_FG  # the paired rhs and the pointwise comparand
-            energy, drop = halves(phi.fn(here), phi.fn(up), phi.fn(down))
-            worst_phi.append(np.abs(0.5 * energy + 0.5 * drop - rhs).max())
-            defects.append(energy - rhs)  # the energy integrand is the add half
-        return tuple(defects)
+            energy = bracket_batch(dphiF, dG, BracketKind.PLUS, counts)
+            drop = bracket_batch(dphiF, dG, BracketKind.MINUS, counts)
+            outs += [energy - rhs, np.abs(0.5 * energy + 0.5 * drop - rhs)]
+        return tuple(outs)
 
-    names = tuple(f"chain rule defect of {phi.name}({F.name}) against {G.name}" for phi in phis)
-    defects = backend.sweep(kernel, names)
-    return [(backend.mean(d), float(np.max(w_phi))) for d, w_phi in zip(defects, worst)]
+    names = tuple(
+        f"{kind} chain rule defect of {phi.name}({F.name}) against {G.name}"
+        for phi in phis
+        for kind in ("integrated", "pointwise")
+    )
+    outs = backend.sweep(kernel, names)
+    return [(backend.mean(d), float(p.max())) for d, p in zip(outs[::2], outs[1::2])]
 
 
 def non_diffusion_counterexample(

@@ -36,11 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .functionals import Functional, _check_per_row, _sweep, _sweep_step
-from .ground import GroundSpace
+from .functionals import Functional, _check_binding, _check_per_row, _sweep, _sweep_step
+from .ground import GroundSpace, _is_int
 from .lattice import stencil_parts
 from .operators import Mean
-from .registry import _is_int
 
 __all__ = [
     "SamplerConfig",
@@ -173,6 +172,7 @@ class MonteCarloBackend:
         return Mean(float(value), n, std_error=float(np.sqrt(var) / np.sqrt(n)))
 
     def expectation(self, F: Functional, values: np.ndarray | None = None) -> Mean:
+        _check_binding(self, F)
         if values is None:
             (values,) = self.sweep(lambda c: (F.batch(c),), (F.name,))
         return self.mean(values)

@@ -15,8 +15,6 @@ exact oracle's rigorous truncation error bounds and the boundedness checks.
 """
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -24,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .functionals import Functional, RandomField, derivative_field
-from .ground import GroundSpace
+from .ground import GroundSpace, _is_int, _is_real
 
 __all__ = [
     "constant",
@@ -345,25 +343,6 @@ _FIELDS: dict[str, tuple[tuple[str, ...], Callable]] = {
 }
 # parameter keys a spec may omit, with the value used then
 _DEFAULTS = {"constant": 0.0}
-
-
-def _is_real(value) -> bool:
-    """A number within the double range; bools, inf and nan are not.  A
-    non-integral value is compared as a Python float: compared as itself, a
-    numpy float narrower than a double casts the bound to its own type and
-    overflows."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
-    if isinstance(value, numbers.Integral):
-        return abs(value) <= sys.float_info.max
-    try:
-        return abs(float(value)) <= sys.float_info.max
-    except OverflowError:  # a Fraction past the double range
-        return False
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and _is_real(value)
 
 
 def _is_list(value) -> bool:

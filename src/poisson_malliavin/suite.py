@@ -25,10 +25,10 @@ import numpy as np
 from . import identities
 from .errors import ConfigError, PoissonMalliavinError
 from .exact import DEFAULT_BUDGET, ExactBackend
-from .ground import GroundSpace
+from .ground import GroundSpace, _is_int, _is_real
 from .identities import Gates, VerificationReport
 from .montecarlo import MonteCarloBackend, SamplerConfig
-from .registry import _describe, _is_int, _is_real, field_from_spec, functional_from_spec
+from .registry import _describe, field_from_spec, functional_from_spec
 
 __all__ = [
     "SuiteConfig",

@@ -541,6 +541,18 @@ class TestGeneratorMatrix:
         assert gen.boundary_leak == pytest.approx(expected, rel=1e-12)
 
 
+def test_engine_refuses_functional_of_another_space(exact):
+    """Same number of sites, other weights: refused as the checks refuse it."""
+    F = linear_count(GroundSpace((0.5, 1.0, 1.6)), [1, 2])
+    for call in (
+        lambda: exact_expectation(F, exact.table),
+        lambda: exact.expectation(F),
+        lambda: ou_pseudo_inverse(F, exact.table),
+    ):
+        with pytest.raises(ShapeError, match="is bound to a different ground space than the backend"):
+            call()
+
+
 class TestOuPseudoInverse:
     def test_first_chaos_inverse_is_minus_identity(self, space, exact):
         B = [1, 2]

@@ -30,7 +30,7 @@ from poisson_malliavin import (
     poly_count,
     site_indicator_field,
 )
-from poisson_malliavin.registry import _is_real
+from poisson_malliavin.ground import _is_real
 from poisson_malliavin.functionals import add_diff_all, drop_diff_all, shifted_all
 
 
@@ -47,6 +47,22 @@ class TestGroundSpace:
     def test_rejects_non_real_weight(self):
         with pytest.raises(ConfigError, match=r"weights must be real numbers, got \(None,\)"):
             GroundSpace((None,))
+
+    @pytest.mark.parametrize("bad", ["2", "0.5", True, False])
+    def test_rejects_string_and_bool_weights(self, bad):
+        """Refused as the registry refuses them, not coerced by float()."""
+        with pytest.raises(ConfigError, match="weights must be real numbers"):
+            GroundSpace((0.5, bad))
+
+    def test_config_rejects_string_and_bool_weights(self):
+        message = "space.weights: weights must be real numbers, got ('0.5', True, 1.5)"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            poisson_malliavin.parse_config({"space": {"weights": ["0.5", True, 1.5]}})
+
+    def test_accepts_numpy_numbers(self):
+        space = GroundSpace((np.float32(0.5), np.int64(2), np.float64(1.5)))
+        assert space.weights == (0.5, 2.0, 1.5)
+        assert all(type(w) is float for w in space.weights)
 
     def test_total_mass(self, space):
         assert space.total_mass == pytest.approx(3.0)

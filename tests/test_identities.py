@@ -10,6 +10,7 @@ from poisson_malliavin import (
     ConfigError,
     GroundSpace,
     MonteCarloBackend,
+    NonFiniteValueError,
     SamplerConfig,
     ShapeError,
     bounded_sigmoid,
@@ -34,6 +35,7 @@ from poisson_malliavin import (
     skorokhod_check,
 )
 from poisson_malliavin import identities
+from poisson_malliavin.functionals import RandomField
 from conftest import same_bits
 
 MC_CFG = SamplerConfig(seed=20260810, samples=50_000, workers=1)
@@ -187,6 +189,29 @@ class TestProductFormula:
             assert r.passed and r.defect <= 1e-12
 
 
+class TestPathwiseNonFinite:
+    """A non-finite value in a pathwise check raises like any sweep's; the
+    commutation check used to drop it in a Python max and pass."""
+
+    @pytest.fixture()
+    def nan_field(self, space):
+        return RandomField(space, lambda c: np.where(c >= 2, np.nan, c * 1.0), "nan")
+
+    def test_commutation_raises(self, nan_field):
+        with pytest.raises(NonFiniteValueError, match=r"^commutation defect produced"):
+            commutation_check(nan_field, seed=3, points=50)
+
+    def test_product_formula_raises(self, space, nan_field):
+        with pytest.raises(NonFiniteValueError, match=r"^product_formula defect produced"):
+            product_formula_check(linear_count(space, [1]), nan_field, seed=3, points=50)
+
+    def test_error_names_a_configuration_holding_the_value(self, space, nan_field):
+        with pytest.raises(NonFiniteValueError) as info:
+            product_formula_check(constant(space, 1.0), nan_field, seed=3, points=50)
+        counts = json.loads(info.value.args[0].split("counts=")[1])
+        assert max(counts) >= 2  # the field is finite below two points per site
+
+
 class TestEnergyDerivation:
     def test_unit_functional_reduces(self, space, exact):
         sig = bounded_sigmoid(space, [1, 2], 1.0)
@@ -260,8 +285,8 @@ class TestBracketExpectation:
         u = deterministic_field(space, [1.0, 1.0, 1.0])
         r = bracket_expectation_check(u, u, exact)
         assert r.passed
-        assert r.lhs == pytest.approx(3.0, abs=1e-8)  # E[u,u]_+
-        assert r.rhs == pytest.approx(3.0, abs=1e-8)  # E[u,u]_-
+        assert r.lhs == pytest.approx(3.0, abs=1e-8)  # E[u,u]_Gamma
+        assert r.rhs == pytest.approx(3.0, abs=1e-8)  # E[u,u]_+
 
     def test_zero_field(self, space, exact):
         z = deterministic_field(space, [0.0, 0.0, 0.0])
@@ -276,14 +301,14 @@ class TestBracketExpectation:
         assert r.passed
 
     def test_defect_is_gamma_minus_plus(self, space, exact):
-        """The defect is E[u,v]_Gamma - E[u,v]_+, about half of rhs - lhs,
-        even where the opposite comparison, gamma - minus, has the larger
-        gate excess by rounding (as it has on this binding)."""
+        """The defect is lhs - rhs = E[u,v]_Gamma - E[u,v]_+, even where the
+        opposite comparison, gamma - minus, has the larger gate excess by
+        rounding (as it has on this binding)."""
         u = functional_times_indicator(space, [1, 2], bounded_sigmoid(space, [1, 2], 1.0))
         v = count_times_deterministic(space, [1, 2, 3], [1.0, 1.0, 1.0])
         r = bracket_expectation_check(u, v, exact)
-        assert r.passed and r.rhs < r.lhs and r.defect < 0
-        assert r.defect == pytest.approx(0.5 * (r.rhs - r.lhs), abs=1e-15)
+        assert r.passed and r.lhs < r.rhs and r.defect < 0
+        assert r.defect == pytest.approx(r.lhs - r.rhs, abs=1e-15)
 
 
 class TestNonDiffusion:

@@ -162,6 +162,17 @@ class TestNonFiniteAbort:
             )
 
 
+def test_engine_refuses_functional_of_another_space(space):
+    """Same number of sites, other weights: refused as the checks refuse it."""
+    F = linear_count(GroundSpace((0.5, 1.0, 1.6)), [1, 2])
+    cfg = SamplerConfig(seed=1, samples=100)
+    message = "is bound to a different ground space than the backend"
+    with pytest.raises(ShapeError, match=message):
+        MonteCarloBackend(space, cfg).expectation(F)
+    with pytest.raises(ShapeError, match=message):
+        mc_expectation(F, space, cfg)
+
+
 class TestAgreementWithExact:
     def test_registry_functionals(self, space, exact):
         pool = [

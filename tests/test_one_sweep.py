@@ -117,21 +117,18 @@ def _old_control(F, G, backend):
 
 
 def _old_bracket_expectation(u, v, backend):
-    def against(kind):
-        def kernel(counts):
-            return (
-                bracket_batch(u, v, BracketKind.GAMMA, counts),
-                bracket_batch(u, v, kind, counts),
-            )
+    """Gamma against plus, paired: lhs = E[u,v]_Gamma, rhs = E[u,v]_+."""
 
-        _, other, d = backend.paired(kernel)
-        return other, d, _gate_for(d)
+    def kernel(counts):
+        return (
+            bracket_batch(u, v, BracketKind.GAMMA, counts),
+            bracket_batch(u, v, BracketKind.PLUS, counts),
+        )
 
-    plus, d_plus, gate = against(BracketKind.PLUS)
-    minus, *_ = against(BracketKind.MINUS)
+    gamma, plus, d = backend.paired(kernel)
+    gate = _gate_for(d)
     return _report(
-        backend, "bracket_expectation", plus, minus, d_plus.value, gate,
-        abs(d_plus.value) <= gate, d_plus.n,
+        backend, "bracket_expectation", gamma, plus, d.value, gate, abs(d.value) <= gate, d.n
     )
 
 
@@ -193,7 +190,8 @@ def test_non_diffusion_matches_one_sweep_per_combination(backend, budget):
 
 def test_non_diffusion_budget_cuts_a_group(exact, monkeypatch):
     """Budget 5 on a 3 x 2 x 2 grid takes square on all four (F, G) and tanh
-    on the first, so one group sweeps two phis and three sweep one."""
+    on the first, so one group sweeps two phis and three sweep one, with an
+    integrated and a pointwise output per phi."""
     Fs, Gs = _grid(exact.space)
     Fs, Gs = Fs[:2], Gs
     seen = []
@@ -207,8 +205,9 @@ def test_non_diffusion_budget_cuts_a_group(exact, monkeypatch):
     new = non_diffusion_counterexample(exact, PHIS, Fs, Gs, budget=5)
     monkeypatch.undo()
     assert new.to_dict() == _old_non_diffusion(exact, PHIS, Fs, Gs, 5)
-    assert [len(names) for names in seen] == [2, 1, 1, 1]
-    assert [name.split()[4].split("(")[0] for name in seen[0]] == ["square", "tanh"]
+    assert [len(names) for names in seen] == [4, 2, 2, 2]
+    assert [name.split()[5].split("(")[0] for name in seen[0]] == ["square"] * 2 + ["tanh"] * 2
+    assert [name.split()[0] for name in seen[0]] == ["integrated", "pointwise"] * 2
 
 
 def test_one_object_in_both_lists(backend):

@@ -5,7 +5,9 @@ import copy
 import dataclasses
 import hashlib
 import json
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +21,8 @@ from poisson_malliavin import (
     reports_to_json,
     run_suite,
 )
-from poisson_malliavin.suite import _IDENTITIES
+from poisson_malliavin import functionals
+from poisson_malliavin.suite import _IDENTITIES, default_config
 
 # sha256 of the packaged config's case ids joined by newlines; pins the id
 # format, the case and backend order, and the binding order inside each id
@@ -30,8 +33,8 @@ CASE_IDS_SHA256 = {
 # sha256 of the packaged config's report file per backend; pins every report
 # byte: values, gates, error terms and the order in which gates are summed
 REPORT_SHA256 = {
-    "exact": "e56645358297a0aa71558287ac823ce3a0a71af7448d6b40df3bcca86a7ffb21",
-    "mc": "31957fe9d8406c9f4ee3a3c31a10fb02fcc0a7f83ae99e31cccb5d4699653f74",
+    "exact": "d5ddaa94e6ed870015c52c26a5f7c900aff6956e918811a04dd57bf1a5d2ce4c",
+    "mc": "c9dff3cc7892537b9bafb99b3856cd7803ea898a9bcf2044ad5a37dc11fe7181",
 }
 UNIT_FIELD = {"name": "deterministic", "values": [1.0, 1.0, 1.0]}
 REQUIRED = [(name, key) for name, ident in _IDENTITIES.items() for key in ident.required]
@@ -289,6 +292,58 @@ def test_bad_spec_param_is_failed_report(name, case, message):
     (report,) = run_suite(parse_config(_config(case)), "exact")
     assert not report.passed
     assert report.error == f"ConfigError: {message}"
+
+
+def test_non_finite_pathwise_value_is_failed_report():
+    """poly_count of degree 1100 overflows to inf from two points on, so its
+    differences hold nan; the commutation check used to pass such a field
+    with defect 0.0."""
+    poly = {"name": "poly_count", "B": [1, 2, 3], "degree": 1100}
+    cases = [
+        {"identity": "commutation", "u": {"name": "derivative", "F": poly}},
+        {"identity": "product_formula", "F": poly, "u": UNIT_FIELD},
+    ]
+    cfg = parse_config({**_config(*cases), "pointwise_samples": 20})
+    with np.errstate(over="ignore", invalid="ignore"):
+        reports = run_suite(cfg, "exact")
+    for report, check in zip(reports, ("commutation", "product_formula")):
+        assert not report.passed
+        assert report.error.startswith(f"NonFiniteValueError: {report.case} defect produced")
+        assert report.case.split(":")[1].startswith(check)
+
+
+def test_every_check_runs_on_the_sweep_loop(monkeypatch):
+    """Each identity, run once per engine on a tiny config, reaches its rows
+    through ``functionals._sweep``, wrapped in every module that imports it."""
+    sweep, calls = functionals._sweep, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])  # the output names
+        return sweep(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("poisson_malliavin") and getattr(module, "_sweep", None) is sweep:
+            monkeypatch.setattr(module, "_sweep", counted)
+    first = {}
+    for case in default_config()["cases"]:
+        first.setdefault(case["identity"], case)
+    assert first.keys() == _IDENTITIES.keys()
+    tiny = {
+        "space": {"weights": [0.2, 0.3, 0.25]},
+        "truncation": {"tol": 1e-6},
+        "mc": {"seed": 1, "samples": 200},
+        "pointwise_samples": 5,
+    }
+    for identity, case in first.items():
+        for backend in ("exact", "mc"):
+            calls.clear()
+            reports = run_suite(parse_config({**tiny, "cases": [case]}), backend)
+            if identity.startswith("non_diffusion") and backend == "mc":
+                assert reports == []  # the search needs the exact engine
+                continue
+            (report,) = reports
+            assert report.error is None, report.error
+            assert calls, (identity, backend)
 
 
 def test_failed_report_is_strict_json():
