@@ -20,7 +20,10 @@ else a row stencil, which evaluates each object once per part, at eta and
 eta +- delta_z.
 ``Functional.batch``, ``RandomField.values`` and the shift helpers read
 its values and shifts and build every difference here, a gradient
-field's included.  Evaluations are pure, hence safe for concurrent use.
+field's included.  A factored field F(eta) g(z) (``factored_field``) is
+read off F's values and shifts times g on a memo's rows, so only F is
+memoised, never the (rows, n) field.  Evaluations are pure, hence safe
+for concurrent use.
 """
 from __future__ import annotations
 
@@ -30,13 +33,14 @@ from typing import Callable
 import numpy as np
 
 from . import lattice
-from .errors import NonFiniteValueError, ShapeError
+from .errors import ConfigError, NonFiniteValueError, ShapeError
 from .ground import GroundSpace
 
 __all__ = [
     "Functional",
     "RandomField",
     "derivative_field",
+    "factored_field",
     "product_field",
     "shifted_all",
     "add_diff_all",
@@ -90,7 +94,9 @@ class RandomField:
 
     ``fn`` receives counts of shape (..., n) and returns all site values at
     once, shape (..., n); column z - 1 is u(eta, z).  ``gradient_of`` is the
-    functional F when the field is DF (set by ``derivative_field`` only).
+    functional F when the field is DF (set by ``derivative_field`` only);
+    ``factors`` is (F, g) when the field is F(eta) g(z), F None for the
+    constant 1 (set by ``factored_field`` only).
     """
 
     space: GroundSpace
@@ -98,14 +104,19 @@ class RandomField:
     name: str
     bound: float | None = None
     gradient_of: Functional | None = None
+    factors: tuple[Functional | None, np.ndarray] | None = None
 
     def values(self, counts) -> np.ndarray:
         """Evaluate on counts of shape (..., n); returns shape (..., n).
         Tagged rows are evaluated once per sweep part (``lattice``); DF on
-        a part's own rows is ``add_diff_all`` of F's memoised shifts."""
+        a part's own rows is ``add_diff_all`` of F's memoised shifts, and a
+        factored field on any tagged rows is F's memoised values times g,
+        laid out like the rows."""
         arr = _as_counts(self.space, counts)
         if lattice.is_slice(counts) and self.gradient_of is not None:
             return add_diff_all(self.gradient_of, counts)
+        if lattice.is_tagged(counts) and self.factors is not None:
+            return _factored(self, counts)
         if lattice.is_tagged(counts):
             return counts.box.values(self, counts.part)
         return np.asarray(self.fn(arr), dtype=np.float64)
@@ -158,6 +169,48 @@ def derivative_field(F: Functional) -> RandomField:
         bound=None if F.bound is None else 2.0 * F.bound,
         gradient_of=F,
     )
+
+
+def factored_field(
+    space: GroundSpace, factors, name: str, bound: float | None = None
+) -> RandomField:
+    """The field (eta, z) -> F(eta) g(z) of ``factors`` = (F, g), F None
+    for the constant 1.  g is cast to float64, which keeps a 0/1 integer
+    mask's products.  On a memo's rows the field is read off F's memoised
+    values and shifts times g, in ``fn``'s order, never given a halo."""
+    F, g = factors
+    g = np.array(g, dtype=np.float64)
+    if F is not None and F.space != space:
+        raise ConfigError(f"{F.name!r} is bound to a different ground space than {name!r}")
+    if g.shape != (space.n,):
+        raise ConfigError(f"{name} needs {space.n} site values, got shape {g.shape}")
+    g.setflags(write=False)
+
+    def fn(counts: np.ndarray) -> np.ndarray:
+        if F is None:
+            return np.broadcast_to(g, counts.shape)
+        return F.batch(counts)[..., None] * g
+
+    return RandomField(space, fn, name, bound, factors=(F, g))
+
+
+def _factored(u: RandomField, counts, step: int = 0, tensor: bool = False) -> np.ndarray:
+    """A factored field on tagged rows, F's memoised values or shifts times
+    g: u(eta + step delta_z, z), laid out like the rows, or with ``tensor``
+    u(eta + delta_z, z'), a C-ordered (rows, n, n) array.  Any step but 0
+    needs a memo's own rows."""
+    F, g = u.factors
+    if tensor:
+        if F is None:
+            return np.broadcast_to(g, counts.shape + g.shape)
+        return np.multiply(shifted_all(F, counts, 1)[..., None], g, order="C")
+    out = np.empty_like(counts, dtype=np.float64, subok=False)
+    if F is None:
+        out[...] = g
+    else:
+        at = F.batch(counts)[..., None] if step == 0 else shifted_all(F, counts, step)
+        np.multiply(at, g, out=out)
+    return out
 
 
 def product_field(F: Functional, u: RandomField) -> RandomField:
@@ -247,9 +300,12 @@ def field_add_tensor(u: RandomField, counts: np.ndarray) -> np.ndarray:
 
     On a sweep part it is read off u's memoised shifts; for a gradient
     field u = DF it is F(eta + delta_z + delta_zp) - F(eta + delta_z), read
-    off F's shifts and the second-order points past them.
+    off F's shifts and the second-order points past them, and for a
+    factored field F(eta + delta_z) g(zp).
     """
     if lattice.is_slice(counts):
+        if u.factors is not None:
+            return _factored(u, counts, tensor=True)
         F = u.gradient_of
         if F is None:
             return counts.box.around(u, 1)
@@ -259,8 +315,11 @@ def field_add_tensor(u: RandomField, counts: np.ndarray) -> np.ndarray:
 
 def field_added_diag(u: RandomField, counts: np.ndarray) -> np.ndarray:
     """out[..., z-1] = u(eta + delta_z, z), the diagonal of
-    ``field_add_tensor``.  Shape (..., n).  On a sweep part a non-gradient
-    field copies only these n values per row out of its memoised shifts."""
+    ``field_add_tensor``.  Shape (..., n).  On a sweep part a factored
+    field is F(eta + delta_z) g(z), and any other non-gradient field copies
+    only these n values per row out of its memoised shifts."""
+    if lattice.is_slice(counts) and u.factors is not None:
+        return _factored(u, counts, 1)
     if lattice.is_slice(counts) and u.gradient_of is None:
         return counts.box.around(u, 1, own_site=True)
     return np.diagonal(field_add_tensor(u, counts), axis1=-2, axis2=-1)
@@ -272,11 +331,16 @@ def field_dropped_diag(u: RandomField, counts: np.ndarray) -> np.ndarray:
     This shifted evaluation is what the eta-integral of the divergence and
     the minus bracket pair with the multiplicity k_z.  For a gradient field
     u = DF it is D+_z F(eta - delta_z) 1_{z in eta} = D-_z F(eta), computed
-    by ``drop_diff_all``; any other field is evaluated at every
-    eta - delta_z, memoised on a sweep part.
+    by ``drop_diff_all``.  On a sweep part a factored field is
+    F(eta - delta_z) g(z) 1_{z in eta}, multiplied in that order from F's
+    memoised drops, so a non-finite F stays non-finite at an empty site;
+    any other field is evaluated at every eta - delta_z, memoised on a
+    sweep part.
     """
     if u.gradient_of is not None:
         return drop_diff_all(u.gradient_of, counts)
+    if lattice.is_slice(counts) and u.factors is not None:
+        return _factored(u, counts, -1) * (counts > 0)
     if lattice.is_slice(counts):
         return counts.box.around(u, -1, own_site=True) * (counts > 0)
     counts = _as_counts(u.space, counts)

@@ -21,7 +21,10 @@ row axis innermost in memory, so a sum over sites adds whole columns in
 the order numpy sums a C-ordered row; (rows, n, n) tensors stay C-ordered
 (``_site_major``, ``_BoxSlice._empty``).  The module needs nothing from
 ``functionals``: the sweep budget arrives as a row count, and an object is
-evaluated only through its ``fn`` (``_evaluate``).
+evaluated only through its ``fn`` (``_evaluate``).  A factored field
+F(eta) g(z) is never stored here: on a part's rows ``functionals`` reads
+it off F's values and shifts times g, so only hand-built fields and
+composites such as ``product_field`` hold (rows, n) values on a halo.
 """
 from __future__ import annotations
 

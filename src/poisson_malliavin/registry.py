@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .functionals import Functional, RandomField, derivative_field
+from .functionals import Functional, RandomField, derivative_field, factored_field
 from .ground import GroundSpace, _is_int, _is_real
 
 __all__ = [
@@ -57,7 +57,8 @@ def _describe(value) -> str:
 
 
 def _named(cls, space: GroundSpace, fn, name: str, bound=None, **params):
-    """A ``Functional`` or ``RandomField`` named ``name(key=value,...)``, the
+    """``cls(space, fn, ...)``, a ``Functional``, ``RandomField`` or
+    ``factored_field`` (fn its factors), named ``name(key=value,...)``, the
     one record of its binding's parameters."""
     return cls(space, fn, _describe({"name": name, **params}), bound=bound)
 
@@ -247,52 +248,32 @@ def compose(phi: ScalarMap | str, F: Functional) -> Functional:
 def deterministic_field(space: GroundSpace, values) -> RandomField:
     """u(eta, z) = g(z) with no eta-dependence."""
     g = _reals("deterministic field values", values)
-    if g.shape != (space.n,):
-        raise ConfigError(
-            f"deterministic field needs {space.n} site values, got shape {g.shape}"
-        )
-    g.setflags(write=False)
-
-    def fn(c: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(g, c.shape)
-
-    bound = float(np.abs(g).max())
-    return _named(RandomField, space, fn, "deterministic", bound, values=g.tolist())
+    bound = float(np.abs(g).max(initial=0.0))  # 0.0 on no values, refused below
+    return _named(factored_field, space, (None, g), "deterministic", bound, values=g.tolist())
 
 
 def site_indicator_field(space: GroundSpace, B) -> RandomField:
     """u(eta, z) = 1_B(z)."""
     mask = space.site_mask(B)
-    field = deterministic_field(space, mask)
-    return _named(RandomField, space, field.fn, "site_indicator", 1.0, B=_members(mask))
+    return _named(factored_field, space, (None, mask), "site_indicator", 1.0, B=_members(mask))
 
 
 def functional_times_indicator(space: GroundSpace, B, F: Functional) -> RandomField:
-    """u(eta, z) = 1_B(z) F(eta)."""
+    """u(eta, z) = 1_B(z) F(eta).  F must be bound to ``space``."""
     mask = space.site_mask(B)
-
-    def fn(c: np.ndarray) -> np.ndarray:
-        return F.batch(c)[..., None] * mask
-
     return _named(
-        RandomField, space, fn, "functional_times_indicator", F.bound, B=_members(mask), F=F.name
+        factored_field, space, (F, mask), "functional_times_indicator", F.bound,
+        B=_members(mask), F=F.name,
     )
 
 
 def count_times_deterministic(space: GroundSpace, B, values) -> RandomField:
     """u(eta, z) = eta(B) g(z).  Unbounded."""
-    mask = space.site_mask(B)
+    F = linear_count(space, B)
     g = _reals("count_times_deterministic values", values)
-    if g.shape != (space.n,):
-        raise ConfigError(
-            f"count_times_deterministic needs {space.n} site values, got {g.shape}"
-        )
-
-    def fn(c: np.ndarray) -> np.ndarray:
-        return (c @ mask).astype(np.float64)[..., None] * g
-
     return _named(
-        RandomField, space, fn, "count_times_deterministic", B=_members(mask), values=g.tolist()
+        factored_field, space, (F, g), "count_times_deterministic",
+        B=_members(space.site_mask(B)), values=g.tolist(),
     )
 
 

@@ -6,6 +6,7 @@ sweep's first; and the sweep takes box slices only where they evaluate no
 more rows than row stencils."""
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import defaultdict
 
@@ -15,6 +16,8 @@ import pytest
 from poisson_malliavin import (
     ExactBackend,
     GroundSpace,
+    MonteCarloBackend,
+    SamplerConfig,
     bounded_sigmoid,
     compose,
     count_times_deterministic,
@@ -25,6 +28,7 @@ from poisson_malliavin import (
     indicator_leq,
     poly_count,
     product_of,
+    site_indicator_field,
 )
 from poisson_malliavin import exact as exact_module, functionals, lattice
 from poisson_malliavin.functionals import (
@@ -64,17 +68,21 @@ def _slice_rows(monkeypatch, shape: str) -> None:
 
 
 def _pool(space: GroundSpace):
+    """Functionals and fields on 3 or more sites; the site vectors are not
+    constant, so a tensor that reads g at z instead of z' differs."""
     sig = bounded_sigmoid(space, [1, 2], 1.0)
     ind = indicator_leq(space, [2, 3], 2)
     poly = poly_count(space, [1, 3], 2)
     prod = product_of(sig, ind)
     Fs = [sig, poly, prod, compose("tanh", poly)]
+    more = [0.25 * z for z in range(3, space.n)]
     us = [
         functional_times_indicator(space, [1, 3], sig),
-        count_times_deterministic(space, [1, 2], [1.0, 0.5, -1.0]),
-        deterministic_field(space, [1.0, -0.5, 2.0]),
+        count_times_deterministic(space, [1, 2], [1.0, 0.5, -1.0] + more),
+        deterministic_field(space, [1.0, -0.5, 2.0] + more),
         derivative_field(prod),  # gradient: second-order shift in the tensor
         derivative_field(poly),
+        site_indicator_field(space, [2, 3]),
     ]
     return Fs, us
 
@@ -230,6 +238,60 @@ def test_shift_helpers_match_plain_counts_on_other_sizes(monkeypatch, weights, l
     assert len(seen) > 1
 
 
+_FIELD_HELPERS = (
+    RandomField.values,
+    field_added_diag,
+    field_dropped_diag,
+    field_add_tensor,
+)
+
+
+def _assert_factored_fields_match_plain(us, counts) -> int:
+    """Every factored field of ``us`` on tagged ``counts`` equals its plain
+    fn's result bit for bit, through values and the three shift helpers;
+    returns how many fields were checked."""
+    plain = np.array(counts)
+    factored = [u for u in us if u.factors is not None]
+    for u in factored:
+        for helper in _FIELD_HELPERS:
+            assert same_bits(helper(u, counts), helper(u, plain)), (helper, u)
+    return len(factored)
+
+
+@pytest.mark.parametrize("shape", ["one level", "second site"])
+def test_factored_fields_match_plain_fn_on_8_sites(monkeypatch, shape):
+    """On 8 sites box slices are C-ordered: a factored field's values and
+    shifts, read off its functional's memo, equal its plain fn's results bit
+    for bit there too, the level-0 drops of every slice included."""
+    space = GroundSpace(tuple(0.02 + 0.005 * z for z in range(8)))
+    backend = ExactBackend(space, tol=1e-3)
+    assert backend.plan.caps == (2,) * 8
+    _slice_rows(monkeypatch, shape)
+    _, us = _pool(space)
+    checked = []
+
+    def kernel(counts):
+        assert counts.flags.c_contiguous and (counts == 0).any()
+        assert all(u.values(counts).flags.c_contiguous for u in us)
+        checked.append(_assert_factored_fields_match_plain(us, counts))
+
+    seen = _sweep_slices(backend, kernel)
+    assert len(seen) > 2 and set(checked) == {4}
+
+
+@pytest.mark.parametrize("weights", [(0.5, 1.0, 1.5), tuple(0.4 + 0.1 * z for z in range(8))])
+def test_factored_fields_match_plain_fn_on_row_stencils(weights):
+    """On Monte Carlo rows, cut into row stencils, every factored registry
+    kind equals its plain fn's results bit for bit, empty sites included."""
+    space = GroundSpace(weights)
+    rows, _, _ = MonteCarloBackend(space, SamplerConfig(seed=8, samples=300))._distinct()
+    assert (rows == 0).any()
+    _, us = _pool(space)
+    for part in (rows[:1], rows[1:]):
+        counts = lattice._RowStencil(part).tagged("slice")
+        assert _assert_factored_fields_match_plain(us, counts) == 4
+
+
 @pytest.mark.parametrize("shape", ["one level", "several levels", "second site"])
 def test_exact_results_match_plain_states_bitwise(monkeypatch, backend, shape):
     """Whole checks and expectations over box slices equal the same kernels
@@ -262,9 +324,11 @@ def test_exact_results_match_plain_states_bitwise(monkeypatch, backend, shape):
     )
 
 
-def _counting(obj, log, where):
+def _counting(obj, log, where, factored: bool = False):
     """A copy of ``obj`` whose fn logs, per call, the slice being swept, the
-    sweep's slice index, whether the rows are a slice's and the rows."""
+    sweep's slice index, whether the rows are a slice's and the rows.  The
+    copy is hand-built, unless ``factored`` keeps a factored field's
+    factors."""
 
     def fn(counts, inner=obj.fn):
         box = getattr(counts, "box", None)
@@ -272,6 +336,8 @@ def _counting(obj, log, where):
         log.append((where["slice"], where["index"], box is not None, rows))
         return inner(counts)
 
+    if factored:
+        return dataclasses.replace(obj, fn=fn)
     if isinstance(obj, Functional):
         return Functional(obj.space, fn, obj.name, obj.bound)
     return RandomField(obj.space, fn, obj.name, obj.bound)
@@ -337,6 +403,56 @@ def test_each_object_evaluated_once_per_slice(monkeypatch, backend, shape):
                 slices += 1
         assert logs["sig"]
     assert slices > len(checks)
+
+
+@pytest.mark.parametrize("engine", ["exact", "exact, second site", "monte carlo"])
+def test_factored_fields_never_evaluated_on_tagged_rows(monkeypatch, exact, engine):
+    """Through mecke, duality, skorokhod, bracket_expectation and
+    energy_derivation, a factored field's fn is never called on a memo's
+    rows: its values and shifts are its functional's memoised ones times g.
+    A hand-built field with the same fn is still evaluated there, on the
+    halo of a box slice, and every report is the same bit for bit."""
+    space = exact.space
+    backend = exact
+    if engine == "monte carlo":
+        backend = MonteCarloBackend(space, SamplerConfig(seed=9, samples=3000))
+    elif engine == "exact, second site":
+        _slice_rows(monkeypatch, "second site")
+    where = {"slice": None, "index": 0}
+    sig = bounded_sigmoid(space, [1, 2], 1.0)
+    ind = indicator_leq(space, [2, 3], 2)
+    det = deterministic_field(space, [1.0, -0.5, 2.0])
+    fields = [
+        functional_times_indicator(space, [1, 3], sig),
+        count_times_deterministic(space, [1, 2], [0.5, -1.0, 1.5]),
+        site_indicator_field(space, [2, 3]),
+        det,
+    ]
+
+    def reports(u) -> list[str]:
+        return [
+            repr(dataclasses.astuple(report))
+            for report in (
+                identities.mecke_check(u, backend),
+                identities.duality_check(sig, u, backend),
+                identities.skorokhod_check(u, backend),
+                identities.bracket_expectation_check(det, u, backend),
+                identities.energy_derivation_check(sig, ind, u, backend),
+            )
+        ]
+
+    caps = np.array(exact.plan.caps)
+    for u in fields:
+        factored_log, hand_log = [], []
+        factored = _counting(u, factored_log, where, factored=True)
+        hand = _counting(u, hand_log, where)
+        assert factored.factors is u.factors and hand.factors is None
+        assert reports(factored) == reports(hand), u
+        assert not any(tagged for _, _, tagged, _ in factored_log), u
+        tagged = [rows for _, _, is_tagged, rows in hand_log if is_tagged]
+        assert tagged, u
+        if backend is exact:  # the halo reaches one level past the table
+            assert any((rows > caps).any() for rows in tagged), u
 
 
 def _step(n: int) -> int:

@@ -6,9 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from poisson_malliavin import (
     ConfigError,
+    GroundSpace,
+    MonteCarloBackend,
     NonFiniteValueError,
     Functional,
     RandomField,
+    SamplerConfig,
     ShapeError,
     affine_of,
     bounded_sigmoid,
@@ -17,16 +20,20 @@ from poisson_malliavin import (
     derivative_field,
     deterministic_field,
     count_times_deterministic,
+    duality_check,
     field_from_spec,
     functional_from_spec,
     functional_times_indicator,
     indicator_leq,
     linear_count,
+    mecke_check,
     poly_count,
     product_field,
     product_of,
     site_indicator_field,
+    skorokhod_check,
 )
+from poisson_malliavin import lattice
 from poisson_malliavin.functionals import (
     add_diff_all,
     drop_diff_all,
@@ -294,6 +301,14 @@ class TestRegistrySpecs:
                 f"dirichlet[linear_count({text}),poly_count(B=[1],degree=400)] produced"
             )
 
+    def test_factored_field_refuses_a_functional_of_another_space(self, space):
+        """1_B F is refused when F is bound to another ground space, with as
+        many sites (it would mix spaces without a word) or with fewer (it
+        would fail only at evaluation, with a counts ShapeError)."""
+        for other in (GroundSpace((2.0, 1.0, 0.5)), GroundSpace((1.0, 1.0))):
+            with pytest.raises(ConfigError, match="is bound to a different ground space"):
+                functional_times_indicator(space, [1, 2], bounded_sigmoid(other, [1], 0.5))
+
     def test_batch_shapes(self, space):
         counts = sample_batch(space, seed=3, m=17)
         F = poly_count(space, [1, 2], 2)
@@ -389,6 +404,53 @@ class TestDropSideEquivalence:
         for u in (derivative_field(F), deterministic_field(space, [1.0, 1.0, 1.0])):
             with pytest.raises(ShapeError):
                 field_dropped_diag(u, np.zeros((4, 2), dtype=np.int64))
+
+    def test_non_finite_factor_names_the_same_configuration(self, space, exact):
+        """A factored field read off a functional that is NaN where k_1 = 2,
+        or infinite where k_2 = 3, still raises ``NonFiniteValueError`` at
+        the configuration a hand-built field with the same fn names, on
+        both engines.  NaN * 0 at an empty site stays NaN."""
+
+        def nan_at(c):
+            return np.where(c[..., 0] == 2, np.nan, np.tanh(c.sum(axis=-1)))
+
+        def inf_at(c):
+            with np.errstate(divide="ignore"):
+                return 1.0 / (3.0 - c[..., 1])
+
+        mc = MonteCarloBackend(space, SamplerConfig(seed=4, samples=2000))
+        expected = {
+            ("nan_at", "ExactBackend"): [2, 0, 0],
+            ("nan_at", "MonteCarloBackend"): [2, 1, 1],
+            ("inf_at", "ExactBackend"): [0, 3, 0],
+            ("inf_at", "MonteCarloBackend"): [1, 3, 1],
+        }
+        sig = bounded_sigmoid(space, [1], 1.0)
+        for fn in (nan_at, inf_at):
+            u = functional_times_indicator(space, [2, 3], Functional(space, fn, fn.__name__))
+            hand = RandomField(space, u.fn, u.name, u.bound)
+            for backend in (exact, mc):
+                want = expected[fn.__name__, type(backend).__name__]
+                for check in (
+                    lambda v: mecke_check(v, backend),
+                    lambda v: duality_check(sig, v, backend),
+                    lambda v: skorokhod_check(v, backend),
+                ):
+                    messages = []
+                    for v in (u, hand):
+                        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValueError) as err:
+                            check(v)
+                        messages.append(str(err.value))
+                    assert messages[0] == messages[1]
+                    assert messages[0].endswith(f"at configuration counts={want}")
+        u = functional_times_indicator(space, [2, 3], Functional(space, nan_at, "nan_at"))
+        rows = np.array([[2, 0, 0], [3, 0, 1]])
+        with np.errstate(invalid="ignore"):
+            dropped = field_dropped_diag(u, lattice._RowStencil(rows).tagged("slice"))
+            assert np.array_equal(dropped, field_dropped_diag(u, rows), equal_nan=True)
+        # a drop at an empty site reads F at eta itself, NaN at k_1 = 2
+        assert dropped[0, 0] == 0.0 and np.isnan(dropped[0, 1:]).all()
+        assert np.isnan(dropped[1, 0]) and dropped[1, 1] == 0.0
 
     def test_gradient_field_is_not_evaluated_off_support(self, space):
         # F = 1 / (1 - k_1) is infinite only where k_1 = 1.  At eta = (0, 1, 1)
