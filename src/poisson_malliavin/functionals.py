@@ -250,12 +250,11 @@ def _sweep(kernel, m: int, parts, names: tuple[str, ...], locate) -> tuple[np.nd
 
     Kernels are row-wise, so every value equals a one-call sweep's bit for
     bit, whatever the parts: row stencils (``lattice.stencil_parts``) or the
-    exact engine's box slices (``lattice.sweep_parts``).  Box slices may
-    hand over site-major (rows, n) arrays, whose sums over the site axis
-    keep their bits; a kernel that reduces over two site axes at once adds
-    its terms in a fixed order, as the Skorokhod double integral does.
-    Memory is
-    the (m,) outputs plus one part's temporaries.  The first output, in
+    exact engine's box slices (``lattice.sweep_parts``).  Both may hand
+    over site-major (rows, n) arrays, whose sums over the site axis keep
+    their bits; a kernel that reduces over two site axes at once adds its
+    terms in a fixed order, as the Skorokhod double integral does.  Memory
+    is the (m,) outputs plus one part's temporaries.  The first output, in
     ``names`` order, holding a non-finite value raises
     ``NonFiniteValueError`` naming it and the configuration that
     ``locate(finite)`` picks from its finite mask.

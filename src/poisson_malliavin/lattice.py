@@ -15,16 +15,17 @@ stride away: ``sweep_parts`` cuts it into box slices of consecutive rows
 whose halo holds every neighbour once (``_BoxSlice``).  Other rows, Monte
 Carlo's and tables too thin to slice, go in row stencils that build each
 row's neighbours (``stencil_parts``, ``_RowStencil``).  Every value is the
-one a plain evaluation gives, bit for bit.  On fewer than 8 sites a box
-slice stores its (rows, n) counts, field values and shifts site-major, the
-row axis innermost in memory, so a sum over sites adds whole columns in
-the order numpy sums a C-ordered row; (rows, n, n) tensors stay C-ordered
-(``_site_major``, ``_BoxSlice._empty``).  The module needs nothing from
-``functionals``: the sweep budget arrives as a row count, and an object is
-evaluated only through its ``fn`` (``_evaluate``).  A factored field
-F(eta) g(z) is never stored here: on a part's rows ``functionals`` reads
-it off F's values and shifts times g, so only hand-built fields and
-composites such as ``product_field`` hold (rows, n) values on a halo.
+one a plain evaluation gives, bit for bit.  On fewer than 8 sites both
+memos store their (rows, n) counts and shifts site-major, the row axis
+innermost in memory, so a sum over sites adds whole columns in the order
+numpy sums a C-ordered row; (rows, n, n) tensors stay C-ordered
+(``_site_major``, ``_BoxSlice._empty``, ``_RowStencil``).  The module
+needs nothing from ``functionals``: the sweep budget arrives as a row
+count, and an object is evaluated only through its ``fn`` (``_evaluate``).
+A factored field F(eta) g(z) is never stored here: on a part's rows
+``functionals`` reads it off F's values and shifts times g, so only
+hand-built fields and composites such as ``product_field`` hold (rows, n)
+values on a halo.
 """
 from __future__ import annotations
 
@@ -80,6 +81,18 @@ def neighbour_rows(counts, step: int) -> np.ndarray:
     diagonal = rows.reshape(rows.shape[:-2] + (n * n,))[..., :: n + 1]
     np.maximum(counts + step, 0, out=diagonal)
     return rows
+
+
+def _outer_neighbour_rows(counts, step: int) -> np.ndarray:
+    """``neighbour_rows`` with the shifted site outermost, out[z - 1, ..., :],
+    as n site-major blocks: each block's rows innermost in memory."""
+    counts = np.asarray(counts)
+    n = counts.shape[-1]
+    rows = np.empty((n, n) + counts.shape[:-1], dtype=counts.dtype)
+    rows[:] = np.moveaxis(counts, -1, 0)
+    for z in range(n):
+        np.maximum(counts[..., z] + step, 0, out=rows[z, z])
+    return np.moveaxis(rows, 1, -1)
 
 
 class _SliceRows(np.ndarray):
@@ -331,9 +344,20 @@ class _RowStencil:
     plus n^2 m for a second-order shift.  Composites pass the tagged rows on
     to their inner functionals, so those are memoised too.  Only the tagged
     rows refer to the stencil, so it and its values go with the last of them.
+
+    On fewer than 8 sites the layout is a box slice's (``_site_major``): the
+    slice's rows are stored site-major, and the plus and minus rows are
+    built site-outermost, (n, m, n), as n site-major blocks, so a
+    functional's values there are (n, m) and ``around`` hands them over as
+    a site-major (m, n) view.  (rows, n, n) tensors, a field's shifts and
+    ``second_order``, are C-ordered.  On 8 sites or more every part is
+    C-ordered, (m, n, n) for the plus and minus rows.
     """
 
     def __init__(self, rows: np.ndarray):
+        self._site_major = _site_major(rows.shape[-1])
+        if self._site_major:
+            rows = np.ascontiguousarray(rows.T).T
         self._rows = {"slice": rows}
         self._values: dict = {}
 
@@ -342,7 +366,14 @@ class _RowStencil:
         rows = self._rows.get(part)
         if rows is None:
             base, step = _NEIGHBOURS[part]
-            rows = self._rows[part] = neighbour_rows(self.tagged(base), step)
+            rows = self.tagged(base)
+            if not self._site_major:
+                rows = neighbour_rows(rows, step)
+            elif part == "second":  # C-ordered, off the plus rows' [r, z]
+                rows = neighbour_rows(rows.transpose(1, 0, 2), step)
+            else:
+                rows = _outer_neighbour_rows(rows, step)
+            self._rows[part] = rows
         tagged = rows.view(_SliceRows)
         tagged.setflags(write=False)
         tagged.box, tagged.part = self, part
@@ -356,9 +387,18 @@ class _RowStencil:
         return values
 
     def around(self, obj, step: int, own_site: bool = False) -> np.ndarray:
-        """``_BoxSlice.around`` read off ``obj``'s values at the plus or minus rows."""
+        """``_BoxSlice.around`` read off ``obj``'s values at the plus or minus
+        rows; on fewer than 8 sites a functional's (n, m) values are handed
+        over as their site-major transpose and a field's as a C-ordered
+        (m, n, n) copy."""
         values = self.values(obj, "plus" if step == 1 else "minus")
-        return np.diagonal(values, axis1=-2, axis2=-1) if own_site else values
+        if not self._site_major:
+            return np.diagonal(values, axis1=-2, axis2=-1) if own_site else values
+        if own_site:
+            return np.diagonal(values, axis1=0, axis2=-1)
+        if values.ndim == 2:
+            return values.T
+        return np.ascontiguousarray(values.transpose(1, 0, 2))
 
     def second_order(self, F) -> np.ndarray:
         """F(eta + delta_z + delta_zp) for every eta in the slice, shape
@@ -422,7 +462,7 @@ def _box_slicing(caps, step: int) -> tuple[int, int] | None:
 def stencil_parts(total: int, step: int, rows_of):
     """``(start, stop, counts)`` parts of ``total`` rows, ``rows_of(a, b)``
     being rows a to b, tagged with a ``_RowStencil`` each.  A part holds
-    ``step // 8`` rows, so its plus and minus rows, (rows, n, n) int64 each,
+    ``step // 8`` rows, so its plus and minus rows, n^2 int64 per row each,
     take a quarter of the byte budget of a (step, n, n) slab."""
     size = max(1, step // 8)
     for a in range(0, total, size):

@@ -45,7 +45,9 @@ from poisson_malliavin.identities import _shifted_diff_field
 from poisson_malliavin.operators import dirichlet_integrand, gamma_batch
 from poisson_malliavin.registry import _describe
 from poisson_malliavin.suite import _random_space, load_config
-from conftest import d_minus, d_plus, functional_pool, random_functional_spec, sample_batch, shift
+from conftest import (
+    d_minus, d_plus, functional_pool, random_functional_spec, same_bits, sample_batch, shift,
+)
 
 
 class TestAddDiff:
@@ -526,3 +528,49 @@ def test_batch_and_values_see_every_row_fn_sees(monkeypatch, name):
     assert fn_rows
     for label, leaf in (("F", F), ("G", G), ("u", u)):
         assert batch_rows.get(id(leaf), 0) == fn_rows.get(label, 0), label
+
+
+def _matmul_counts(mask, m: int, scale: float, degree: int):
+    """The four count functionals as int64 matmuls against the site mask,
+    the way they were computed before they summed columns."""
+    return {
+        "linear_count": lambda c: (c @ mask).astype(np.float64),
+        "poly_count": lambda c: (c @ mask).astype(np.float64) ** degree,
+        "bounded_sigmoid": lambda c: np.tanh(scale * (c @ mask)),
+        "indicator_leq": lambda c: ((c @ mask) <= m).astype(np.float64),
+    }
+
+
+@pytest.mark.parametrize("B", [[2, 5, 2, 2], [4], [1, 2, 3, 4, 5, 6], []])
+def test_count_functionals_match_matmul_bitwise(B):
+    """eta(B) as a sum of columns: the four count functionals equal their
+    int64-matmul forms bit for bit, on C-ordered and site-major counts, on a
+    site-outermost (n, m, n) neighbour stack, on a C-ordered (m, n, n) one
+    and on a single configuration; B with repeats, one site, every site and
+    no site."""
+    space = GroundSpace((8.0, 0.5, 1.0, 8.0, 2.0, 0.7))
+    c = np.random.default_rng(26).poisson(space.weights_array * 2, (400, space.n))
+    assert c.dtype == np.int64 and (c == 0).any()
+    inputs = [
+        c,
+        np.ascontiguousarray(c.T).T,
+        lattice._outer_neighbour_rows(c, 1),
+        lattice.neighbour_rows(np.ascontiguousarray(c.T).T, -1),
+        c[7],
+    ]
+    mask = space.site_mask(B)
+    m = int(np.median(c @ mask))  # the indicator takes both values
+    old = _matmul_counts(mask, m, 0.05, 3)
+    registry = {
+        "linear_count": linear_count(space, B),
+        "poly_count": poly_count(space, B, 3),
+        "bounded_sigmoid": bounded_sigmoid(space, B, 0.05),
+        "indicator_leq": indicator_leq(space, B, m),
+    }
+    for name, F in registry.items():
+        for counts in inputs:
+            want = old[name](counts)
+            assert same_bits(F.fn(counts), want), (name, counts.shape)
+            assert same_bits(F.batch(counts), np.asarray(want, dtype=np.float64))
+    if B:
+        assert 0 < registry["indicator_leq"].batch(c).sum() < len(c)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from poisson_malliavin import (
     RandomField,
     affine_of,
     bracket_batch,
+    build_generator_matrix,
     constant,
     count_times_deterministic,
     derivative_field,
@@ -17,6 +20,7 @@ from poisson_malliavin import (
     divergence_batch,
     functional_times_indicator,
     gamma_batch,
+    indicator_leq,
     linear_count,
     ou_generator_batch,
     poly_count,
@@ -24,7 +28,8 @@ from poisson_malliavin import (
     site_indicator_field,
     bounded_sigmoid,
 )
-from poisson_malliavin import identities
+from poisson_malliavin import identities, operators
+from poisson_malliavin.functionals import add_diff_all
 from conftest import d_minus, d_plus, functional_pool, sample_batch, shift
 
 
@@ -187,6 +192,70 @@ class TestGamma:
         gamma_batch(F, G, counts)
         assert set(rows) == {F.name, G.name}
         assert all(r <= 2 * (space.n + 1) * m for r in rows.values()), rows
+
+
+class TestCarreDuChampAgainstGenerator:
+    """The paper's proposition, pathwise: the carre du champ of the OU
+    generator, 1/2 (L(FG) - F LG - G LF), equals gamma_batch's
+    1/2 int D+F D+G dnu + 1/2 int D-F D-G d eta at every interior state of
+    the canonical table.  L is the sparse matrix M of
+    ``build_generator_matrix``, written from the weights and caps alone, so
+    it shares no code with the add/drop differences.  Each defect is gated
+    at 4 eps times the state's rounding scale, the sum of the absolute
+    terms, with |M| the entrywise absolute matrix (Higham ch. 3)."""
+
+    EPS = np.finfo(np.float64).eps
+
+    @pytest.fixture(scope="class")
+    def generator(self, exact):
+        gen = build_generator_matrix(exact.table)
+        return exact.table.states, gen.matrix, abs(gen.matrix), gen.interior
+
+    @staticmethod
+    def _functionals(space):
+        return [
+            bounded_sigmoid(space, [1, 2], 1.0),
+            bounded_sigmoid(space, [2, 3], 0.3),
+            indicator_leq(space, [1, 2, 3], 4),
+            linear_count(space, [1, 3]),
+            poly_count(space, [1, 2, 3], 2),
+            poly_count(space, [1, 3], 3),
+        ]
+
+    def _gamma_excess(self, space, generator) -> list[float]:
+        """Per pair of the 21, the most an interior |defect| exceeds its gate
+        4 eps scale by: not above 0 while the proposition holds."""
+        states, M, absM, interior = generator
+        Fs = self._functionals(space)
+        values = [F.batch(states) for F in Fs]
+        excess = []
+        for (F, f), (G, g) in itertools.combinations_with_replacement(zip(Fs, values), 2):
+            Mf, Mg = M @ f, M @ g
+            via_generator = 0.5 * (M @ (f * g) - f * Mg - g * Mf)
+            scale = absM @ np.abs(f * g) + np.abs(f) * (absM @ np.abs(g))
+            scale += np.abs(g) * (absM @ np.abs(f))
+            defect = np.abs(via_generator - gamma_batch(F, G, states))[interior]
+            excess.append(float((defect - 4 * self.EPS * scale[interior]).max()))
+        assert len(excess) == 21
+        return excess
+
+    def test_gamma_equals_generator_form(self, space, generator):
+        assert max(self._gamma_excess(space, generator)) <= 0.0
+
+    def test_ou_generator_equals_matrix(self, space, generator):
+        states, M, absM, interior = generator
+        for F in self._functionals(space):
+            f = F.batch(states)
+            defect = np.abs(M @ f - ou_generator_batch(F, states))[interior]
+            assert (defect <= 4 * self.EPS * (absM @ np.abs(f))[interior]).all(), F
+
+    def test_add_difference_in_drop_half_fails(self, monkeypatch, space, generator):
+        """With D+ in place of D- in Gamma's drop half, 1/2 int k_z D+F D+G,
+        the generator form no longer matches: defects of order one."""
+        monkeypatch.setattr(
+            operators, "field_dropped_diag", lambda u, counts: add_diff_all(u.gradient_of, counts)
+        )
+        assert max(self._gamma_excess(space, generator)) > 1.0
 
 
 class TestDirichletEnergy:

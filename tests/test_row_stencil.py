@@ -20,12 +20,17 @@ from poisson_malliavin import (
     MonteCarloBackend,
     SamplerConfig,
     bounded_sigmoid,
+    compose,
+    count_times_deterministic,
     derivative_field,
+    deterministic_field,
     functional_times_indicator,
     identities,
     indicator_leq,
     poly_count,
+    product_field,
     product_of,
+    site_indicator_field,
     skorokhod_check,
 )
 from poisson_malliavin import exact as exact_module, functionals, lattice
@@ -33,7 +38,9 @@ from poisson_malliavin.functionals import (
     add_diff_all,
     drop_diff_all,
     field_add_tensor,
+    field_added_diag,
     field_dropped_diag,
+    shifted_all,
 )
 from poisson_malliavin.registry import field_from_spec, functional_from_spec
 from poisson_malliavin.suite import _random_space, load_config
@@ -71,34 +78,89 @@ def _packaged_bindings(space: GroundSpace):
     return list(Fs.values()), list(us.values())
 
 
-@pytest.mark.parametrize("which", ["packaged", "random"])
+def _wide_bindings(space: GroundSpace):
+    """Functionals and fields over every site of a space of 6 sites or more,
+    mc_wide's kinds among them; the site vectors are not constant."""
+    n = space.n
+    sig = bounded_sigmoid(space, [1, 3, 5], 0.1)
+    ind = indicator_leq(space, [4, 5, 6], 12)
+    poly = poly_count(space, [2, n], 2)
+    prod = product_of(sig, ind)
+    values = [1.0, -0.5, 2.0, 0.5, 1.0, -1.0] + [0.25 * z for z in range(6, n)]
+    Fs = [sig, ind, poly, prod, compose("tanh", poly)]
+    us = [
+        functional_times_indicator(space, [2, 4, n], sig),
+        deterministic_field(space, values),
+        count_times_deterministic(space, [1, n], values),
+        site_indicator_field(space, [2, 3]),
+        derivative_field(prod),
+        derivative_field(poly),
+    ]
+    return Fs, us
+
+
+def _is_site_major(a: np.ndarray) -> bool:
+    """Whether a (rows, n) array has its row axis innermost in memory, so
+    that each site's column is contiguous, as in any one-row array."""
+    return a.strides[0] == a.itemsize or len(a) == 1
+
+
+_SPACES = {
+    "6 sites": (0.4, 1.0, 8.0, 2.0, 0.7, 8.0),  # mc_wide's site count
+    "8 sites": (0.4, 1.0, 8.0, 2.0, 0.7, 8.0, 0.3, 1.5),  # the C-ordered layout
+}
+
+
+@pytest.mark.parametrize("which", ["packaged", "random", "6 sites", "8 sites"])
 def test_stencil_matches_plain_counts_bitwise(which):
-    """On Monte Carlo rows of the packaged space and of a random one, split
-    into a one-row part and the rest, every helper on stencil-tagged rows
-    equals its plain call: batch and values, add and drop differences, and
-    the add tensor and dropped diagonal of gradient and other fields."""
+    """On Monte Carlo rows of the packaged space, of a random one and of
+    spaces of 6 and 8 sites, split into a one-row part and the rest, every
+    helper on stencil-tagged rows equals its plain call byte for byte:
+    batch and values, the shifts, add and drop differences, a gradient's
+    second-order shift, and the add tensor and shifted diagonals of
+    gradient, factored and other fields.  On fewer than 8 sites the rows
+    and a functional's shifts are site-major, on 8 C-ordered; every stored
+    (rows, n, n) tensor is C-ordered."""
     cfg = load_config(None)
-    space = cfg.space if which == "packaged" else _random_space(cfg)
-    Fs, us = _packaged_bindings(space)
+    if which in _SPACES:
+        space = GroundSpace(_SPACES[which])
+        Fs, us = _wide_bindings(space)
+    else:
+        space = cfg.space if which == "packaged" else _random_space(cfg)
+        Fs, us = _packaged_bindings(space)
+    us.append(product_field(Fs[0], us[0]))  # neither gradient nor factored
     assert any(u.gradient_of is not None for u in us)
-    assert any(u.gradient_of is None for u in us)
+    assert any(u.factors is not None for u in us)
     rows, _, _ = MonteCarloBackend(space, SamplerConfig(seed=5, samples=400))._distinct()
     assert (rows == 0).any() and len(rows) > 2  # the drop clip is reached
+    site_major = space.n < 8
     for part in (rows[:1], rows[1:]):
         stencil = lattice._RowStencil(part)
         counts, plain = stencil.tagged("slice"), np.array(part)
         assert lattice.is_slice(counts) and not lattice.is_tagged(plain)
+        assert (_is_site_major(counts) if site_major else counts.flags.c_contiguous)
         for F in Fs:
             assert same_bits(F.batch(counts), F.batch(plain)), F
+            for step in (1, -1):
+                shifted = shifted_all(F, counts, step)
+                assert same_bits(shifted, shifted_all(F, plain, step)), (step, F)
+                assert (_is_site_major(shifted) if site_major else shifted.flags.c_contiguous)
             for helper in (add_diff_all, drop_diff_all):
                 assert same_bits(helper(F, counts), helper(F, plain)), (helper, F)
             assert {(F, "slice"), (F, "plus"), (F, "minus")} <= set(stencil._values)
         for u in us:
             assert same_bits(u.values(counts), u.values(plain)), u
-            for helper in (field_add_tensor, field_dropped_diag):
+            for helper in (field_add_tensor, field_added_diag, field_dropped_diag):
                 assert same_bits(helper(u, counts), helper(u, plain)), (helper, u)
-            if u.gradient_of is not None:
-                assert (u.gradient_of, "second") in stencil._values
+            tensor = field_add_tensor(u, counts)
+            assert tensor.flags.c_contiguous or tensor.strides[:2] == (0, 0), u
+            F = u.gradient_of
+            if F is not None:
+                second = counts.box.second_order(F)
+                twice = lattice.neighbour_rows(lattice.neighbour_rows(plain, 1), 1)
+                assert same_bits(second, F.batch(twice)), F
+                assert second.flags.c_contiguous
+                assert (F, "second") in stencil._values
 
 
 def _counting(obj: Functional, log: list) -> Functional:
