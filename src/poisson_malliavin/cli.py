@@ -16,10 +16,8 @@ import json
 import sys
 from dataclasses import asdict, replace
 
-import numpy as np
-
 from .errors import ConfigError, PoissonMalliavinError
-from .montecarlo import SamplerConfig, mc_expectation, sample_counts
+from .montecarlo import SamplerConfig, draw, mc_expectation
 from .registry import functional_from_spec
 from .suite import default_config, load_config, run_suite, summarize, write_report
 
@@ -38,13 +36,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="expectation engines to run (default: both)",
     )
     verify.add_argument("--seed", type=int, help="override the Monte Carlo seed")
-    verify.add_argument("--samples", type=int, help="override the sample count")
     verify.add_argument(
-        "--workers", type=int,
-        help="override the worker count, at most the sample count: workers"
-        " partition the sample stream and draw one after another in this"
-        " process; their blocks are concatenated in worker order and"
-        " deduplicated once per backend, so reruns match bitwise, and the"
+        "--samples", type=int,
+        help="override the sample count: one seeded stream, drawn and"
+        " deduplicated once per backend, so reruns match bitwise; the"
         " distinct rows are held in memory for the whole run",
     )
     verify.add_argument("--report", help="write the JSON report to this path")
@@ -56,7 +51,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sample = sub.add_parser("sample", help="emit configurations as JSON lines")
     sample.add_argument("--config", help="suite config JSON (for the space and seed)")
     sample.add_argument("--count", type=int, required=True, help="configurations to draw")
-    sample.add_argument("--seed", type=int, help="override the sampling seed")
+    sample.add_argument(
+        "--seed", type=int,
+        help="override the sampling seed: the rows are the first draws of"
+        " verify's Monte Carlo run at that seed",
+    )
 
     estimate = sub.add_parser("estimate", help="Monte Carlo estimate of a functional")
     estimate.add_argument("--functional", required=True, help="registry name")
@@ -66,20 +65,17 @@ def _build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--config", help="suite config JSON (for the space)")
     estimate.add_argument("--seed", type=int, help="override the seed")
     estimate.add_argument("--samples", type=int, help="override the sample count")
-    estimate.add_argument("--workers", type=int, help="override the worker count")
     return parser
 
 
 def _override_mc(mc: SamplerConfig, args) -> SamplerConfig:
-    """``mc`` with the --seed/--samples/--workers overrides, checked by
+    """``mc`` with the --seed/--samples overrides, checked by
     ``SamplerConfig`` (``ConfigError``)."""
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
     if getattr(args, "samples", None) is not None:
         updates["samples"] = args.samples
-    if getattr(args, "workers", None) is not None:
-        updates["workers"] = args.workers
     return replace(mc, **updates) if updates else mc
 
 
@@ -109,9 +105,7 @@ def _cmd_sample(args) -> int:
     mc = _override_mc(cfg.mc, args)
     if args.count < 0:
         raise ConfigError(f"--count must be an integer >= 0, got {args.count}")
-    rng = np.random.default_rng(np.random.SeedSequence(mc.seed))
-    counts = sample_counts(cfg.space, rng, args.count)
-    for row in counts:
+    for row in draw(cfg.space, mc.seed, args.count):
         print(json.dumps({"counts": row.tolist()}))
     return 0
 

@@ -11,8 +11,7 @@ mass makes all expectations exactly enumerable while leaving the operator
 identities intact.  Multiplicities above one are allowed.
 
 Sites are 1-based in the public API, matching the configuration-file
-conventions.  A ground space is an immutable value object, so instances can
-be shared across concurrent workers without synchronisation.
+conventions.  A ground space is an immutable value object.
 """
 from __future__ import annotations
 

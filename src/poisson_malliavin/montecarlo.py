@@ -1,28 +1,25 @@
 """Seeded Poisson sampler and Monte Carlo expectation engine.
 
-Stream discipline: a run is keyed by (seed, samples, workers).  The master
-``numpy.random.SeedSequence(seed)`` is spawned into one independent child
-stream per worker, workers receive a fixed partition of the sample budget,
-and their draws are concatenated in worker-index order.  Identical
-configurations therefore reproduce bitwise-identical estimates regardless of
-how the workers are scheduled, while different worker counts agree in
-distribution (not bitwise).  The PCG64 bit generator behind
-``numpy.random.default_rng`` passes the standard statistical batteries, and
-its Poisson sampler is exact (inversion for small means, transformed
-rejection above numpy's internal switchover near lambda = 10).
+Stream discipline: a run is keyed by (seed, samples) and draws one stream,
+``numpy.random.default_rng(SeedSequence(seed).spawn(1)[0])`` (``draw``).
+Draws are made row by row, so the first m rows of a run are the whole of a
+run of m samples, and ``sample --seed S --count m`` prints them.  The PCG64
+bit generator behind ``numpy.random.default_rng`` passes the standard
+statistical batteries, and its Poisson sampler is exact (inversion for
+small means, transformed rejection above numpy's internal switchover near
+lambda = 10).
 
-Workers are stream partitions, not processes: they run one after another in
-the calling process.  A ``MonteCarloBackend`` draws all blocks once, on
-first use, and deduplicates their concatenation once into distinct rows,
-each with its multiplicity and the index of its first draw.  Kernels run
-once per stencil part of the distinct rows (``lattice.stencil_parts``),
-through the sweep loop both engines share (``functionals._sweep``).
+A ``MonteCarloBackend`` draws its samples once, on first use, and
+deduplicates them once into distinct rows, each with its multiplicity and
+the index of its first draw.  Kernels run once per stencil part of the
+distinct rows (``lattice.stencil_parts``), through the sweep loop both
+engines share (``functionals._sweep``).
 
 Every estimate is one sweep (one value per distinct row) and one reduction,
 returned as a ``Mean``: the multiplicity-weighted mean sum w v / samples
 and the standard error from the two-pass weighted variance, summed pairwise
-in row order.  Estimates reproduce bit for bit for the same (seed, samples,
-workers); against a per-sample reduction they agree to rounding, not bit
+in row order.  Estimates reproduce bit for bit for the same (seed,
+samples); against a per-sample reduction they agree to rounding, not bit
 for bit.  Identity defects are always paired per-sample differences, one
 LHS - RHS value per distinct row weighted by its multiplicity, never two
 independently estimated expectations subtracted, so the reported standard
@@ -50,38 +47,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Reproducibility key for a Monte Carlo run: an integer seed >= 0, at
-    least 2 samples (a standard error needs two) and from 1 worker up to one
-    per sample; anything else is a ``ConfigError`` naming the field."""
+    """Reproducibility key for a Monte Carlo run: an integer seed >= 0 and
+    at least 2 samples (a standard error needs two); anything else is a
+    ``ConfigError`` naming the field."""
 
     seed: int
     samples: int
-    workers: int = 1
 
     def __post_init__(self):
-        for name, low in (("seed", 0), ("samples", 2), ("workers", 1)):
+        for name, low in (("seed", 0), ("samples", 2)):
             value = getattr(self, name)
             if not (_is_int(value) and value >= low):
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.workers > self.samples:
-            # every worker stream past the sample count would draw nothing,
-            # and spawning each costs time and memory before any sampling
-            raise ConfigError(
-                f"workers must be at most samples, got workers={self.workers}"
-                f" > samples={self.samples}"
-            )
 
 
 def sample_counts(
     space: GroundSpace, rng: np.random.Generator, m: int
 ) -> np.ndarray:
-    """Draw a block of m configurations as an (m, n) integer counts array."""
-    return rng.poisson(lam=space.weights_array, size=(m, space.n)).astype(np.int64)
+    """Draw a block of m configurations as an (m, n) int64 counts array."""
+    return rng.poisson(lam=space.weights_array, size=(m, space.n)).astype(np.int64, copy=False)
 
 
-def _worker_sizes(samples: int, workers: int) -> list[int]:
-    base, rem = divmod(samples, workers)
-    return [base + (1 if j < rem else 0) for j in range(workers)]
+def draw(space: GroundSpace, seed: int, m: int) -> np.ndarray:
+    """The first m configurations of the run stream of ``seed``."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    return sample_counts(space, rng, m)
 
 
 def _distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,15 +116,12 @@ class MonteCarloBackend:
         return self.cfg.seed
 
     def _distinct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_distinct_rows`` of all workers' draws in worker order, the
-        multiplicities as float64 weights."""
+        """``_distinct_rows`` of the run's draws, the multiplicities as
+        float64 weights."""
         if self._rows is None:
-            children = np.random.SeedSequence(self.cfg.seed).spawn(self.cfg.workers)
-            sizes = _worker_sizes(self.cfg.samples, self.cfg.workers)
-            rows, first, multiplicity = _distinct_rows(np.concatenate([
-                sample_counts(self.space, np.random.default_rng(child), m)
-                for child, m in zip(children, sizes)
-            ]))
+            rows, first, multiplicity = _distinct_rows(
+                draw(self.space, self.cfg.seed, self.cfg.samples)
+            )
             self._rows = rows, first, multiplicity.astype(np.float64)
         return self._rows
 

@@ -1,7 +1,7 @@
 """Suite configuration, execution order, and machine-readable reports.
 
 A suite config is a JSON object with keys ``space``, ``truncation``
-(``tol``, ``budget``), ``mc`` (``seed``, ``samples``, ``workers``),
+(``tol``, ``budget``), ``mc`` (``seed``, ``samples``),
 ``gates``, and ``cases`` (the identity binding grid).  The default grid ships
 as a packaged data file rather than code, so new bindings are added by
 editing or overriding the config.  When ``randomized_space`` is present the
@@ -131,13 +131,15 @@ def parse_config(obj: dict) -> SuiteConfig:
     tol = float(_scalar(trunc, "truncation.tol", 1e-12, _is_real, 0, strict=True))
     budget = _scalar(trunc, "truncation.budget", DEFAULT_BUDGET, _is_int, 1)
 
-    mc_obj = _section(obj, "mc", [f.name for f in fields(SamplerConfig)])
-    try:
-        mc = SamplerConfig(
-            seed=mc_obj.get("seed", 0),
-            samples=mc_obj.get("samples", 100_000),
-            workers=mc_obj.get("workers", 1),
+    # a legacy "workers": 1 names the one stream the sampler draws
+    mc_obj = _section(obj, "mc", ["seed", "samples", "workers"])
+    workers = mc_obj.get("workers", 1)
+    if not (_is_int(workers) and workers == 1):
+        raise ConfigError(
+            f"mc: workers must be 1 (the sampler draws one stream), got {workers!r}"
         )
+    try:
+        mc = SamplerConfig(seed=mc_obj.get("seed", 0), samples=mc_obj.get("samples", 100_000))
     except ConfigError as exc:
         raise ConfigError(f"mc: {exc}") from exc
 

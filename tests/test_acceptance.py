@@ -244,7 +244,7 @@ def test_non_diffusion_counterexample(space, exact):
 
 def test_backend_cross_validation(space, exact):
     rng = np.random.default_rng(20260810)
-    cfg = SamplerConfig(seed=987654321, samples=100_000, workers=1)
+    cfg = SamplerConfig(seed=987654321, samples=100_000)
     bad = []
     for i in range(20):
         spec = random_functional_spec(rng, space.n)

@@ -4,11 +4,13 @@ import contextlib
 import io
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from poisson_malliavin.cli import main
+from poisson_malliavin import montecarlo
+from poisson_malliavin.cli import _build_parser, main
 from poisson_malliavin.suite import default_config
 
 
@@ -18,7 +20,7 @@ def tiny_config(tmp_path):
     cfg = default_config()
     keep = ("mecke", "duality", "product_formula", "non_diffusion_control")
     cfg["cases"] = [c for c in cfg["cases"] if c["identity"] in keep][:6]
-    cfg["mc"] = {"seed": 11, "samples": 2000, "workers": 2}
+    cfg["mc"] = {"seed": 11, "samples": 2000}
     cfg["pointwise_samples"] = 50
     cfg["randomized_space"] = None
     path = tmp_path / "config.json"
@@ -82,22 +84,17 @@ class TestVerify:
 
     def test_dump_config_applies_mc_overrides(self, tiny_config, capsys):
         argv = ["verify", "--dump-config", "--seed", "7", "--samples", "1000"]
-        for config, workers in (([], 1), (["--config", tiny_config], 2)):
+        for config in ([], ["--config", tiny_config]):
             assert main(argv + config) == 0
             out = capsys.readouterr().out
             assert '"seed": 7' in out and '"samples": 1000' in out
-            assert json.loads(out)["mc"] == {"seed": 7, "samples": 1000, "workers": workers}
+            assert json.loads(out)["mc"] == {"seed": 7, "samples": 1000}
 
 
 BAD_OVERRIDES = [
     (["verify", "--backend", "mc", "--samples", "1"], "samples must be an integer >= 2, got 1"),
     (["verify", "--samples", "0"], "samples must be an integer >= 2, got 0"),
     (["verify", "--seed", "-3"], "seed must be an integer >= 0, got -3"),
-    (["verify", "--workers", "0"], "workers must be an integer >= 1, got 0"),
-    (
-        ["verify", "--samples", "10", "--workers", "11"],
-        "workers must be at most samples, got workers=11 > samples=10",
-    ),
     (["estimate", "--functional", "linear_count", "--samples", "1"], "samples must be an integer >= 2, got 1"),
     (["sample", "--count", "-1"], "--count must be an integer >= 0, got -1"),
     (["sample", "--count", "3", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
@@ -110,6 +107,15 @@ def test_bad_override_exits_2_with_error(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [["verify"], ["estimate", "--functional", "linear_count"]])
+def test_workers_flag_is_gone(command, capsys):
+    """The sampler draws one stream, so there is no worker count to set."""
+    with pytest.raises(SystemExit) as err:
+        main(command + ["--workers", "4"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --workers 4" in capsys.readouterr().err
 
 
 class TestSample:
@@ -127,6 +133,34 @@ class TestSample:
         first = capsys.readouterr().out
         main(["sample", "--count", "4", "--seed", "9"])
         assert capsys.readouterr().out == first
+
+    def test_prints_the_first_draws_of_verify(self, tmp_path, monkeypatch, capsys):
+        """``sample --seed S --count N`` prints the first N configurations
+        that ``verify --backend mc --seed S`` draws; weights 0.5, 8 and 30
+        reach numpy's inversion and rejection Poisson samplers."""
+        cfg = default_config()
+        cfg["space"] = {"weights": [0.5, 8.0, 30.0]}
+        unit = {"name": "deterministic", "values": [1.0, 1.0, 1.0]}
+        cfg["cases"] = [{"identity": "mecke", "u": unit}]
+        cfg["randomized_space"] = None
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        drawn = []
+        real = montecarlo.sample_counts
+
+        def recording(*args):
+            drawn.append(real(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(montecarlo, "sample_counts", recording)
+        argv = ["--config", str(path), "--seed", "9"]
+        assert main(["verify", "--backend", "mc", "--samples", "200"] + argv) == 0
+        capsys.readouterr()
+        assert main(["sample", "--count", "50"] + argv) == 0
+        printed = [json.loads(line)["counts"] for line in capsys.readouterr().out.splitlines()]
+        verify_draw, sample_draw = drawn
+        assert verify_draw.shape == (200, 3)
+        assert printed == sample_draw.tolist() == verify_draw[:50].tolist()
 
 
 class TestEstimate:
@@ -169,3 +203,19 @@ def test_readme_library_example_prints_its_commented_values():
     assert len(printed) == len(expected) == 5
     for got, want in zip(printed, expected):
         assert [float(g) for g in got] == pytest.approx([float(w) for w in want], rel=1e-6, abs=0)
+
+
+def test_readme_cli_lines_parse():
+    """Every ``poisson-malliavin`` command in the README's CLI block is
+    accepted by the parser."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"## CLI\n\n```sh\n(.*?)```", readme.read_text(), re.S)
+    commands = [
+        shlex.split(line, comments=True)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("poisson-malliavin ")
+    ]
+    assert len(commands) == 6
+    for tokens in commands:
+        argv = tokens[1 : tokens.index(">")] if ">" in tokens else tokens[1:]
+        _build_parser().parse_args(argv)

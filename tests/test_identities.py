@@ -38,7 +38,7 @@ from poisson_malliavin import identities
 from poisson_malliavin.functionals import RandomField
 from conftest import same_bits
 
-MC_CFG = SamplerConfig(seed=20260810, samples=50_000, workers=1)
+MC_CFG = SamplerConfig(seed=20260810, samples=50_000)
 
 
 @pytest.fixture(scope="module")

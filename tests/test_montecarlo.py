@@ -31,7 +31,7 @@ from poisson_malliavin.identities import mecke_kernel
 
 from conftest import same_bits
 
-CFG = SamplerConfig(seed=424242, samples=100_000, workers=1)
+CFG = SamplerConfig(seed=424242, samples=100_000)
 
 
 class TestSampler:
@@ -66,18 +66,6 @@ class TestReproducibility:
         b = mc_expectation(F, space, CFG)
         assert a == b  # bitwise: same dataclass values
 
-    def test_bitwise_identical_multi_worker(self, space):
-        F = poly_count(space, [1, 2], 2)
-        cfg = SamplerConfig(seed=99, samples=10_001, workers=4)
-        assert mc_expectation(F, space, cfg) == mc_expectation(F, space, cfg)
-
-    def test_worker_split_agrees_in_distribution(self, space):
-        F = linear_count(space, [1, 2, 3])
-        one = mc_expectation(F, space, SamplerConfig(seed=7, samples=50_000, workers=1))
-        many = mc_expectation(F, space, SamplerConfig(seed=7, samples=50_000, workers=5))
-        assert one != many  # different substreams
-        for est in (one, many):
-            assert abs(est.value - 3.0) <= 4.0 * est.std_error
 
 
 class TestEstimate:
@@ -99,28 +87,16 @@ class TestEstimate:
         with pytest.raises(ConfigError, match="samples must be an integer >= 2"):
             SamplerConfig(seed=0, samples=1)
 
-    @pytest.mark.parametrize(
-        "seed, samples, workers", [(True, 10, 1), (0, 10.0, 1), (0, 10, "2"), (0, 10, None)]
-    )
-    def test_sampler_config_needs_integers(self, seed, samples, workers):
+    @pytest.mark.parametrize("seed, samples", [(True, 10), (0, 10.0), (0, "10"), (None, 10)])
+    def test_sampler_config_needs_integers(self, seed, samples):
         with pytest.raises(ConfigError, match="must be an integer"):
-            SamplerConfig(seed=seed, samples=samples, workers=workers)
+            SamplerConfig(seed=seed, samples=samples)
 
     def test_sampler_config_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(seed=-1, samples=10)
         with pytest.raises(ValueError):
             SamplerConfig(seed=0, samples=0)
-        with pytest.raises(ValueError):
-            SamplerConfig(seed=0, samples=10, workers=0)
-
-    def test_workers_at_most_samples(self):
-        # a worker past the sample count would draw nothing; small values
-        # only, so no large stream spawn is ever started
-        with pytest.raises(ConfigError) as err:
-            SamplerConfig(seed=1, samples=10, workers=11)
-        assert str(err.value) == "workers must be at most samples, got workers=11 > samples=10"
-        assert SamplerConfig(seed=1, samples=10, workers=10).workers == 10
 
 
 class TestMeckeDefect:
@@ -152,14 +128,12 @@ class TestNonFiniteAbort:
             return np.where(vals > 4, np.inf, vals)
 
         F = Functional(space, fn, "explodes")
-        for workers in (1, 3):
-            cfg = SamplerConfig(seed=3, samples=5000, workers=workers)
-            with pytest.raises(NonFiniteValueError) as err:
-                mc_expectation(F, space, cfg)
-            # the first offending sample in draw order, not in distinct-row order
-            assert str(err.value) == (
-                "explodes produced a non-finite value at configuration counts=[2, 1, 3]"
-            )
+        with pytest.raises(NonFiniteValueError) as err:
+            mc_expectation(F, space, SamplerConfig(seed=3, samples=5000))
+        # the first offending sample in draw order, not in distinct-row order
+        assert str(err.value) == (
+            "explodes produced a non-finite value at configuration counts=[2, 1, 3]"
+        )
 
 
 def test_engine_refuses_functional_of_another_space(space):
@@ -192,16 +166,10 @@ class TestAgreementWithExact:
         assert be.seed == CFG.seed
 
 
-def _full_blocks(space, cfg):
-    """Every worker's block drawn in full, as the stream discipline defines it."""
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.workers)
-    base, rem = divmod(cfg.samples, cfg.workers)
-    return [
-        np.random.default_rng(child)
-        .poisson(lam=space.weights_array, size=(base + (j < rem), space.n))
-        .astype(np.int64)
-        for j, child in enumerate(children)
-    ]
+def _full_draw(space, cfg):
+    """The run's draws in full, as the stream discipline defines it."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    return rng.poisson(lam=space.weights_array, size=(cfg.samples, space.n))
 
 
 WIDE = GroundSpace((60.0,) * 12)  # 60^12 > 2^62: rows cannot share an int64 key
@@ -248,12 +216,14 @@ class TestDedupEquivalence:
             return GroundSpace((6.0, 1.0, 0.5)), 20_000, [1, 2]
         return WIDE, 3_001, [1, 5, 12]
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_matches_brute_force(self, case, workers):
+    # the per-sample reference runs on the draws whole and in 4 pieces,
+    # batches the sweep's parts never match
+    @pytest.mark.parametrize("pieces", [1, 4])
+    def test_matches_brute_force(self, case, pieces):
         sp, samples, B = case
-        cfg = SamplerConfig(seed=5, samples=samples, workers=workers)
-        blocks = _full_blocks(sp, cfg)
-        counts = np.concatenate(blocks)
+        cfg = SamplerConfig(seed=5, samples=samples)
+        counts = _full_draw(sp, cfg)
+        blocks = np.array_split(counts, pieces)
         fits = math.prod((counts.max(axis=0) + 1).tolist()) <= np.iinfo(np.int64).max
         assert fits == (sp.n == 3)
 
@@ -287,7 +257,7 @@ class TestDedupEquivalence:
 
     def test_distinct_rows_rebuild_the_block(self, case):
         sp, samples, _ = case
-        (counts,) = _full_blocks(sp, SamplerConfig(seed=9, samples=samples))
+        counts = _full_draw(sp, SamplerConfig(seed=9, samples=samples))
         rows, first, multiplicity = montecarlo._distinct_rows(counts)
         assert np.array_equal(rows, counts[first])
         assert len(rows) == len(np.unique(counts, axis=0))
@@ -318,13 +288,13 @@ class TestDrawOnce:
 
             return wrapped
 
-        be = MonteCarloBackend(space, SamplerConfig(seed=1, samples=30_000, workers=3))
+        be = MonteCarloBackend(space, SamplerConfig(seed=1, samples=30_000))
         F = poly_count(space, [1, 2, 3], 2)
         u = deterministic_field(space, [1.0, -0.5, 2.0])
         for _ in range(2):
             be.paired(sized(mecke_kernel(u)))
             be.expectation(Functional(space, sized(F.batch), "sized"))
 
-        assert len(drawn) == 3
-        # the workers' draws are deduplicated together, once
-        assert seen == [len(np.unique(np.concatenate(drawn), axis=0))] * 4
+        (block,) = drawn
+        assert block.shape == (30_000, space.n)
+        assert seen == [len(np.unique(block, axis=0))] * 4

@@ -250,7 +250,7 @@ def test_bracket_and_form_bound_match_old_sweeps(backend):
 
 
 def test_bracket_and_form_bound_match_old_sweeps_on_monte_carlo(space):
-    mc = MonteCarloBackend(space, SamplerConfig(seed=3, samples=20_000, workers=2))
+    mc = MonteCarloBackend(space, SamplerConfig(seed=3, samples=20_000))
     for u, v in _fields(space):
         new = bracket_expectation_check(u, v, mc, case="bracket_expectation")
         assert new.to_dict() == _old_bracket_expectation(u, v, mc)

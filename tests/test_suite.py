@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import hashlib
 import json
 import sys
@@ -65,13 +64,6 @@ def test_case_ids_pinned(backend, cases):
 def test_report_bytes_pinned(backend):
     text = reports_to_json(run_suite(load_config(None), backend))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[backend]
-
-
-def test_mc_report_reruns_are_byte_identical_with_four_workers():
-    cfg = load_config(None)
-    cfg = dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc, workers=4))
-    first, second = (reports_to_json(run_suite(cfg, "mc")) for _ in range(2))
-    assert first == second
 
 
 @pytest.mark.parametrize("identity, key", REQUIRED, ids=[f"{i}-{k}" for i, k in REQUIRED])
@@ -160,8 +152,9 @@ BAD_SCALARS = [
     ("mc-samples-float", {"mc": {"samples": 1000.5}}, "mc: samples must be an integer >= 2, got 1000.5"),
     ("mc-seed-bool", {"mc": {"seed": True}}, "mc: seed must be an integer >= 0, got True"),
     ("mc-seed-negative", {"mc": {"seed": -3}}, "mc: seed must be an integer >= 0, got -3"),
-    ("mc-workers-string", {"mc": {"workers": "2"}}, "mc: workers must be an integer >= 1, got '2'"),
-    ("mc-workers-above-samples", {"mc": {"samples": 10, "workers": 11}}, "mc: workers must be at most samples, got workers=11 > samples=10"),
+    ("mc-workers-string", {"mc": {"workers": "2"}}, "mc: workers must be 1 (the sampler draws one stream), got '2'"),
+    ("mc-workers-four", {"mc": {"workers": 4}}, "mc: workers must be 1 (the sampler draws one stream), got 4"),
+    ("mc-workers-bool", {"mc": {"workers": True}}, "mc: workers must be 1 (the sampler draws one stream), got True"),
     ("mc-list", {"mc": [1]}, "mc: must be an object, got [1]"),
     ("tol-string", {"truncation": {"tol": "x"}}, "truncation.tol: must be a number > 0, got 'x'"),
     ("tol-zero", {"truncation": {"tol": 0}}, "truncation.tol: must be a number > 0, got 0"),
@@ -182,6 +175,14 @@ def test_bad_top_level_scalar_is_config_error(name, top, message):
     with pytest.raises(ConfigError) as err:
         parse_config(dict(_config({"identity": "mecke", "u": UNIT_FIELD}), **top))
     assert str(err.value) == message
+
+
+def test_legacy_workers_one_is_accepted():
+    """Configs written for the retired worker partition said ``workers: 1``,
+    which names the one stream the sampler draws."""
+    base = _config({"identity": "mecke", "u": UNIT_FIELD})
+    legacy = dict(base, mc={"seed": 3, "samples": 10, "workers": 1})
+    assert parse_config(legacy) == parse_config(dict(base, mc={"seed": 3, "samples": 10}))
 
 
 UNKNOWN_KEYS = [

@@ -96,7 +96,7 @@ def test_exact_checks_match_one_slice_bitwise(monkeypatch, space, exact, which):
 
 def test_monte_carlo_matches_one_slice_bitwise(monkeypatch):
     space = GroundSpace((3.0, 3.0, 3.0))
-    cfg = SamplerConfig(seed=5, samples=20_000, workers=2)
+    cfg = SamplerConfig(seed=5, samples=20_000)
     u = functional_times_indicator(space, [1, 2], bounded_sigmoid(space, [2, 3], 0.5))
     F = poly_count(space, [1, 2, 3], 2)
 
