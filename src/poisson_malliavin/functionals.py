@@ -16,14 +16,16 @@ pathwise checks, go through one loop, ``_sweep``, over parts of at most
 ``_sweep_step(n)`` rows, which also holds the one non-finite check.  Every
 part's counts rows are tagged with a memo (``lattice``): a box slice of the
 exact oracle's table where that evaluates less (``lattice.sweep_parts``),
-else a row stencil, which evaluates each object once per part, at eta and
-eta +- delta_z.
-``Functional.batch``, ``RandomField.values`` and the shift helpers read
-its values and shifts and build every difference here, a gradient
-field's included.  A factored field F(eta) g(z) (``factored_field``) is
-read off F's values and shifts times g on a memo's rows, so only F is
-memoised, never the (rows, n) field.  Evaluations are pure, hence safe
-for concurrent use.
+else a row stencil, which evaluates each functional once per part, at eta
+and eta +- delta_z.  ``Functional.batch``, ``RandomField.values`` and the
+shift helpers read its values and shifts and build every difference here.
+A memo holds functionals only: a gradient field DF and a factored field
+F(eta) g(z) (``factored_field``) are read off F's values and shifts on a
+memo's rows, and any other field, hand-built or a composite such as
+``product_field``, is evaluated through its fn on the tagged rows, so its
+inner functionals hit the memo, and shifted the plain way, on
+``lattice.neighbour_rows``.  Evaluations are pure, hence safe for
+concurrent use.
 """
 from __future__ import annotations
 
@@ -108,18 +110,17 @@ class RandomField:
 
     def values(self, counts) -> np.ndarray:
         """Evaluate on counts of shape (..., n); returns shape (..., n).
-        Tagged rows are evaluated once per sweep part (``lattice``); DF on
-        a part's own rows is ``add_diff_all`` of F's memoised shifts, and a
-        factored field on any tagged rows is F's memoised values times g,
-        laid out like the rows."""
+        DF on a sweep part's own rows is ``add_diff_all`` of F's memoised
+        shifts, and a factored field on any tagged rows is F's memoised
+        values times g, laid out like the rows.  Any other field's fn gets
+        tagged rows as they are, so the functionals inside it are memoised
+        (``lattice``); the field itself is not."""
         arr = _as_counts(self.space, counts)
         if lattice.is_slice(counts) and self.gradient_of is not None:
             return add_diff_all(self.gradient_of, counts)
         if lattice.is_tagged(counts) and self.factors is not None:
             return _factored(self, counts)
-        if lattice.is_tagged(counts):
-            return counts.box.values(self, counts.part)
-        return np.asarray(self.fn(arr), dtype=np.float64)
+        return np.asarray(self.fn(counts if lattice.is_tagged(counts) else arr), dtype=np.float64)
 
     def __repr__(self) -> str:
         return f"RandomField({self.name!r}, bound={self.bound!r})"
@@ -297,17 +298,16 @@ def _check_binding(engine, *objs) -> None:
 def field_add_tensor(u: RandomField, counts: np.ndarray) -> np.ndarray:
     """T[..., z-1, zp-1] = u(eta + delta_z, zp).  Shape (..., n, n).
 
-    On a sweep part it is read off u's memoised shifts; for a gradient
-    field u = DF it is F(eta + delta_z + delta_zp) - F(eta + delta_z), read
-    off F's shifts and the second-order points past them, and for a
-    factored field F(eta + delta_z) g(zp).
+    On a sweep part a gradient field u = DF is
+    F(eta + delta_z + delta_zp) - F(eta + delta_z), read off F's memoised
+    shifts and the second-order points past them, and a factored field is
+    F(eta + delta_z) g(zp).  Any other field is evaluated at every
+    eta + delta_z (``lattice.neighbour_rows``).
     """
-    if lattice.is_slice(counts):
-        if u.factors is not None:
-            return _factored(u, counts, tensor=True)
+    if lattice.is_slice(counts) and u.factors is not None:
+        return _factored(u, counts, tensor=True)
+    if lattice.is_slice(counts) and u.gradient_of is not None:
         F = u.gradient_of
-        if F is None:
-            return counts.box.around(u, 1)
         return counts.box.second_order(F) - shifted_all(F, counts, 1)[..., None]
     return u.values(lattice.neighbour_rows(_as_counts(u.space, counts), 1))
 
@@ -315,12 +315,9 @@ def field_add_tensor(u: RandomField, counts: np.ndarray) -> np.ndarray:
 def field_added_diag(u: RandomField, counts: np.ndarray) -> np.ndarray:
     """out[..., z-1] = u(eta + delta_z, z), the diagonal of
     ``field_add_tensor``.  Shape (..., n).  On a sweep part a factored
-    field is F(eta + delta_z) g(z), and any other non-gradient field copies
-    only these n values per row out of its memoised shifts."""
+    field is F(eta + delta_z) g(z)."""
     if lattice.is_slice(counts) and u.factors is not None:
         return _factored(u, counts, 1)
-    if lattice.is_slice(counts) and u.gradient_of is None:
-        return counts.box.around(u, 1, own_site=True)
     return np.diagonal(field_add_tensor(u, counts), axis1=-2, axis2=-1)
 
 
@@ -333,15 +330,13 @@ def field_dropped_diag(u: RandomField, counts: np.ndarray) -> np.ndarray:
     by ``drop_diff_all``.  On a sweep part a factored field is
     F(eta - delta_z) g(z) 1_{z in eta}, multiplied in that order from F's
     memoised drops, so a non-finite F stays non-finite at an empty site;
-    any other field is evaluated at every eta - delta_z, memoised on a
-    sweep part.
+    any other field is evaluated at every eta - delta_z
+    (``lattice.neighbour_rows``).
     """
     if u.gradient_of is not None:
         return drop_diff_all(u.gradient_of, counts)
     if lattice.is_slice(counts) and u.factors is not None:
         return _factored(u, counts, -1) * (counts > 0)
-    if lattice.is_slice(counts):
-        return counts.box.around(u, -1, own_site=True) * (counts > 0)
     counts = _as_counts(u.space, counts)
     dropped = u.values(lattice.neighbour_rows(counts, -1))
     return np.diagonal(dropped, axis1=-2, axis2=-1) * (counts > 0)

@@ -1,14 +1,15 @@
-"""Memo geometries of the sweeps: each functional and field is evaluated
-once per part of a sweep, at the part's rows and their neighbours
-eta +- delta_z, and the add and drop differences of the paper's carre du
-champ representation are read off values already computed.
+"""Memo geometries of the sweeps: each functional is evaluated once per
+part of a sweep, at the part's rows and their neighbours eta +- delta_z,
+and the add and drop differences of the paper's carre du champ
+representation are read off values already computed.
 
 The one sweep loop, ``functionals._sweep``, runs kernels on parts of rows
 and hands them each part's counts tagged with its memo (``_SliceRows``).
-A memo stores and shifts values: an object's values at the rows of a part
-(``values``), at eta + step * delta_z for each row of the slice
-(``around``) and at eta + delta_z + delta_zp (``second_order``), from
-which ``functionals`` builds the differences.  The exact engine's table is
+A memo stores and shifts the values of functionals only: F's values at
+the rows of a part (``values``), at eta + step * delta_z for each row of
+the slice (``around``) and at eta + delta_z + delta_zp (``second_order``),
+from which ``functionals`` builds the differences and every field the
+registry builds.  The exact engine's table is
 the whole box prod_z {0..cap_z} in lexicographic order, so eta +- delta_z
 of a configuration in it is a neighbouring lattice point, a mixed-radix
 stride away: ``sweep_parts`` cuts it into box slices of consecutive rows
@@ -18,14 +19,13 @@ row's neighbours (``stencil_parts``, ``_RowStencil``).  Every value is the
 one a plain evaluation gives, bit for bit.  On fewer than 8 sites both
 memos store their (rows, n) counts and shifts site-major, the row axis
 innermost in memory, so a sum over sites adds whole columns in the order
-numpy sums a C-ordered row; (rows, n, n) tensors stay C-ordered
-(``_site_major``, ``_BoxSlice._empty``, ``_RowStencil``).  The module
-needs nothing from ``functionals``: the sweep budget arrives as a row
-count, and an object is evaluated only through its ``fn`` (``_evaluate``).
-A factored field F(eta) g(z) is never stored here: on a part's rows
-``functionals`` reads it off F's values and shifts times g, so only
-hand-built fields and composites such as ``product_field`` hold (rows, n)
-values on a halo.
+numpy sums a C-ordered row; (rows, n, n) second-order shifts stay
+C-ordered (``_site_major``, ``_BoxSlice._empty``, ``_RowStencil``).  The
+module needs nothing from ``functionals``: the sweep budget arrives as a
+row count, and a functional is evaluated only through its ``fn``
+(``_evaluate``).  No field is stored here: ``functionals`` reads a
+gradient DF and a factored field F(eta) g(z) off F's values and shifts,
+and evaluates any other field through its ``fn``.
 """
 from __future__ import annotations
 
@@ -112,10 +112,10 @@ class _SliceRows(np.ndarray):
         return arr[()] if return_scalar else arr
 
 
-def _evaluate(obj, rows: np.ndarray) -> np.ndarray:
-    """``obj.fn`` on ``rows``, as a read-only view: the values are shared by
-    every later request on the slice."""
-    values = np.asarray(obj.fn(rows), dtype=np.float64).view()
+def _evaluate(F, rows: np.ndarray) -> np.ndarray:
+    """``F.fn`` on ``rows``, as a read-only view: the values are shared by
+    every later request on the memo."""
+    values = np.asarray(F.fn(rows), dtype=np.float64).view()
     values.setflags(write=False)
     return values
 
@@ -124,7 +124,7 @@ class _BoxSlice:
     """A slice of the exact engine's box: the configurations with
     lo[z] <= eta_z < hi[z] at every site, a run of consecutive table rows.
 
-    Kernels receive its rows, ``tagged("slice")``.  Each functional or field
+    Kernels receive its rows, ``tagged("slice")``.  Each functional
     evaluated on a box slice is memoised here by object: on the slice itself
     while no shift of it is asked for, and on the halo, the slice grown by
     one level per site (lo - 1, clipped at 0, to hi + 1), from the first
@@ -133,19 +133,20 @@ class _BoxSlice:
     +- strides[z] in the flat values, with the strides of
     ``build_generator_matrix``.
 
-    An object shifted in ``prev``, the sweep's previous slice, goes to the
-    halo at its first request.  When ``prev`` is a neighbour along one site,
-    the two levels the halos share at that border are copied from it and
-    only the rest ("fresh") is evaluated.  Kernels do the same on every
-    slice, so after a sweep's first slice each object's fn runs once per
+    A functional shifted in ``prev``, the sweep's previous slice, goes to
+    the halo at its first request.  When ``prev`` is a neighbour along one
+    site, the two levels the halos share at that border are copied from it
+    and only the rest ("fresh") is evaluated.  Kernels do the same on every
+    slice, so after a sweep's first slice each functional's fn runs once per
     slice, plus once on the faces past the halo that a gradient's
-    second-order shift reads (``second_order``).  In the first slice an
-    object asked for on the slice and then shifted runs twice: on the slice,
-    then on the halo.  Composites pass the rows on to their inner
-    functionals, so those are memoised too; a shift asked of rows other than
-    the slice's own (a composite that shifts its inner functionals) is
-    evaluated the plain way.  Only the tagged rows refer to the slice, so it
-    and its values are freed with the last of them.
+    second-order shift reads (``second_order``).  In the first slice a
+    functional asked for on the slice and then shifted runs twice: on the
+    slice, then on the halo.  Composites, and fields evaluated through their
+    fn, pass the rows on to their inner functionals, so those are memoised
+    too; a shift asked of rows other than the slice's own (a composite that
+    shifts its inner functionals) is evaluated the plain way.  Only the
+    tagged rows refer to the slice, so it and its values are freed with the
+    last of them.
     """
 
     def __init__(self, lo, hi, prev: "_BoxSlice | None" = None):
@@ -170,7 +171,7 @@ class _BoxSlice:
 
     def _take_border(self, prev: "_BoxSlice") -> None:
         """Take over what this slice needs of the finished slice ``prev``:
-        which objects it shifted and, when the two are neighbours along one
+        which functionals it shifted and, when the two are neighbours along one
         site, their halo values on the two levels the halos share there.
         ``prev`` is emptied on the way, so its values are freed early."""
         prev._slice.clear()
@@ -188,10 +189,10 @@ class _BoxSlice:
             self._boxes["fresh"] = whole[:z] + (slice(2, self.shape[z]),) + whole[z + 1 :]
             last = (slice(None),) * z + (slice(-2, None),)
             while prev._halo:
-                obj, values = prev._halo.popitem()
-                halo = np.empty((math.prod(self.shape),) + values.shape[1:])
+                F, values = prev._halo.popitem()
+                halo = np.empty(math.prod(self.shape))
                 self._grid(halo)[known] = prev._grid(values)[last]
-                self._carry[obj] = halo
+                self._carry[F] = halo
         prev._halo.clear()
 
     def tagged(self, part: str) -> _SliceRows:
@@ -208,47 +209,39 @@ class _BoxSlice:
         return tagged
 
     def _grid(self, values: np.ndarray) -> np.ndarray:
-        return values.reshape(self.shape + values.shape[1:])
+        return values.reshape(self.shape)
 
-    def values(self, obj, part: str) -> np.ndarray:
-        """``obj``'s values at the rows of ``part``."""
+    def values(self, F, part: str) -> np.ndarray:
+        """The functional ``F``'s values at the rows of ``part``."""
         if part == "slice":
-            here = self._slice.get(obj)
+            here = self._slice.get(F)
             if here is None:
-                if obj in self._halo or obj in self._expected:
-                    here = self._grid(self._grow(obj))[self._inside]
+                if F in self._halo or F in self._expected:
+                    here = self._grid(self._grow(F))[self._inside].reshape(len(self.rows))
                 else:
-                    here = _evaluate(obj, self.tagged("slice"))
-                    here = here.reshape(self._size + here.shape[1:])
-                if here.ndim == len(self.shape):
-                    here = here.reshape(len(self.rows))
-                else:  # a field's (rows, n) values, laid out as its shifts
-                    out, targets = self._empty()
-                    np.moveaxis(targets, 0, -1)[...] = here
-                    out.setflags(write=False)
-                    here = out
-                self._slice[obj] = here
+                    here = _evaluate(F, self.tagged("slice"))
+                self._slice[F] = here
             return here
-        halo = self._grow(obj)
+        halo = self._grow(F)
         if part == "halo":
             return halo
-        return self._grid(halo)[self._boxes[part]].reshape((-1,) + halo.shape[1:])
+        return self._grid(halo)[self._boxes[part]].reshape(-1)
 
-    def _grow(self, obj) -> np.ndarray:
-        """``obj``'s halo values, evaluating only the rows not known yet:
-        the whole halo, or the rows past the border taken from ``prev``."""
-        halo = self._halo.get(obj)
+    def _grow(self, F) -> np.ndarray:
+        """``F``'s halo values, evaluating only the rows not known yet: the
+        whole halo, or the rows past the border taken from ``prev``."""
+        halo = self._halo.get(F)
         if halo is not None:
             return halo
-        halo = self._carry.pop(obj, None)
+        halo = self._carry.pop(F, None)
         if halo is None:
-            halo = _evaluate(obj, self.tagged("halo"))
+            halo = _evaluate(F, self.tagged("halo"))
         else:
-            new = _evaluate(obj, self.tagged("fresh"))
+            new = _evaluate(F, self.tagged("fresh"))
             fresh = self._grid(halo)[self._boxes["fresh"]]
             fresh[...] = new.reshape(fresh.shape)
             halo.setflags(write=False)
-        self._halo[obj] = halo
+        self._halo[F] = halo
         return halo
 
     def _copy(self, out: np.ndarray, values: np.ndarray, moves) -> None:
@@ -268,36 +261,33 @@ class _BoxSlice:
                 at[z] = slice(0, s.stop)
         out[...] = grid[tuple(at)]
 
-    def _empty(self, trailing: tuple = ()):
-        """An uninitialised float64 array of shape (rows, n) + trailing and
-        its view of shape (n,) + the slice's grid + trailing, whose entry z
-        is the ``_copy`` target of the shift along site z.  A (rows, n)
-        array is stored site-major on fewer than 8 sites (``_site_major``),
-        so each target is contiguous and a sum over sites adds whole
-        columns.  A (rows, n, n) tensor stays C-ordered: numpy sums its n^2
-        entries per row in partial sums that no other layout reproduces."""
+    def _empty(self):
+        """An uninitialised float64 (rows, n) array and its view of shape
+        (n,) + the slice's grid, whose entry z is the ``_copy`` target of
+        the shift along site z.  It is stored site-major on fewer than 8
+        sites (``_site_major``), so each target is contiguous and a sum over
+        sites adds whole columns."""
         n = len(self.shape)
-        if not trailing and _site_major(n):
+        if _site_major(n):
             targets = np.empty((n,) + self._size)
             return targets.reshape(n, -1).T, targets
-        out = np.empty(self._size + (n,) + trailing)
-        return out.reshape((len(self.rows), n) + trailing), np.moveaxis(out, n, 0)
+        out = np.empty(self._size + (n,))
+        return out.reshape(len(self.rows), n), np.moveaxis(out, n, 0)
 
-    def around(self, obj, step: int, own_site: bool = False) -> np.ndarray:
-        """out[r, z - 1] = ``obj`` at eta_r + step * delta_z, shape (rows, n)
-        for a functional and (rows, n, n) for a field; with ``own_site`` only
-        the field's site-z value, shape (rows, n)."""
-        values = self._grow(obj)
-        n = len(self.shape)
-        out, targets = self._empty(() if own_site else values.shape[1:])
-        for z in range(n):
-            self._copy(targets[z], values[:, z] if own_site else values, [(z, step)])
+    def around(self, F, step: int) -> np.ndarray:
+        """out[r, z - 1] = ``F`` at eta_r + step * delta_z, shape (rows, n)."""
+        values = self._grow(F)
+        out, targets = self._empty()
+        for z in range(len(self.shape)):
+            self._copy(targets[z], values, [(z, step)])
         return out
 
     def second_order(self, F) -> np.ndarray:
-        """F(eta + delta_z + delta_zp) for every eta in the slice, shape
-        (rows, n, n).  For z = zp the slice's top level at site z reaches
-        one past the halo, to a face evaluated on its own."""
+        """F(eta + delta_z + delta_zp) for every eta in the slice, a
+        C-ordered (rows, n, n) tensor: numpy sums its n^2 entries per row in
+        partial sums that no other layout reproduces.  For z = zp the
+        slice's top level at site z reaches one past the halo, to a face
+        evaluated on its own."""
         halo = self._grow(F)
         n = len(self.shape)
         faces = self._faces.get(F)
@@ -339,19 +329,20 @@ class _RowStencil:
     ("minus") and, for a gradient's add tensor, eta + delta_z + delta_zp
     ("second"), each built on first use by ``neighbour_rows``.
 
-    Each functional or field evaluated on a stencil is memoised here by
-    object and part: its fn sees at most (2n + 1) m rows for the slice's m,
-    plus n^2 m for a second-order shift.  Composites pass the tagged rows on
-    to their inner functionals, so those are memoised too.  Only the tagged
-    rows refer to the stencil, so it and its values go with the last of them.
+    Each functional evaluated on a stencil is memoised here by object and
+    part: its fn sees at most (2n + 1) m rows for the slice's m, plus n^2 m
+    for a second-order shift.  Composites, and fields evaluated through
+    their fn, pass the tagged rows on to their inner functionals, so those
+    are memoised too.  Only the tagged rows refer to the stencil, so it and
+    its values go with the last of them.
 
     On fewer than 8 sites the layout is a box slice's (``_site_major``): the
     slice's rows are stored site-major, and the plus and minus rows are
     built site-outermost, (n, m, n), as n site-major blocks, so a
     functional's values there are (n, m) and ``around`` hands them over as
-    a site-major (m, n) view.  (rows, n, n) tensors, a field's shifts and
-    ``second_order``, are C-ordered.  On 8 sites or more every part is
-    C-ordered, (m, n, n) for the plus and minus rows.
+    a site-major (m, n) view.  ``second_order`` is C-ordered, (m, n, n).
+    On 8 sites or more every part is C-ordered, (m, n, n) for the plus and
+    minus rows.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -379,26 +370,19 @@ class _RowStencil:
         tagged.box, tagged.part = self, part
         return tagged
 
-    def values(self, obj, part: str) -> np.ndarray:
-        """``obj``'s values at the rows of ``part``."""
-        values = self._values.get((obj, part))
+    def values(self, F, part: str) -> np.ndarray:
+        """The functional ``F``'s values at the rows of ``part``."""
+        values = self._values.get((F, part))
         if values is None:
-            values = self._values[obj, part] = _evaluate(obj, self.tagged(part))
+            values = self._values[F, part] = _evaluate(F, self.tagged(part))
         return values
 
-    def around(self, obj, step: int, own_site: bool = False) -> np.ndarray:
-        """``_BoxSlice.around`` read off ``obj``'s values at the plus or minus
-        rows; on fewer than 8 sites a functional's (n, m) values are handed
-        over as their site-major transpose and a field's as a C-ordered
-        (m, n, n) copy."""
-        values = self.values(obj, "plus" if step == 1 else "minus")
-        if not self._site_major:
-            return np.diagonal(values, axis1=-2, axis2=-1) if own_site else values
-        if own_site:
-            return np.diagonal(values, axis1=0, axis2=-1)
-        if values.ndim == 2:
-            return values.T
-        return np.ascontiguousarray(values.transpose(1, 0, 2))
+    def around(self, F, step: int) -> np.ndarray:
+        """``_BoxSlice.around`` read off ``F``'s values at the plus or minus
+        rows; on fewer than 8 sites their (n, m) values are handed over as
+        their site-major transpose."""
+        values = self.values(F, "plus" if step == 1 else "minus")
+        return values.T if self._site_major else values
 
     def second_order(self, F) -> np.ndarray:
         """F(eta + delta_z + delta_zp) for every eta in the slice, shape

@@ -1,9 +1,9 @@
-"""Box slices of the exact engine: on a slice of the table, functionals and
-fields are evaluated once and D+ / D- are stride offsets into their values.
-Every shifted value must equal the plain counts-array evaluation bit for bit,
-whatever the slice shape; each object's fn runs once per slice after a
-sweep's first; and the sweep takes box slices only where they evaluate no
-more rows than row stencils."""
+"""Box slices of the exact engine: on a slice of the table, functionals are
+evaluated once and D+ / D- are stride offsets into their values.  Every
+shifted value must equal the plain counts-array evaluation bit for bit,
+whatever the slice shape; each functional's fn runs once per slice after a
+sweep's first; a memo stores functionals only; and the sweep takes box
+slices only where they evaluate no more rows than row stencils."""
 from __future__ import annotations
 
 import dataclasses
@@ -27,6 +27,7 @@ from poisson_malliavin import (
     identities,
     indicator_leq,
     poly_count,
+    product_field,
     product_of,
     site_indicator_field,
 )
@@ -326,14 +327,14 @@ def test_exact_results_match_plain_states_bitwise(monkeypatch, backend, shape):
 
 def _counting(obj, log, where, factored: bool = False):
     """A copy of ``obj`` whose fn logs, per call, the slice being swept, the
-    sweep's slice index, whether the rows are a slice's and the rows.  The
-    copy is hand-built, unless ``factored`` keeps a factored field's
-    factors."""
+    sweep's slice index, which part of a memo the rows are (None for plain
+    rows) and the rows.  The copy is hand-built, unless ``factored`` keeps a
+    factored field's factors."""
 
     def fn(counts, inner=obj.fn):
-        box = getattr(counts, "box", None)
+        part = counts.part if lattice.is_tagged(counts) else None
         rows = np.array(counts).reshape(-1, counts.shape[-1])
-        log.append((where["slice"], where["index"], box is not None, rows))
+        log.append((where["slice"], where["index"], part, rows))
         return inner(counts)
 
     if factored:
@@ -346,13 +347,15 @@ def _counting(obj, log, where, factored: bool = False):
 @pytest.mark.parametrize("shape", ["one level", "several levels", "second site"])
 def test_each_object_evaluated_once_per_slice(monkeypatch, backend, shape):
     """Over the identity checks, from the second slice of a sweep on, each
-    object's fn runs at most once on rows of the slice (its own rows, its
-    halo, or the part of the halo past the border with the previous slice)
-    and sees each configuration at most once.  The faces past the halo that
-    a gradient's second-order shift reads are evaluated by one more call, on
-    plain rows.  In a sweep's first slice an object asked for on the slice
-    and then shifted runs twice, on the slice and on the halo.  Composites
-    evaluate their inner objects through the slice too."""
+    functional's fn runs at most once on rows of the slice (its own rows,
+    its halo, or the part of the halo past the border with the previous
+    slice) and sees each configuration at most once.  The faces past the
+    halo that a gradient's second-order shift reads are evaluated by one
+    more call, on plain rows.  In a sweep's first slice a functional asked
+    for on the slice and then shifted runs twice, on the slice and on the
+    halo.  Composites evaluate their inner functionals through the slice
+    too, and the fields, both factored, are read off their functional's
+    memo."""
     _slice_rows(monkeypatch, shape)
     space = backend.space
     where = {"slice": None, "index": -1}
@@ -372,8 +375,8 @@ def test_each_object_evaluated_once_per_slice(monkeypatch, backend, shape):
     sig = _counting(bounded_sigmoid(space, [1, 2], 1.0), logs["sig"], where)
     ind = _counting(indicator_leq(space, [2, 3], 2), logs["ind"], where)
     prod = _counting(product_of(sig, ind), logs["prod"], where)
-    u = _counting(functional_times_indicator(space, [1, 3], sig), logs["u"], where)
-    det = _counting(deterministic_field(space, [1.0, -0.5, 2.0]), logs["det"], where)
+    u = _counting(functional_times_indicator(space, [1, 3], sig), logs["u"], where, True)
+    det = _counting(deterministic_field(space, [1.0, -0.5, 2.0]), logs["det"], where, True)
     checks = [
         lambda: identities.mecke_check(u, backend),
         lambda: identities.skorokhod_check(derivative_field(prod), backend),
@@ -390,11 +393,11 @@ def test_each_object_evaluated_once_per_slice(monkeypatch, backend, shape):
         assert check().passed
         for name, log in logs.items():
             by_slice = defaultdict(list)
-            for box, index, tagged, rows in log:
-                by_slice[id(box)].append((index, tagged, rows))
+            for box, index, part, rows in log:
+                by_slice[id(box)].append((index, part, rows))
             for entries in by_slice.values():
                 rows = np.concatenate([r for _, _, r in entries])
-                tagged_calls = sum(tagged for _, tagged, _ in entries)
+                tagged_calls = sum(part is not None for _, part, _ in entries)
                 if entries[0][0] > 0:
                     assert len(np.unique(rows, axis=0)) == len(rows), name
                     assert tagged_calls <= 1, name
@@ -410,8 +413,9 @@ def test_factored_fields_never_evaluated_on_tagged_rows(monkeypatch, exact, engi
     """Through mecke, duality, skorokhod, bracket_expectation and
     energy_derivation, a factored field's fn is never called on a memo's
     rows: its values and shifts are its functional's memoised ones times g.
-    A hand-built field with the same fn is still evaluated there, on the
-    halo of a box slice, and every report is the same bit for bit."""
+    A hand-built field with the same fn is never stored: its fn sees a
+    memo's own rows only, never a halo or neighbour rows, and every report
+    is the same bit for bit."""
     space = exact.space
     backend = exact
     if engine == "monte carlo":
@@ -448,11 +452,51 @@ def test_factored_fields_never_evaluated_on_tagged_rows(monkeypatch, exact, engi
         hand = _counting(u, hand_log, where)
         assert factored.factors is u.factors and hand.factors is None
         assert reports(factored) == reports(hand), u
-        assert not any(tagged for _, _, tagged, _ in factored_log), u
-        tagged = [rows for _, _, is_tagged, rows in hand_log if is_tagged]
-        assert tagged, u
-        if backend is exact:  # the halo reaches one level past the table
-            assert any((rows > caps).any() for rows in tagged), u
+        assert all(part is None for _, _, part, _ in factored_log), u
+        tagged = [rows for _, _, part, rows in hand_log if part is not None]
+        assert tagged and {part for _, _, part, _ in hand_log} <= {"slice", None}, u
+        # a halo would reach one level past the table
+        assert not any((rows > caps).any() for rows in tagged), u
+
+
+def test_memos_store_functionals_only(monkeypatch, exact):
+    """Every object a memo evaluates and stores is a ``Functional``.  Over
+    the expectation checks on the exact engine, swept in box slices of one
+    level or of the second site and in row stencils, and on Monte Carlo,
+    and over both pathwise checks, with a hand-built field, a
+    ``product_field`` of it and commutation's shifted differences: those
+    fields are evaluated through their fn, while the functionals inside
+    them, and those a gradient and a factored field are read off, are
+    memoised."""
+    space = exact.space
+    stored = []
+    evaluate = lattice._evaluate
+
+    def logged(obj, rows):
+        stored.append(obj)
+        return evaluate(obj, rows)
+
+    monkeypatch.setattr(lattice, "_evaluate", logged)
+    sig = bounded_sigmoid(space, [1, 2], 1.0)
+    ind = indicator_leq(space, [2, 3], 2)
+    factored = functional_times_indicator(space, [1, 3], sig)
+    hand = RandomField(space, factored.fn, "hand-built")
+    fields = [hand, product_field(ind, hand), derivative_field(ind), factored]
+    mc = MonteCarloBackend(space, SamplerConfig(seed=4, samples=2000))
+    for backend, slicing in [(exact, (0, 1)), (exact, (1, 2)), (exact, None), (mc, None)]:
+        with monkeypatch.context() as m:
+            m.setattr(lattice, "_box_slicing", lambda caps, step: slicing)
+            for u in fields[:2]:
+                identities.mecke_check(u, backend)
+                identities.duality_check(sig, u, backend)
+                identities.skorokhod_check(u, backend)
+                identities.bracket_expectation_check(fields[2], u, backend)
+                identities.energy_derivation_check(sig, ind, u, backend)
+    for u in fields:
+        identities.commutation_check(u, seed=3)
+        identities.product_formula_check(sig, u, seed=3)
+    assert stored and all(isinstance(obj, Functional) for obj in stored)
+    assert {sig, ind} <= set(stored)
 
 
 def _step(n: int) -> int:

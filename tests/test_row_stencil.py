@@ -1,8 +1,8 @@
 """Row stencils: Monte Carlo's distinct rows, and exact tables too thin to
-cut into box slices, are swept in parts that evaluate each functional and
-field once per part, at the rows and at their neighbours eta +- delta_z.
-Every shifted value must equal the plain counts-array evaluation bit for
-bit; each object's fn sees at most (2n + 1) m rows of an m-row part, plus
+cut into box slices, are swept in parts that evaluate each functional once
+per part, at the rows and at their neighbours eta +- delta_z.  Every
+shifted value must equal the plain counts-array evaluation bit for bit;
+each functional's fn sees at most (2n + 1) m rows of an m-row part, plus
 n^2 m for a gradient's second-order shift; and a sweep's memory stays below
 that of the plain slices the stencils replaced."""
 from __future__ import annotations
