@@ -48,7 +48,7 @@ from .errors import (
     SolverError,
     TruncationError,
 )
-from .functionals import Functional, _check_binding, _check_per_row, _sweep, _sweep_step
+from .functionals import Functional, _check_binding, _sweep, _sweep_step, _weighted_sum
 from .ground import GroundSpace, _is_int, _is_real
 from .lattice import _box_rows, _box_strides, sweep_parts
 from .operators import Mean
@@ -327,11 +327,9 @@ def _table_mean(values: np.ndarray, table: StateTable, bound: float | None = Non
     certified sup-norm ``bound`` when there is one and tail_bound times the
     enumerated sup otherwise (heuristic for unbounded integrands, reported
     as such); a ``ShapeError`` unless there is one value per state."""
-    _check_per_row(values, table.state_count)
+    value = float(_weighted_sum(table.probs, values))
     sup = bound if bound is not None else float(np.abs(values).max())
-    return Mean(
-        float(table.probs @ values), table.state_count, error_bound=table.plan.tail_bound * sup
-    )
+    return Mean(value, table.state_count, error_bound=table.plan.tail_bound * sup)
 
 
 def exact_expectation(F: Functional, table: StateTable, values: np.ndarray | None = None) -> Mean:
@@ -604,4 +602,4 @@ class ExactBackend:
         defect: the ``Mean`` of the per-state differences."""
         lhs, rhs = self.sweep(kernel, ("paired lhs", "paired rhs"))
         probs = self.table.probs
-        return float(probs @ lhs), float(probs @ rhs), self.mean(lhs - rhs)
+        return float(_weighted_sum(probs, lhs)), float(_weighted_sum(probs, rhs)), self.mean(lhs - rhs)

@@ -277,13 +277,18 @@ def _sweep(kernel, m: int, parts, names: tuple[str, ...], locate) -> tuple[np.nd
     return outs
 
 
-def _check_per_row(values, m: int) -> None:
-    """A ``ShapeError`` unless ``values`` holds one value per row of an
-    m-row sweep, as a backend's ``mean`` reduces it."""
+def _weighted_sum(weights: np.ndarray, values) -> np.float64:
+    """sum_r weights[r] values[r], the one reduction behind every mean a
+    report prints: numpy's pairwise sum in row order, whose bits, unlike
+    those of the BLAS product ``weights @ values``, do not depend on the
+    BLAS thread count.  A ``ShapeError`` unless ``values`` holds one value
+    per row, checked first, so an (m, 1) array is not broadcast."""
+    m = len(weights)
     if np.shape(values) != (m,):
         raise ShapeError(
             f"values must hold one value per row, shape ({m},), got shape {np.shape(values)}"
         )
+    return np.sum(weights * values)
 
 
 def _check_binding(engine, *objs) -> None:

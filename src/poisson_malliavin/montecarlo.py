@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .functionals import Functional, _check_binding, _check_per_row, _sweep, _sweep_step
+from .functionals import Functional, _check_binding, _sweep, _sweep_step, _weighted_sum
 from .ground import GroundSpace, _is_int
 from .lattice import stencil_parts
 from .operators import Mean
@@ -145,17 +145,15 @@ class MonteCarloBackend:
         )
 
     def _average(self, values: np.ndarray) -> np.float64:
-        return np.sum(self._distinct()[2] * values) / self.cfg.samples
+        return _weighted_sum(self._distinct()[2], values) / self.cfg.samples
 
     def mean(self, values: np.ndarray) -> Mean:
         """The sample mean of a sweep's per-row ``values`` weighted by
         multiplicity, with standard error std(ddof=1) / sqrt(n) from the
         two-pass weighted variance; a ``ShapeError`` unless one per row."""
-        weights = self._distinct()[2]
-        _check_per_row(values, len(weights))
         n = self.cfg.samples
         value = self._average(values)
-        var = np.sum(weights * (values - value) ** 2) / (n - 1)
+        var = _weighted_sum(self._distinct()[2], (values - value) ** 2) / (n - 1)
         return Mean(float(value), n, std_error=float(np.sqrt(var) / np.sqrt(n)))
 
     def expectation(self, F: Functional, values: np.ndarray | None = None) -> Mean:

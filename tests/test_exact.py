@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import json
 import math
+import os
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,22 +341,59 @@ class TestStateTable:
 
 class TestExactExpectation:
     def test_means_reduce_the_table_once(self, space, exact):
-        """Expectations and paired sweeps are ``probs @ values`` with
-        tail_bound times the certified bound or the enumerated sup."""
+        """Expectations and paired sweeps are the pairwise sums
+        ``np.sum(probs * values)`` with tail_bound times the certified bound
+        or the enumerated sup."""
         states, probs = exact.table.states, exact.table.probs
         S, tail = exact.state_count, exact.tail_bound
         F = bounded_sigmoid(space, [1, 2], 1.0)
         assert exact.expectation(F) == Mean(
-            float(probs @ F.batch(states)), S, error_bound=tail * F.bound
+            float(np.sum(probs * F.batch(states))), S, error_bound=tail * F.bound
         )
         kernel = mecke_kernel(functional_times_indicator(space, [1, 3], F))
         lhs, rhs = kernel(states)
         diff = lhs - rhs
         assert exact.paired(kernel) == (
-            float(probs @ lhs),
-            float(probs @ rhs),
-            Mean(float(probs @ diff), S, error_bound=tail * float(np.abs(diff).max())),
+            float(np.sum(probs * lhs)),
+            float(np.sum(probs * rhs)),
+            Mean(float(np.sum(probs * diff)), S, error_bound=tail * float(np.abs(diff).max())),
         )
+
+    def test_report_bytes_do_not_depend_on_blas_threads(self):
+        """The exact report on a 28,561-state box is the same byte for byte
+        with one BLAS thread and with two: every printed mean is one
+        pairwise sum, not a BLAS dot product, which OpenBLAS splits across
+        threads on a table this long.  The thread count is set in each
+        child's environment only."""
+        config = {
+            "space": {"weights": [1.0, 1.0, 1.0, 1.0]},
+            "truncation": {"tol": 1e-9},
+            "cases": [
+                {"identity": "mecke", "u": {"name": "deterministic", "values": [1.0] * 4}},
+                {
+                    "identity": "duality",
+                    "F": {"name": "poly_count", "B": [1, 2], "degree": 2},
+                    "u": {"name": "site_indicator", "B": [1, 3]},
+                },
+            ],
+        }
+        script = (
+            "import json, sys\n"
+            "from poisson_malliavin import parse_config, reports_to_json, run_suite\n"
+            "print(reports_to_json(run_suite(parse_config(json.loads(sys.argv[1])), 'exact')))"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(config)],
+                env=env, stdout=subprocess.PIPE, text=True, timeout=120, check=True,
+            )
+            reports.append(proc.stdout)
+        assert '"n": 28561' in reports[0]
+        assert reports[0] == reports[1]
 
     def test_poisson_mean(self, space, exact):
         F = linear_count(space, list(space.sites))
@@ -393,7 +434,7 @@ class TestExactExpectation:
                 exact.mean(values)
             with pytest.raises(ShapeError, match=message):
                 exact_expectation(constant(space, 1.0), exact.table, values)
-        assert exact.mean(np.ones(S)).value == float(exact.table.probs @ np.ones(S))
+        assert exact.mean(np.ones(S)).value == float(np.sum(exact.table.probs))
 
 
 class TestExactPairing:
@@ -430,13 +471,13 @@ class TestExactPairing:
             vals = F.batch(exact.table.states) * divergence_batch(
                 u, exact.table.states
             )
-            direct = float(exact.table.probs @ vals)
+            direct = float(np.sum(exact.table.probs * vals))
             pair_vals = (
                 w * u.values(exact.table.states) * add_diff_all(F, exact.table.states)
             ).sum(-1)
             # the paired sweep reduces exactly these per-state values
             assert report.lhs == direct
-            assert pairing == float(exact.table.probs @ pair_vals)
+            assert pairing == float(np.sum(exact.table.probs * pair_vals))
             # duality holds in full expectation; on the box the sides differ
             # by at most the omitted mass times the kernels' enumerated sups
             slack = exact.tail_bound * (

@@ -32,7 +32,7 @@ CASE_IDS_SHA256 = {
 # sha256 of the packaged config's report file per backend; pins every report
 # byte: values, gates, error terms and the order in which gates are summed
 REPORT_SHA256 = {
-    "exact": "d5ddaa94e6ed870015c52c26a5f7c900aff6956e918811a04dd57bf1a5d2ce4c",
+    "exact": "613565cf27d7adb515e023049f9822b4cedbc125587e0ea40d8a2b9d7cb46539",
     "mc": "c9dff3cc7892537b9bafb99b3856cd7803ea898a9bcf2044ad5a37dc11fe7181",
 }
 UNIT_FIELD = {"name": "deterministic", "values": [1.0, 1.0, 1.0]}
