@@ -56,7 +56,6 @@ from .identities import (
 from .montecarlo import (
     MonteCarloBackend,
     SamplerConfig,
-    mc_expectation,
 )
 from .operators import (
     BracketKind,

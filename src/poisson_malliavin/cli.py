@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict, replace
 
 from .errors import ConfigError, PoissonMalliavinError
-from .montecarlo import SamplerConfig, draw, mc_expectation
+from .montecarlo import MonteCarloBackend, SamplerConfig, draw
 from .registry import functional_from_spec
 from .suite import default_config, load_config, run_suite, summarize, write_report
 
@@ -119,8 +119,10 @@ def _cmd_estimate(args) -> int:
         raise ConfigError(f"--params is not valid JSON: {exc.msg}") from exc
     if not isinstance(params, dict):
         raise ConfigError("--params must be a JSON object")
+    if "name" in params:
+        raise ConfigError("--params must not hold 'name': --functional names the functional")
     F = functional_from_spec(cfg.space, {"name": args.functional, **params})
-    est = mc_expectation(F, cfg.space, mc)
+    est = MonteCarloBackend(cfg.space, mc).expectation(F)
     print(json.dumps({"mean": est.value, "std_error": est.std_error, "n": est.n}))
     return 0
 

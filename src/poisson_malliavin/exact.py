@@ -306,9 +306,9 @@ def _sweep_table(kernel, table: StateTable, names: tuple[str, ...]) -> tuple[np.
     table order (``_sweep`` over ``lattice.sweep_parts``): box slices of
     whole levels of one site where their halos evaluate no more rows than
     row stencils would, row stencils otherwise.  On a box slice every
-    functional and field is evaluated once, on the slice grown by one level
-    per site when it is shifted, and D+ / D- are stride offsets into those
-    values, bit for bit the plain evaluation's.  Memory is the (S,) value
+    functional is evaluated once, on the slice grown by one level per site
+    when it is shifted, and D+ / D- are stride offsets into those values,
+    bit for bit the plain evaluation's.  Memory is the (S,) value
     arrays plus a fixed 8 MiB of slice temporaries.  A non-finite value is
     named by its output's ``names`` entry and the first such state in table
     order.

@@ -178,7 +178,7 @@ def factored_field(
     """The field (eta, z) -> F(eta) g(z) of ``factors`` = (F, g), F None
     for the constant 1.  g is cast to float64, which keeps a 0/1 integer
     mask's products.  On a memo's rows the field is read off F's memoised
-    values and shifts times g, in ``fn``'s order, never given a halo."""
+    values and shifts times g, in ``fn``'s order; ``fn`` never runs there."""
     F, g = factors
     g = np.array(g, dtype=np.float64)
     if F is not None and F.space != space:
@@ -311,8 +311,8 @@ def field_add_tensor(u: RandomField, counts: np.ndarray) -> np.ndarray:
     """
     if lattice.is_slice(counts) and u.factors is not None:
         return _factored(u, counts, tensor=True)
-    if lattice.is_slice(counts) and u.gradient_of is not None:
-        F = u.gradient_of
+    F = u.gradient_of
+    if lattice.is_slice(counts) and F is not None:
         return counts.box.second_order(F) - shifted_all(F, counts, 1)[..., None]
     return u.values(lattice.neighbour_rows(_as_counts(u.space, counts), 1))
 

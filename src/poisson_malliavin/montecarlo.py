@@ -40,7 +40,6 @@ from .operators import Mean
 
 __all__ = [
     "SamplerConfig",
-    "mc_expectation",
     "MonteCarloBackend",
 ]
 
@@ -91,11 +90,6 @@ def _distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
             counts, axis=0, return_index=True, return_counts=True
         )
     return counts[first], first, multiplicity
-
-
-def mc_expectation(F: Functional, space: GroundSpace, cfg: SamplerConfig) -> Mean:
-    """Monte Carlo estimate of E[F] with its standard error."""
-    return MonteCarloBackend(space, cfg).expectation(F)
 
 
 class MonteCarloBackend:

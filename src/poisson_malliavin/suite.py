@@ -1,8 +1,9 @@
 """Suite configuration, execution order, and machine-readable reports.
 
 A suite config is a JSON object with keys ``space``, ``truncation``
-(``tol``, ``budget``), ``mc`` (``seed``, ``samples``),
-``gates``, and ``cases`` (the identity binding grid).  The default grid ships
+(``tol``, ``budget``), ``mc`` (``seed``, ``samples``), ``gates``,
+``pointwise_samples`` (the seeded configurations each pathwise check
+draws) and ``cases`` (the identity binding grid).  The default grid ships
 as a packaged data file rather than code, so new bindings are added by
 editing or overriding the config.  When ``randomized_space`` is present the
 whole grid additionally runs on a space whose weights are drawn from the

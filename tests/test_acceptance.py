@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 from poisson_malliavin import (
+    MonteCarloBackend,
     SamplerConfig,
     affine_of,
     build_generator_matrix,
@@ -40,7 +41,6 @@ from poisson_malliavin import (
     gamma_batch,
     linear_count,
     load_config,
-    mc_expectation,
     non_diffusion_counterexample,
     chain_rule_control_check,
     poly_count,
@@ -244,12 +244,12 @@ def test_non_diffusion_counterexample(space, exact):
 
 def test_backend_cross_validation(space, exact):
     rng = np.random.default_rng(20260810)
-    cfg = SamplerConfig(seed=987654321, samples=100_000)
+    mc = MonteCarloBackend(space, SamplerConfig(seed=987654321, samples=100_000))
     bad = []
     for i in range(20):
         spec = random_functional_spec(rng, space.n)
         F = functional_from_spec(space, spec)
-        est = mc_expectation(F, space, cfg)
+        est = mc.expectation(F)
         ex = exact_expectation(F, exact.table)
         if abs(est.value - ex.value) > 4.0 * est.std_error + ex.error_bound:
             bad.append((i, spec))

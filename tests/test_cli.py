@@ -186,6 +186,15 @@ class TestEstimate:
     def test_unknown_functional(self, capsys):
         assert main(["estimate", "--functional", "nope", "--params", "{}"]) == 2
 
+    def test_name_in_params_refused(self, capsys):
+        """A ``name`` in --params would silently replace --functional."""
+        params = '{"name": "constant", "value": 3.0}'
+        argv = ["estimate", "--functional", "linear_count", "--params", params]
+        assert main(argv + ["--samples", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--params must not hold 'name'" in captured.err
+
 
 def test_readme_library_example_prints_its_commented_values():
     readme = Path(__file__).resolve().parents[1] / "README.md"
