@@ -602,4 +602,5 @@ class ExactBackend:
         defect: the ``Mean`` of the per-state differences."""
         lhs, rhs = self.sweep(kernel, ("paired lhs", "paired rhs"))
         probs = self.table.probs
-        return float(_weighted_sum(probs, lhs)), float(_weighted_sum(probs, rhs)), self.mean(lhs - rhs)
+        lhs_mean, rhs_mean = float(_weighted_sum(probs, lhs)), float(_weighted_sum(probs, rhs))
+        return lhs_mean, rhs_mean, self.mean(lhs - rhs)

@@ -20,7 +20,7 @@ one a plain evaluation gives, bit for bit.  On fewer than 8 sites both
 memos store their (rows, n) counts and shifts site-major, the row axis
 innermost in memory, so a sum over sites adds whole columns in the order
 numpy sums a C-ordered row; (rows, n, n) second-order shifts stay
-C-ordered (``_site_major``, ``_BoxSlice._empty``, ``_RowStencil``).  The
+C-ordered (``_site_major``, ``_BoxSlice.around``, ``_RowStencil``).  The
 module needs nothing from ``functionals``: the sweep budget arrives as a
 row count, and a functional is evaluated only through its ``fn``
 (``_evaluate``).  No field is stored here: ``functionals`` reads a
@@ -171,8 +171,8 @@ class _BoxSlice:
 
     def _take_border(self, prev: "_BoxSlice") -> None:
         """Take over what this slice needs of the finished slice ``prev``:
-        which functionals it shifted and, when the two are neighbours along one
-        site, their halo values on the two levels the halos share there.
+        which functionals it shifted and, when the two are neighbours along
+        one site, their halo values on the two levels the halos share there.
         ``prev`` is emptied on the way, so its values are freed early."""
         prev._slice.clear()
         prev._faces.clear()
@@ -261,24 +261,20 @@ class _BoxSlice:
                 at[z] = slice(0, s.stop)
         out[...] = grid[tuple(at)]
 
-    def _empty(self):
-        """An uninitialised float64 (rows, n) array and its view of shape
-        (n,) + the slice's grid, whose entry z is the ``_copy`` target of
-        the shift along site z.  It is stored site-major on fewer than 8
-        sites (``_site_major``), so each target is contiguous and a sum over
-        sites adds whole columns."""
+    def around(self, F, step: int) -> np.ndarray:
+        """out[r, z - 1] = ``F`` at eta_r + step * delta_z, shape (rows, n),
+        copied site by site into ``targets[z]``, a view of the slice's grid.
+        It is stored site-major on fewer than 8 sites (``_site_major``), so
+        each target is contiguous and a sum over sites adds whole columns."""
+        values = self._grow(F)
         n = len(self.shape)
         if _site_major(n):
             targets = np.empty((n,) + self._size)
-            return targets.reshape(n, -1).T, targets
-        out = np.empty(self._size + (n,))
-        return out.reshape(len(self.rows), n), np.moveaxis(out, n, 0)
-
-    def around(self, F, step: int) -> np.ndarray:
-        """out[r, z - 1] = ``F`` at eta_r + step * delta_z, shape (rows, n)."""
-        values = self._grow(F)
-        out, targets = self._empty()
-        for z in range(len(self.shape)):
+            out = targets.reshape(n, -1).T
+        else:
+            grid = np.empty(self._size + (n,))
+            out, targets = grid.reshape(len(self.rows), n), np.moveaxis(grid, n, 0)
+        for z in range(n):
             self._copy(targets[z], values, [(z, step)])
         return out
 
