@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict, replace
 
 from .errors import ConfigError, PoissonMalliavinError
-from .montecarlo import MonteCarloBackend, SamplerConfig, draw
+from .montecarlo import MonteCarloBackend, SamplerConfig, draw_blocks
 from .registry import functional_from_spec
 from .suite import default_config, load_config, run_suite, summarize, write_report
 
@@ -39,8 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--samples", type=int,
         help="override the sample count: one seeded stream, drawn and"
-        " deduplicated once per backend, so reruns match bitwise; the"
-        " distinct rows are held in memory for the whole run",
+        " deduplicated once per backend, so reruns match bitwise; one int64"
+        " key and one weight per distinct row are held for the whole run",
     )
     verify.add_argument("--report", help="write the JSON report to this path")
     verify.add_argument(
@@ -105,8 +105,9 @@ def _cmd_sample(args) -> int:
     mc = _override_mc(cfg.mc, args)
     if args.count < 0:
         raise ConfigError(f"--count must be an integer >= 0, got {args.count}")
-    for row in draw(cfg.space, mc.seed, args.count):
-        print(json.dumps({"counts": row.tolist()}))
+    for block in draw_blocks(cfg.space, mc.seed, args.count):
+        for row in block:
+            print(json.dumps({"counts": row.tolist()}))
     return 0
 
 

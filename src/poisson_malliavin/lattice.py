@@ -52,17 +52,22 @@ def _site_major(n: int) -> bool:
     return n < 8
 
 
+def _empty_rows(m: int, n: int, site_major: bool = True) -> np.ndarray:
+    """An unfilled (m, n) int64 counts array in a memo's layout: with
+    ``site_major`` (and fewer than 8 sites) the transpose of an (n, m)
+    array, else C-ordered."""
+    if site_major and _site_major(n):
+        return np.empty((n, m), dtype=np.int64).T
+    return np.empty((m, n), dtype=np.int64)
+
+
 def _box_rows(lo, hi, site_major: bool = True) -> np.ndarray:
     """Every configuration with lo[z] <= eta_z < hi[z], in lexicographic
-    order, as one (rows, n) int64 array filled column by column from
-    broadcast views of arange: with ``site_major`` (and fewer than 8 sites)
-    the transpose of an (n, rows) array, else C-ordered."""
+    order, as one (rows, n) int64 array in ``_empty_rows``' layout, filled
+    column by column from broadcast views of arange."""
     shape = tuple(h - l for l, h in zip(lo, hi))
     n = len(shape)
-    if site_major and _site_major(n):
-        rows = np.empty((n, math.prod(shape)), dtype=np.int64).T
-    else:
-        rows = np.empty((math.prod(shape), n), dtype=np.int64)
+    rows = _empty_rows(math.prod(shape), n, site_major)
     grid = rows.reshape(shape + (n,))
     for z in range(n):
         grid[..., z] = np.arange(lo[z], hi[z], dtype=np.int64).reshape(

@@ -3,17 +3,20 @@
 Stream discipline: a run is keyed by (seed, samples) and draws one stream,
 ``numpy.random.default_rng(SeedSequence(seed).spawn(1)[0])`` (``draw``).
 Draws are made row by row, so the first m rows of a run are the whole of a
-run of m samples, and ``sample --seed S --count m`` prints them.  The PCG64
+run of m samples, and ``sample --seed S --count m`` prints them, block by
+block (``draw_blocks``).  The PCG64
 bit generator behind ``numpy.random.default_rng`` passes the standard
 statistical batteries, and its Poisson sampler is exact (inversion for
 small means, transformed rejection above numpy's internal switchover near
 lambda = 10).
 
-A ``MonteCarloBackend`` draws its samples once, on first use, and
-deduplicates them once into distinct rows, each with its multiplicity and
-the index of its first draw.  Kernels run once per stencil part of the
-distinct rows (``lattice.stencil_parts``), through the sweep loop both
-engines share (``functionals._sweep``).
+A ``MonteCarloBackend`` draws its samples once, on first use, keys each
+draw by one int64 (``_keys``), frees the draw and keeps the sorted distinct
+keys with their multiplicities: nothing per sample and no counts rows.
+Kernels run once per stencil part of the distinct rows
+(``lattice.stencil_parts``), through the sweep loop both engines share
+(``functionals._sweep``); each part's rows are decoded from its keys
+(``_decode``) straight into the memo layout.
 
 Every estimate is one sweep (one value per distinct row) and one reduction,
 returned as a ``Mean``: the multiplicity-weighted mean sum w v / samples
@@ -27,7 +30,6 @@ error gates the quantity actually under test.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import ConfigError
 from .functionals import Functional, _check_binding, _sweep, _sweep_step, _weighted_sum
 from .ground import GroundSpace, _is_int
-from .lattice import stencil_parts
+from .lattice import _empty_rows, stencil_parts
 from .operators import Mean
 
 __all__ = [
@@ -67,79 +69,132 @@ def sample_counts(
     return rng.poisson(lam=space.weights_array, size=(m, space.n)).astype(np.int64, copy=False)
 
 
+def _stream(seed: int) -> np.random.Generator:
+    """The run stream of ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+
+
 def draw(space: GroundSpace, seed: int, m: int) -> np.ndarray:
     """The first m configurations of the run stream of ``seed``."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    return sample_counts(space, rng, m)
+    return sample_counts(space, _stream(seed), m)
 
 
-def _distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split an (m, n) counts block into ``(rows, first, multiplicity)``.
+def draw_blocks(space: GroundSpace, seed: int, m: int, block: int = 4096):
+    """``draw(space, seed, m)`` as consecutive (at most ``block``, n) blocks
+    of one stream.  The stream is drawn row by row, so their rows are the
+    one-shot draw's, bit for bit."""
+    rng = _stream(seed)
+    for a in range(0, m, block):
+        yield sample_counts(space, rng, min(block, m - a))
 
-    ``rows[r]`` is ``counts[first[r]]``, the first draw of that row, and
-    ``multiplicity[r]`` the number of draws equal to it.  Rows are keyed by
-    one mixed-radix int64 per row when the radix product fits in int64;
-    otherwise the rows are compared whole.
+
+def _keys(counts: np.ndarray) -> tuple[np.ndarray, list]:
+    """One int64 key per row of an (m, n) counts block, equal for equal
+    rows only, and the plan that decodes keys back to rows (``_decode``).
+
+    Keys are built one site at a time, last site first:
+    ``keys = keys * radix_z + counts[:, z]`` with radix_z = max_z + 1.
+    Where the radix product fits in int64 this is the mixed-radix key
+    ``counts @ [1, r_0, r_0 r_1, ...]``.  Where the next product would
+    overflow, the keys so far are ranked among their distinct values, the
+    plan keeping that table; where a site's radix times the rank count
+    still overflows, its column is ranked too, the plan keeping its values.
     """
-    radix = counts.max(axis=0) + 1
-    if math.prod(radix.tolist()) <= np.iinfo(np.int64).max:
-        keys = counts @ np.concatenate(([1], np.cumprod(radix[:-1])))
-        _, first, multiplicity = np.unique(keys, return_index=True, return_counts=True)
-    else:
-        _, first, multiplicity = np.unique(
-            counts, axis=0, return_index=True, return_counts=True
-        )
-    return counts[first], first, multiplicity
+    plan, top = [], np.iinfo(np.int64).max
+    keys = np.zeros(len(counts), dtype=np.int64)
+    bound = 1  # every key is below it
+    for z in range(counts.shape[1] - 1, -1, -1):
+        column = counts[:, z]
+        radix, values, table = int(column.max()) + 1, None, None
+        if bound * radix > top:
+            table, keys = np.unique(keys, return_inverse=True)
+            bound = len(table)
+        if bound * radix > top:
+            values, column = np.unique(column, return_inverse=True)
+            radix = len(values)
+        keys *= radix
+        keys += column
+        bound *= radix
+        plan.append((radix, values, table))
+    return keys, plan[::-1]
+
+
+def _decode(keys: np.ndarray, plan: list) -> np.ndarray:
+    """The counts rows of ``keys`` under ``_keys``' ``plan``, one divmod per
+    site written straight into the memo layout (``lattice._empty_rows``)."""
+    rows = _empty_rows(len(keys), len(plan))
+    for z, (radix, values, table) in enumerate(plan):
+        digit = rows[:, z]
+        keys = np.divmod(keys, radix, out=(None, digit))[0]
+        if values is not None:
+            digit[...] = values[digit]
+        if table is not None:
+            keys = table[keys]
+    return rows
 
 
 class MonteCarloBackend:
     """Expectation engine backed by the seeded Poisson sampler.
 
-    The draws are made once, on first use, and kept as distinct rows with
-    their multiplicities for the backend's lifetime.  A check sweeps the
-    distinct rows once and reduces each output (``mean``, ``expectation``).
+    The draws are made once, on first use, and kept as sorted distinct keys
+    with their multiplicities for the backend's lifetime.  A check sweeps
+    the distinct rows once and reduces each output (``mean``,
+    ``expectation``).
     """
 
     def __init__(self, space: GroundSpace, cfg: SamplerConfig):
         self.space = space
         self.cfg = cfg
-        self._rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._keys: np.ndarray | None = None
+        self._weights: np.ndarray | None = None
+        self._plan: list | None = None
 
     @property
     def seed(self) -> int:
         return self.cfg.seed
 
-    def _distinct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_distinct_rows`` of the run's draws, the multiplicities as
-        float64 weights."""
-        if self._rows is None:
-            rows, first, multiplicity = _distinct_rows(
-                draw(self.space, self.cfg.seed, self.cfg.samples)
-            )
-            self._rows = rows, first, multiplicity.astype(np.float64)
-        return self._rows
+    def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted distinct keys (``_keys``) of the run's draws and their
+        multiplicities as float64 weights.  The draw is freed before the
+        sort."""
+        if self._keys is None:
+            keys, self._plan = _keys(draw(self.space, self.cfg.seed, self.cfg.samples))
+            self._keys, multiplicity = np.unique(keys, return_counts=True)
+            self._weights = multiplicity.astype(np.float64)
+        return self._keys, self._weights
+
+    def _rows_of(self, a: int, b: int) -> np.ndarray:
+        """Distinct rows a to b, decoded from their keys."""
+        return _decode(self._distinct()[0][a:b], self._plan)
+
+    def _first_draw(self, finite: np.ndarray) -> np.ndarray:
+        """The first draw, in draw order, of a distinct row whose ``finite``
+        entry is False.  The stream is drawn and keyed again, so only this
+        error path pays a second draw."""
+        keys, plan = _keys(draw(self.space, self.cfg.seed, self.cfg.samples))
+        first = np.flatnonzero(np.isin(keys, self._distinct()[0][~finite]))[0]
+        return _decode(keys[first : first + 1], plan)[0]
 
     def sweep(self, kernel, names: tuple[str, ...]) -> tuple[np.ndarray, ...]:
         """Run ``kernel(counts) -> tuple of arrays`` over the distinct rows,
         returning one value per distinct row and output.
 
         The kernel sees each distinct row once, in row stencils of
-        ``_sweep_step(n) // 8`` rows (``_sweep``), so memory is the per-row
-        arrays plus one part's neighbour rows, memoised values and
+        ``_sweep_step(n) // 8`` rows (``_sweep``), each decoded from its
+        keys, so memory is the held keys and weights, the per-row outputs
+        and one part's rows, neighbour rows, memoised values and
         temporaries, within the 8 MiB budget of a (``_sweep_step(n)``, n, n)
         slab.  A non-finite value is named by its output's ``names`` entry
-        and the first such sample in draw order: of the rows holding one,
-        the row drawn first.
+        and the first such sample in draw order (``_first_draw``).
         """
-        rows, first, _ = self._distinct()
-        m = len(rows)
+        m = len(self._distinct()[0])
         return _sweep(
-            kernel, m, stencil_parts(m, _sweep_step(self.space.n), lambda a, b: rows[a:b]),
-            names, lambda finite: rows[np.argmin(np.where(finite, self.cfg.samples, first))],
+            kernel, m, stencil_parts(m, _sweep_step(self.space.n), self._rows_of),
+            names, self._first_draw,
         )
 
     def _average(self, values: np.ndarray) -> np.float64:
-        return _weighted_sum(self._distinct()[2], values) / self.cfg.samples
+        return _weighted_sum(self._distinct()[1], values) / self.cfg.samples
 
     def mean(self, values: np.ndarray) -> Mean:
         """The sample mean of a sweep's per-row ``values`` weighted by
@@ -147,7 +202,7 @@ class MonteCarloBackend:
         two-pass weighted variance; a ``ShapeError`` unless one per row."""
         n = self.cfg.samples
         value = self._average(values)
-        var = _weighted_sum(self._distinct()[2], (values - value) ** 2) / (n - 1)
+        var = _weighted_sum(self._distinct()[1], (values - value) ** 2) / (n - 1)
         return Mean(float(value), n, std_error=float(np.sqrt(var) / np.sqrt(n)))
 
     def expectation(self, F: Functional, values: np.ndarray | None = None) -> Mean:

@@ -142,6 +142,13 @@ def same_bits(a, b) -> bool:
     return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def mc_rows(backend) -> np.ndarray:
+    """Every distinct row of a ``MonteCarloBackend``, in row order, decoded
+    from the keys it holds."""
+    keys, _ = backend._distinct()
+    return backend._rows_of(0, len(keys))
+
+
 def plain_sweep(kernel, states: np.ndarray, names) -> tuple[np.ndarray, ...]:
     """The one sweep loop over untagged parts of ``states``, of a box
     slice's row count: the plain evaluation every memo must reproduce."""

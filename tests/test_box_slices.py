@@ -43,7 +43,7 @@ from poisson_malliavin.functionals import (
     field_dropped_diag,
     shifted_all,
 )
-from conftest import plain_sweep, same_bits
+from conftest import mc_rows, plain_sweep, same_bits
 
 
 def _random_space() -> GroundSpace:
@@ -285,7 +285,7 @@ def test_factored_fields_match_plain_fn_on_row_stencils(weights):
     """On Monte Carlo rows, cut into row stencils, every factored registry
     kind equals its plain fn's results bit for bit, empty sites included."""
     space = GroundSpace(weights)
-    rows, _, _ = MonteCarloBackend(space, SamplerConfig(seed=8, samples=300))._distinct()
+    rows = mc_rows(MonteCarloBackend(space, SamplerConfig(seed=8, samples=300)))
     assert (rows == 0).any()
     _, us = _pool(space)
     for part in (rows[:1], rows[1:]):

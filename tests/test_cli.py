@@ -11,7 +11,7 @@ import pytest
 
 from poisson_malliavin import montecarlo
 from poisson_malliavin.cli import _build_parser, main
-from poisson_malliavin.suite import default_config
+from poisson_malliavin.suite import default_config, load_config
 
 
 @pytest.fixture()
@@ -161,6 +161,23 @@ class TestSample:
         verify_draw, sample_draw = drawn
         assert verify_draw.shape == (200, 3)
         assert printed == sample_draw.tolist() == verify_draw[:50].tolist()
+
+    def test_streams_its_rows_in_blocks(self, monkeypatch, capsys):
+        """``sample`` never holds the whole (count, n) draw: it prints one
+        stream block by block, the rows of a one-shot draw."""
+        sizes = []
+        real = montecarlo.sample_counts
+
+        def recording(space, rng, m):
+            sizes.append(m)
+            return real(space, rng, m)
+
+        monkeypatch.setattr(montecarlo, "sample_counts", recording)
+        assert main(["sample", "--count", "10000", "--seed", "3"]) == 0
+        printed = [json.loads(line)["counts"] for line in capsys.readouterr().out.splitlines()]
+        assert len(sizes) > 1 and max(sizes) < 10_000 and sum(sizes) == 10_000
+        whole = montecarlo.draw(load_config(None).space, 3, 10_000)
+        assert printed == whole.tolist()
 
 
 class TestEstimate:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,10 +26,10 @@ from poisson_malliavin import (
     product_of,
 )
 from poisson_malliavin import GroundSpace, montecarlo
-from poisson_malliavin.montecarlo import sample_counts
+from poisson_malliavin.montecarlo import draw, draw_blocks, sample_counts
 from poisson_malliavin.identities import mecke_kernel
 
-from conftest import same_bits
+from conftest import mc_rows, same_bits
 
 CFG = SamplerConfig(seed=424242, samples=100_000)
 
@@ -170,6 +171,10 @@ def _full_draw(space, cfg):
 
 
 WIDE = GroundSpace((60.0,) * 12)  # 60^12 > 2^62: rows cannot share an int64 key
+# each site's radix times the sample count overflows int64: a site's column
+# is ranked too, not only the key of the sites after it
+HUGE = GroundSpace((1e15, 1e15))
+TWENTY = GroundSpace((8.0,) * 20)
 
 
 def _summation_bound(m: int) -> float:
@@ -204,14 +209,17 @@ class TestDedupEquivalence:
     the summation bound of the correctly rounded per-sample means."""
 
     # decreasing weights give the first site the widest radix, which an
-    # off-by-one place value would fold onto the next site
-    @pytest.fixture(params=["canonical", "decreasing", "wide"])
+    # off-by-one place value would fold onto the next site; the last three
+    # spaces' radix products overflow int64
+    @pytest.fixture(params=["canonical", "decreasing", "wide", "huge", "twenty"])
     def case(self, request, space):
-        if request.param == "canonical":
-            return space, 20_000, [1, 2]
-        if request.param == "decreasing":
-            return GroundSpace((6.0, 1.0, 0.5)), 20_000, [1, 2]
-        return WIDE, 3_001, [1, 5, 12]
+        return {
+            "canonical": (space, 20_000, [1, 2]),
+            "decreasing": (GroundSpace((6.0, 1.0, 0.5)), 20_000, [1, 2]),
+            "wide": (WIDE, 3_001, [1, 5, 12]),
+            "huge": (HUGE, 20_000, [1, 2]),
+            "twenty": (TWENTY, 20_000, [1, 7, 20]),
+        }[request.param]
 
     # the per-sample reference runs on the draws whole and in 4 pieces,
     # batches the sweep's parts never match
@@ -221,11 +229,9 @@ class TestDedupEquivalence:
         cfg = SamplerConfig(seed=5, samples=samples)
         counts = _full_draw(sp, cfg)
         blocks = np.array_split(counts, pieces)
-        fits = math.prod((counts.max(axis=0) + 1).tolist()) <= np.iinfo(np.int64).max
-        assert fits == (sp.n == 3)
-
         be = MonteCarloBackend(sp, cfg)
-        rows, _, weights = be._distinct()
+        rows = mc_rows(be)
+        _, weights = be._distinct()
         # every draw's distinct row, found here by the row's bytes
         index = {row.tobytes(): r for r, row in enumerate(rows)}
         inverse = np.array([index[draw.tobytes()] for draw in counts])
@@ -254,15 +260,90 @@ class TestDedupEquivalence:
 
     def test_distinct_rows_rebuild_the_block(self, case):
         sp, samples, _ = case
-        counts = _full_draw(sp, SamplerConfig(seed=9, samples=samples))
-        rows, first, multiplicity = montecarlo._distinct_rows(counts)
-        assert np.array_equal(rows, counts[first])
-        assert len(rows) == len(np.unique(counts, axis=0))
-        assert multiplicity.sum() == samples
-        # each row's first draw is at ``first`` and it is drawn ``multiplicity`` times
-        for row, at, k in zip(rows, first, multiplicity):
-            (draws,) = np.nonzero((counts == row).all(axis=1))
-            assert draws[0] == at and len(draws) == k
+        cfg = SamplerConfig(seed=9, samples=samples)
+        counts = _full_draw(sp, cfg)
+        be = MonteCarloBackend(sp, cfg)
+        keys, multiplicity = be._distinct()
+        assert (np.diff(keys) > 0).all()
+        # the same rows and multiplicities as a whole-row sort finds
+        rows = mc_rows(be)
+        want, drawn = np.unique(counts, axis=0, return_counts=True)
+        order = np.lexsort(rows.T[::-1])
+        assert np.array_equal(rows[order], want)
+        assert np.array_equal(multiplicity[order], drawn)
+        assert multiplicity.dtype == np.float64 and multiplicity.sum() == samples
+        # keys were ranked exactly where the mixed-radix product overflows
+        _, plan = montecarlo._keys(counts)
+        ranked = any(table is not None for *_, table in plan)
+        fits = math.prod((counts.max(axis=0) + 1).tolist()) <= np.iinfo(np.int64).max
+        assert ranked != fits
+        assert any(values is not None for _, values, _ in plan) == (sp is HUGE)
+
+
+@pytest.mark.parametrize(
+    "weights", [(0.5, 1.0, 1.5), (6.0, 1.0, 0.5), (8.0,) * 6, (0.01,) * 11]
+)
+def test_keys_are_mixed_radix_where_they_fit(weights):
+    """Where the radix product fits in int64, keys are ``counts @ [1, r_0,
+    r_0 r_1, ...]``, so distinct rows keep the order they always had."""
+    space = GroundSpace(weights)
+    counts = draw(space, 3, 20_000)
+    radix = counts.max(axis=0) + 1
+    keys, plan = montecarlo._keys(counts)
+    assert np.array_equal(keys, counts @ np.concatenate(([1], np.cumprod(radix[:-1]))))
+    assert [(r, values, table) for r, values, table in plan] == [
+        (int(r), None, None) for r in radix
+    ]
+
+
+@pytest.mark.parametrize(
+    "weights", [(0.5, 1.0, 1.5), (8.0,) * 6, (8.0,) * 8, (8.0,) * 20, (1e15, 1e15)]
+)
+def test_decoded_rows_are_the_draws_in_the_memo_layout(weights):
+    """Every draw's key decodes to the draw bit for bit, site-major below 8
+    sites and C-ordered from 8 on, as a row stencil stores its rows; so do
+    a backend's distinct keys, part by part."""
+    space = GroundSpace(weights)
+    counts = draw(space, 11, 5_000)
+    keys, plan = montecarlo._keys(counts)
+    rows = montecarlo._decode(keys, plan)
+    assert same_bits(rows, counts)
+    be = MonteCarloBackend(space, SamplerConfig(seed=11, samples=5_000))
+    part = be._rows_of(7, 300)
+    for got in (rows, part):
+        assert got.dtype == np.int64
+        assert (got.T if space.n < 8 else got).flags.c_contiguous
+    distinct = mc_rows(be)
+    assert same_bits(part, distinct[7:300])
+    assert len(np.unique(distinct, axis=0)) == len(distinct)
+    assert {row.tobytes() for row in distinct} == {row.tobytes() for row in counts}
+
+
+def test_distinct_keys_are_the_allocation_peak():
+    """6 sites at weight 8, 1e5 samples, almost every row distinct: the
+    first ``_distinct`` call frees the 4.6 MiB draw before it sorts, so its
+    tracemalloc peak is the draw and its keys, and it keeps only the sorted
+    keys and their weights (numpy 2.4: 5.34 MiB peak, 1.45 MiB kept)."""
+    be = MonteCarloBackend(GroundSpace((8.0,) * 6), SamplerConfig(seed=20260810, samples=100_000))
+    tracemalloc.start()
+    try:
+        be._distinct()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 << 20
+    assert held <= 2 << 20
+
+
+@pytest.mark.parametrize("weights", [(0.5,), (8.0,), (30.0,), (0.5, 8.0, 30.0)])
+def test_blocks_are_the_one_shot_draw(weights):
+    """``draw_blocks`` cuts one stream into blocks whose rows are the one-shot
+    draw's, bit for bit: weights 0.5, 8 and 30 reach numpy's inversion and
+    rejection Poisson samplers."""
+    space = GroundSpace(weights)
+    blocks = list(draw_blocks(space, 9, 1_000, block=64))
+    assert [len(b) for b in blocks] == [64] * 15 + [40]
+    assert same_bits(np.concatenate(blocks), draw(space, 9, 1_000))
 
 
 class TestDrawOnce:

@@ -44,7 +44,7 @@ from poisson_malliavin.functionals import (
 )
 from poisson_malliavin.registry import field_from_spec, functional_from_spec
 from poisson_malliavin.suite import _random_space, load_config
-from conftest import plain_sweep, same_bits, shift
+from conftest import mc_rows, plain_sweep, same_bits, shift
 
 
 def test_neighbour_rows_match_hand_built_shifts():
@@ -131,7 +131,7 @@ def test_stencil_matches_plain_counts_bitwise(which):
     us.append(product_field(Fs[0], us[0]))  # neither gradient nor factored
     assert any(u.gradient_of is not None for u in us)
     assert any(u.factors is not None for u in us)
-    rows, _, _ = MonteCarloBackend(space, SamplerConfig(seed=5, samples=400))._distinct()
+    rows = mc_rows(MonteCarloBackend(space, SamplerConfig(seed=5, samples=400)))
     assert (rows == 0).any() and len(rows) > 2  # the drop clip is reached
     site_major = space.n < 8
     for part in (rows[:1], rows[1:]):
@@ -276,8 +276,8 @@ def test_monte_carlo_sweep_peak_memory(monkeypatch):
     plus and minus rows and a field's values at both, 5.7 MB each."""
     space = GroundSpace((8.0,) * 6)
     backend = MonteCarloBackend(space, SamplerConfig(seed=20260810, samples=20_000))
-    rows, _, _ = backend._distinct()  # drawn before tracing: not the sweep's
-    assert len(rows) == 19_787
+    keys, _ = backend._distinct()  # drawn before tracing: not the sweep's
+    assert len(keys) == 19_787
     u = functional_times_indicator(space, [2, 4, 6], bounded_sigmoid(space, [1, 3, 5], 0.1))
     peaks = []
     sweep = MonteCarloBackend.sweep

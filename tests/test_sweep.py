@@ -32,6 +32,8 @@ from poisson_malliavin import functionals
 from poisson_malliavin.identities import mecke_kernel
 from poisson_malliavin.montecarlo import sample_counts
 
+from conftest import mc_rows
+
 # rows per slice in the sliced runs: prime, so the last slice is partial
 ROWS = 97
 
@@ -149,8 +151,7 @@ def test_exact_non_finite_names_first_state_in_later_slice(monkeypatch, space, e
 def test_monte_carlo_non_finite_names_first_draw_in_later_slice(monkeypatch):
     space = GroundSpace((3.0, 3.0, 3.0))
     backend = MonteCarloBackend(space, SamplerConfig(seed=5, samples=20_000))
-    rows, _, _ = backend._distinct()
-    late = rows[[5 * ROWS + 1, 3 * ROWS + 2]]
+    late = mc_rows(backend)[[5 * ROWS + 1, 3 * ROWS + 2]]
     F = _nan_at(space, late)
     # the first sample, in draw order, that holds either bad row
     (child,) = np.random.SeedSequence(5).spawn(1)
