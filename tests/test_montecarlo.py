@@ -291,9 +291,7 @@ def test_keys_are_mixed_radix_where_they_fit(weights):
     radix = counts.max(axis=0) + 1
     keys, plan = montecarlo._keys(counts)
     assert np.array_equal(keys, counts @ np.concatenate(([1], np.cumprod(radix[:-1]))))
-    assert [(r, values, table) for r, values, table in plan] == [
-        (int(r), None, None) for r in radix
-    ]
+    assert plan == [(int(r), None, None) for r in radix]
 
 
 @pytest.mark.parametrize(
@@ -319,11 +317,13 @@ def test_decoded_rows_are_the_draws_in_the_memo_layout(weights):
     assert {row.tobytes() for row in distinct} == {row.tobytes() for row in counts}
 
 
-def test_distinct_keys_are_the_allocation_peak():
+def test_distinct_frees_the_draw_before_the_sort():
     """6 sites at weight 8, 1e5 samples, almost every row distinct: the
     first ``_distinct`` call frees the 4.6 MiB draw before it sorts, so its
     tracemalloc peak is the draw and its keys, and it keeps only the sorted
-    keys and their weights (numpy 2.4: 5.34 MiB peak, 1.45 MiB kept)."""
+    keys and their weights (numpy 2.4: 5.34 MiB peak, 1.45 MiB kept, against
+    11.88 and 5.81 while the rows, their first-draw indices and the sort
+    were held at once)."""
     be = MonteCarloBackend(GroundSpace((8.0,) * 6), SamplerConfig(seed=20260810, samples=100_000))
     tracemalloc.start()
     try:
