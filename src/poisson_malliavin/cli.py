@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples", type=int,
         help="override the sample count: one seeded stream, drawn and"
         " deduplicated once per backend, so reruns match bitwise; one int64"
-        " key and one weight per distinct row are held for the whole run",
+        " key and one weight per distinct row are held for the whole run, plus"
+        " rank tables on spaces whose keys overflow int64",
     )
     verify.add_argument("--report", help="write the JSON report to this path")
     verify.add_argument(

@@ -12,7 +12,9 @@ lambda = 10).
 
 A ``MonteCarloBackend`` draws its samples once, on first use, keys each
 draw by one int64 (``_keys``), frees the draw and keeps the sorted distinct
-keys with their multiplicities: nothing per sample and no counts rows.
+keys with their multiplicities: nothing per sample and no counts rows;
+spaces whose keys overflow int64 also keep the plan's rank tables, each at
+most one entry per distinct row.
 Kernels run once per stencil part of the distinct rows
 (``lattice.stencil_parts``), through the sweep loop both engines share
 (``functionals._sweep``); each part's rows are decoded from its keys
@@ -79,13 +81,16 @@ def draw(space: GroundSpace, seed: int, m: int) -> np.ndarray:
     return sample_counts(space, _stream(seed), m)
 
 
-def draw_blocks(space: GroundSpace, seed: int, m: int, block: int = 4096):
-    """``draw(space, seed, m)`` as consecutive (at most ``block``, n) blocks
+_BLOCK = 4096  # rows per block of ``draw_blocks``
+
+
+def draw_blocks(space: GroundSpace, seed: int, m: int):
+    """``draw(space, seed, m)`` as consecutive (at most ``_BLOCK``, n) blocks
     of one stream.  The stream is drawn row by row, so their rows are the
     one-shot draw's, bit for bit."""
     rng = _stream(seed)
-    for a in range(0, m, block):
-        yield sample_counts(space, rng, min(block, m - a))
+    for a in range(0, m, _BLOCK):
+        yield sample_counts(space, rng, min(_BLOCK, m - a))
 
 
 def _keys(counts: np.ndarray) -> tuple[np.ndarray, list]:
@@ -137,7 +142,8 @@ class MonteCarloBackend:
     """Expectation engine backed by the seeded Poisson sampler.
 
     The draws are made once, on first use, and kept as sorted distinct keys
-    with their multiplicities for the backend's lifetime.  A check sweeps
+    with their multiplicities, and the plan that decodes them (``_keys``),
+    for the backend's lifetime.  A check sweeps
     the distinct rows once and reduces each output (``mean``,
     ``expectation``).
     """

@@ -341,9 +341,9 @@ def test_blocks_are_the_one_shot_draw(weights):
     draw's, bit for bit: weights 0.5, 8 and 30 reach numpy's inversion and
     rejection Poisson samplers."""
     space = GroundSpace(weights)
-    blocks = list(draw_blocks(space, 9, 1_000, block=64))
-    assert [len(b) for b in blocks] == [64] * 15 + [40]
-    assert same_bits(np.concatenate(blocks), draw(space, 9, 1_000))
+    blocks = list(draw_blocks(space, 9, 10_000))
+    assert [len(b) for b in blocks] == [4096, 4096, 1808]
+    assert same_bits(np.concatenate(blocks), draw(space, 9, 10_000))
 
 
 class TestDrawOnce:
