@@ -2,8 +2,9 @@
 
 Under the product-Poisson law each site's multiplicity is an independent
 Poisson(lambda_i) variable, so capping site i at K_i and enumerating the box
-prod_i {0..K_i} makes every expectation a finite weighted sum.  Caps are
-chosen by exact Poisson tail partial sums per site, and a union bound over
+prod_i {0..K_i} makes every expectation a finite weighted sum.  Each
+site's cap and tail come from the same pmf vector as the box's
+probabilities, its tails summed from the far end, and a union bound over
 sites yields a rigorous ``tail_bound`` on the probability mass the box
 misses.  Every exact value is one sweep over the box (per-state values) and
 one reduction (their probability-weighted sum), returned as a ``Mean`` with
@@ -125,58 +126,32 @@ def _poisson_pmf_vector(lam: float, cap: int) -> np.ndarray:
     return out
 
 
-def _poisson_tail(lam: float, cap: int) -> float:
-    """P(Poisson(lam) > cap) by forward summation of the tail terms.
-
-    Summing the tail directly (rather than 1 - cdf) keeps tiny tails accurate
-    in absolute terms; terms decay superexponentially past the mode.  Where
-    the first term underflows below the mode, the tail is 1.0; above it, the
-    pmf vector is summed instead, up to where its terms underflow too; for
-    weights whose exp(-lam) underflows it starts at the mode, so the result
-    never falls below the true tail by more than rounding.
-    """
-    log_term = -lam + (cap + 1) * math.log(lam) - math.lgamma(cap + 2)
-    if log_term < _LOG_TINY:
-        if cap + 1 < lam:  # the pmf rises to the mode: every pmf(k <= cap) underflows too
-            return 1.0
-        # far above the mode; past lam + 40 sqrt(lam) the terms are below
-        # exp(-500) for every weight whose exp(-lam) underflows
-        last = max(cap + 1, int(lam + 40.0 * math.sqrt(lam) + 40.0))
-        return float(_poisson_pmf_vector(lam, last)[cap + 1 :].sum())
-    term = math.exp(log_term)
-    total = 0.0
-    k = cap + 1
-    while term > 0.0:
-        total += term
-        k += 1
-        term *= lam / k
-        if k > cap + 1 + 10 * (cap + lam + 10):
-            break
-    return total
-
-
 def _smallest_cap(lam: float, share: float) -> tuple[int, float]:
     """The smallest cap >= 1 whose Poisson tail is at most ``share``, with
-    that tail.  The tail falls as the cap grows, so the cap is bracketed by
-    doubling and then bisected: O(log cap) tails of O(cap + lam) terms each.
+    that tail.
+
+    One pmf vector runs to lam + 60 sqrt(lam) + 120, past which every term
+    underflows, and the cap walks down from there while the tail, summed
+    from the far end, still fits.  A weight whose mass lies wholly past
+    ``_MAX_CAP`` makes no vector: every tail up to there is 1, so a share
+    >= 1 takes cap 1 with tail 1.0 and a smaller one is refused.
     """
-    lo, hi = 0, 1  # caps up to lo miss the share; after the doubling, hi fits it
-    tail = _poisson_tail(lam, hi)
-    while tail > share:
-        if hi >= _MAX_CAP:
-            raise ConfigError(
-                f"no cap below {_MAX_CAP} reaches tail share {share:g} for weight {lam}"
-            )
-        lo, hi = hi, min(2 * hi, _MAX_CAP)
-        tail = _poisson_tail(lam, hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        mid_tail = _poisson_tail(lam, mid)
-        if mid_tail > share:
-            lo = mid
-        else:
-            hi, tail = mid, mid_tail
-    return hi, tail
+    root = math.sqrt(lam)
+    if lam - 40.0 * root <= _MAX_CAP:
+        pmf = _poisson_pmf_vector(lam, int(lam + 60.0 * root + 120.0))
+        cap, tail = len(pmf) - 1, 0.0  # tail = P(cap < X <= end)
+        while cap > 1:
+            wider = min(tail + pmf[cap], 1.0)  # rounding can carry a sum past 1
+            if wider > share:
+                break
+            cap, tail = cap - 1, wider
+        if cap <= _MAX_CAP:
+            return cap, float(tail)
+    elif share >= 1.0:
+        return 1, 1.0
+    raise ConfigError(
+        f"no cap below {_MAX_CAP} reaches tail share {share:g} for weight {lam}"
+    )
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ error gates the quantity actually under test.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +65,20 @@ class SamplerConfig:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+# the largest mean numpy's Poisson sampler accepts: int64 max - 10 sqrt(int64 max)
+_MAX_WEIGHT = 2.0**63 - 10.0 * math.sqrt(2.0**63)
+
+
 def sample_counts(
     space: GroundSpace, rng: np.random.Generator, m: int
 ) -> np.ndarray:
-    """Draw a block of m configurations as an (m, n) int64 counts array."""
+    """Draw a block of m configurations as an (m, n) int64 counts array; a
+    weight above ``_MAX_WEIGHT`` is a ``ConfigError``."""
+    top = max(space.weights)
+    if top > _MAX_WEIGHT:
+        raise ConfigError(
+            f"weight {top!r} is above {_MAX_WEIGHT!r}, the largest the Poisson sampler draws"
+        )
     return rng.poisson(lam=space.weights_array, size=(m, space.n)).astype(np.int64, copy=False)
 
 

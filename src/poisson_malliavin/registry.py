@@ -366,6 +366,13 @@ _PARAMS: dict[str, tuple[Callable[[object], bool], str]] = {
 }
 
 
+def _known_keys(where: str, obj: Mapping, known: list[str]) -> None:
+    # a misspelt key would silently fall back to its default
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}; known: {known}")
+
+
 def _from_spec(kind: str, table: dict, space: GroundSpace, spec: Mapping):
     if not isinstance(spec, Mapping) or "name" not in spec:
         raise ConfigError(f"{kind} spec must be an object with a 'name': {spec!r}")
@@ -373,6 +380,7 @@ def _from_spec(kind: str, table: dict, space: GroundSpace, spec: Mapping):
     if not isinstance(name, str) or name not in table:
         raise ConfigError(f"unknown {kind} name {name!r}; known: {sorted(table)}")
     keys, build = table[name]
+    _known_keys(f"{kind} spec {name!r}", spec, ["name", *keys])
     missing = [k for k in keys if k not in spec and k not in _DEFAULTS]
     if missing:
         raise ConfigError(f"spec {dict(spec)!r} is missing keys {missing}")

@@ -29,7 +29,7 @@ from .exact import DEFAULT_BUDGET, ExactBackend
 from .ground import GroundSpace, _is_int, _is_real
 from .identities import Gates, VerificationReport
 from .montecarlo import MonteCarloBackend, SamplerConfig
-from .registry import _describe, field_from_spec, functional_from_spec
+from .registry import _describe, _known_keys, field_from_spec, functional_from_spec
 
 __all__ = [
     "SuiteConfig",
@@ -176,13 +176,6 @@ def parse_config(obj: dict) -> SuiteConfig:
     )
 
 
-def _known_keys(where: str, obj: dict, known: list[str]) -> None:
-    # a misspelt key would silently fall back to its default
-    unknown = set(obj) - set(known)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; known: {known}")
-
-
 def _section(obj: dict, key: str, known: list[str]) -> dict:
     value = obj.get(key, {})
     if not isinstance(value, dict):
@@ -242,6 +235,7 @@ def _validate_case(i: int, case) -> None:
             f" known: {sorted(_IDENTITIES)}"
         )
     entry = _IDENTITIES[identity]
+    _known_keys(where, case, ["identity", *entry.required, *entry.optional, "gates", "backend"])
     for key in entry.required:
         if key not in case:
             raise ConfigError(f"{where}: identity {identity!r} needs binding {key!r}")

@@ -98,6 +98,10 @@ BAD_OVERRIDES = [
     (["estimate", "--functional", "linear_count", "--samples", "1"], "samples must be an integer >= 2, got 1"),
     (["sample", "--count", "-1"], "--count must be an integer >= 0, got -1"),
     (["sample", "--count", "3", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    (
+        ["estimate", "--functional", "poly_count", "--params", '{"B": [1], "degree": 2, "scale": 3}'],
+        "functional spec 'poly_count': unknown keys ['scale']; known: ['name', 'B', 'degree']",
+    ),
 ]
 
 
@@ -116,6 +120,34 @@ def test_workers_flag_is_gone(command, capsys):
         main(command + ["--workers", "4"])
     assert err.value.code == 2
     assert "unrecognized arguments: --workers 4" in capsys.readouterr().err
+
+
+def test_weight_past_the_sampler_limit(tmp_path, capsys):
+    """``sample`` and ``estimate`` exit 2 on a weight numpy's Poisson
+    sampler refuses, and ``verify`` reports each check it fails as a FAIL
+    row carrying the error."""
+    cfg = {
+        "space": {"weights": [0.5, 1e19]},
+        "cases": [
+            {"identity": "mecke", "u": {"name": "site_indicator", "B": [1]}},
+            {"identity": "commutation", "u": {"name": "site_indicator", "B": [1]}},
+        ],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    message = "weight 1e+19 is above 9.223372006484771e+18, the largest the Poisson sampler draws"
+    for argv in (
+        ["sample", "--count", "2"],
+        ["estimate", "--functional", "linear_count", "--params", '{"B": [1]}'],
+    ):
+        assert main(argv + ["--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    report = tmp_path / "report.json"
+    argv = ["verify", "--backend", "mc", "--config", str(path), "--report", str(report)]
+    assert main(argv) == 1
+    rows = json.loads(report.read_text())
+    assert [row["pass"] for row in rows] == [False, False]
+    assert all(row["error"] == f"ConfigError: {message}" for row in rows)
 
 
 class TestSample:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import subprocess
@@ -44,7 +43,7 @@ from poisson_malliavin import (
 )
 from poisson_malliavin import exact as exact_module
 from poisson_malliavin.errors import ConfigError, ShapeError, SolverError
-from poisson_malliavin.exact import _poisson_tail, _site_eigen
+from poisson_malliavin.exact import _site_eigen
 from poisson_malliavin.identities import mecke_kernel
 
 
@@ -175,32 +174,15 @@ class TestPlanTruncation:
             plan_truncation(GroundSpace((100.0,)), 1e-12)
 
 
-def _linear_cap(lam: float, share: float) -> tuple[int, float]:
-    """The smallest cap >= 1 with tail <= share, by stepping the cap up."""
-    cap = 1
-    tail = _poisson_tail(lam, cap)
-    while tail > share:
-        cap += 1
-        tail = _poisson_tail(lam, cap)
-    return cap, tail
-
-
-def _summed_tail(lam: float, cap: int) -> float:
-    """The tail as summed before underflowing first terms below the mode
-    were read as 1: forward summation, or the pmf vector's tail where the
-    first term underflows."""
-    log_term = -lam + (cap + 1) * math.log(lam) - math.lgamma(cap + 2)
-    if log_term < math.log(sys.float_info.min):
-        last = max(cap + 1, int(lam + 40.0 * math.sqrt(lam) + 40.0))
-        return float(exact_module._poisson_pmf_vector(lam, last)[cap + 1 :].sum())
-    term, total, k = math.exp(log_term), 0.0, cap + 1
-    while term > 0.0:
-        total += term
-        k += 1
-        term *= lam / k
-        if k > cap + 1 + 10 * (cap + lam + 10):
-            break
-    return total
+def _assert_smallest_cap(lam: float, share: float, cap: int, tail: float) -> None:
+    """``cap`` is the smallest cap >= 1 whose tail, scipy's
+    ``poisson.sf(cap, lam)``, is at most ``share`` (up to the 1e-10 boundary
+    slack of ``TestLargeWeights``), and ``tail`` is that tail."""
+    sf = poisson_dist.sf(cap, lam)
+    assert sf <= share * (1.0 + 1e-10)
+    if cap > 1:
+        assert poisson_dist.sf(cap - 1, lam) > share * (1.0 - 1e-10)
+    assert tail == pytest.approx(sf, rel=1e-12)
 
 
 class TestCapSearch:
@@ -208,26 +190,25 @@ class TestCapSearch:
     def test_caps_and_tails_equal_linear_search(self, lam):
         for tol in (1e-3, 1e-5, 1e-8, 1e-11, 1e-14):
             plan = plan_truncation(GroundSpace((lam,)), tol)
-            assert (plan.caps[0], plan.site_tails[0]) == _linear_cap(lam, tol)
+            _assert_smallest_cap(lam, tol, plan.caps[0], plan.site_tails[0])
 
     def test_sites_search_their_share(self, space):
         plan = plan_truncation(space, 1e-9)
         for lam, cap, tail in zip(space.weights, plan.caps, plan.site_tails):
-            assert (cap, tail) == _linear_cap(lam, 1e-9 / space.n)
+            _assert_smallest_cap(lam, 1e-9 / space.n, cap, tail)
 
     def test_large_weight_plans_in_under_a_second(self):
         start = time.perf_counter()
         plan = plan_truncation(GroundSpace((1e4,)), 1e-12)
         assert time.perf_counter() - start < 1.0
         (cap,) = plan.caps
-        assert plan.site_tails[0] <= 1e-12 < _poisson_tail(1e4, cap - 1)
+        assert plan.site_tails[0] <= 1e-12 < poisson_dist.sf(cap - 1, 1e4)
         with pytest.raises(BudgetExceededError):
             plan_truncation(GroundSpace((1e4, 1e4)), 1e-12)
 
     def test_unreachable_cap_is_refused_fast(self):
-        """Caps below the mode of weight 1e5 have tails of 1 to double
-        precision, read off the underflowing first term instead of a summed
-        pmf vector of 1.1e5 terms each (about 1 s for the search)."""
+        """Every cap of weight 1e5 is read off one pmf vector of 1.2e5 terms,
+        and none up to 1e5 reaches the share."""
         times = []
         for _ in range(3):
             start = time.perf_counter()
@@ -235,22 +216,76 @@ class TestCapSearch:
                 plan_truncation(GroundSpace((1e5,)), 1e-12)
             times.append(time.perf_counter() - start)
         assert min(times) < 0.1
-        assert _poisson_tail(1e5, 1000) == 1.0
+        assert poisson_dist.sf(100_000, 1e5) > 1e-12
+
+    @pytest.mark.parametrize("lam", [1e9, 1e19])
+    def test_mass_past_the_largest_cap_is_refused_without_a_vector(self, lam, monkeypatch):
+        """A weight whose mass lies wholly past ``_MAX_CAP`` is refused
+        before any pmf vector is made (one would hold about lam entries),
+        and a share >= 1 takes cap 1 with tail 1 on it; a weight with a
+        vector gets its own tail."""
+        made = []
+        pmf_vector = exact_module._poisson_pmf_vector
+        monkeypatch.setattr(
+            exact_module, "_poisson_pmf_vector",
+            lambda w, cap: made.append(w) or pmf_vector(w, cap),
+        )
+        with pytest.raises(ConfigError, match="^no cap below 100000 reaches tail share"):
+            plan_truncation(GroundSpace((lam,)), 0.5)
+        plan = plan_truncation(GroundSpace((lam, 1.0)), 2.0)
+        assert plan.caps == (1, 1)
+        assert plan.site_tails[0] == 1.0
+        assert plan.site_tails[1] == pytest.approx(poisson_dist.sf(1, 1.0), rel=1e-14)
+        assert made == [1.0]
 
     @pytest.mark.parametrize("lam", [0.01, 0.5, 3.0, 30.0, 300.0, 700.0])
-    def test_tails_and_plans_unchanged_where_exp_does_not_underflow(self, lam, monkeypatch):
-        caps = {1, 2, 5, int(lam / 2) + 1, int(lam) + 1, int(2 * lam) + 3, 3000}
-        for cap in sorted(caps):
-            assert _poisson_tail(lam, cap) == _summed_tail(lam, cap), cap
+    def test_tails_and_plans_unchanged_where_exp_does_not_underflow(self, lam):
+        # the caps the earlier doubling-and-bisection search chose
+        caps = {
+            0.01: [(1, 6), (3, 11), (5, 14), (5, 16)],
+            0.5: [(4, 6), (8, 11), (11, 14), (13, 16)],
+            3.0: [(10, 6), (17, 11), (22, 14), (24, 16)],
+            30.0: [(50, 6), (66, 11), (77, 14), (81, 16)],
+            300.0: [(359, 6), (404, 11), (432, 14), (444, 16)],
+            700.0: [(789, 6), (857, 11), (897, 14), (914, 16)],
+        }[lam]
         tols = (1e-3, 1e-8, 1e-12, 1e-14)
         plans = [plan_truncation(GroundSpace((lam, 1.0)), tol) for tol in tols]
-        monkeypatch.setattr(exact_module, "_poisson_tail", _summed_tail)
-        assert plans == [plan_truncation(GroundSpace((lam, 1.0)), tol) for tol in tols]
+        assert [plan.caps for plan in plans] == caps
+        for tol, plan in zip(tols, plans):
+            for w, cap, tail in zip((lam, 1.0), plan.caps, plan.site_tails):
+                _assert_smallest_cap(w, tol / 2, cap, tail)
 
     def test_tail_below_an_underflowing_mode_is_one(self):
+        # scipy's tails of these caps are 1 to double precision, so no share
+        # below 1 takes them
         for lam, cap in [(1e3, 50), (1e4, 5000), (1e5, 80_000)]:
-            assert _poisson_tail(lam, cap) == 1.0
-            assert _summed_tail(lam, cap) >= 1.0 - 1e-12
+            assert poisson_dist.sf(cap, lam) == 1.0
+            assert exact_module._smallest_cap(lam, 1.0 - 1e-12)[0] > cap
+
+    @pytest.mark.parametrize("lam", [1e3, 1e4, 5e4])
+    def test_tails_within_1e_13_of_scipy_at_large_weights(self, lam):
+        """Tails summed from the far end of the pmf vector stay within
+        1e-13 relative of scipy's, which is within 2.5e-14 of 50-digit
+        arithmetic here."""
+        for tol in (0.5, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+            plan = plan_truncation(GroundSpace((lam,)), tol)
+            sf = poisson_dist.sf(plan.caps[0], lam)
+            assert plan.site_tails[0] == pytest.approx(sf, rel=1e-13, abs=0.0), tol
+
+    @pytest.mark.parametrize(
+        "weights, tol, caps",
+        [
+            (CANONICAL_WEIGHTS, 1e-12, (11, 14, 17)),
+            ((1.0,) * 5, 1e-9, (12,) * 5),
+            ((0.3,) * 4, 1e-8, (7,) * 4),
+            ((0.3,) * 4, 1e-9, (8,) * 4),
+            ((0.3,) * 4, 1e-10, (9,) * 4),
+        ],
+        ids=["canonical", "exact_scale", "ou_solve 1e-8", "ou_solve 1e-9", "ou_solve 1e-10"],
+    )
+    def test_benchmark_boxes_pinned(self, weights, tol, caps):
+        assert plan_truncation(GroundSpace(weights), tol).caps == caps
 
 
 class TestLargeWeights:

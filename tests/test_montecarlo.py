@@ -59,6 +59,26 @@ class TestSampler:
         assert abs(est.value - 12.0) <= 4.0 * est.std_error
 
 
+    def test_weight_past_the_sampler_limit_is_config_error(self):
+        """numpy's Poisson sampler takes means up to int64 max - 10 sqrt(int64
+        max) and raises a bare ValueError past them; every draw refuses such
+        a weight first, naming it and the limit."""
+        limit = 9.223372006484771e18
+        assert montecarlo._MAX_WEIGHT == limit
+        at = GroundSpace((0.5, limit))
+        counts = sample_counts(at, np.random.default_rng(1), 3)
+        assert counts.shape == (3, 2) and (counts[:, 1] > 0).all()
+        past = GroundSpace((0.5, float(np.nextafter(limit, np.inf))))
+        message = "^" + re.escape(f"weight {past.weights[1]!r} is above {limit!r}, ")
+        for call in (
+            lambda: sample_counts(past, np.random.default_rng(1), 3),
+            lambda: next(draw_blocks(past, 1, 3)),
+            lambda: MonteCarloBackend(past, CFG).expectation(linear_count(past, [1])),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                call()
+
+
 class TestReproducibility:
     def test_bitwise_identical_single_worker(self, space):
         F = poly_count(space, [1, 2], 2)

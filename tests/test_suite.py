@@ -32,7 +32,7 @@ CASE_IDS_SHA256 = {
 # sha256 of the packaged config's report file per backend; pins every report
 # byte: values, gates, error terms and the order in which gates are summed
 REPORT_SHA256 = {
-    "exact": "613565cf27d7adb515e023049f9822b4cedbc125587e0ea40d8a2b9d7cb46539",
+    "exact": "9039091a94c13e55d1121cb62dc2676e0c560a74c0f961d4f44fffea9c0295bb",
     "mc": "c9dff3cc7892537b9bafb99b3856cd7803ea898a9bcf2044ad5a37dc11fe7181",
 }
 UNIT_FIELD = {"name": "deterministic", "values": [1.0, 1.0, 1.0]}
@@ -78,17 +78,10 @@ def test_missing_binding_named(identity, key):
 def test_optional_keys_reach_only_their_check():
     linear = [{"name": "linear_count", "B": [1]}]
     cfg = _config(
-        {"identity": "mecke", "u": UNIT_FIELD, "sites": [1], "budget": 3},
-        {"identity": "commutation", "u": UNIT_FIELD, "sites": [2], "budget": 3},
+        {"identity": "mecke", "u": UNIT_FIELD},
+        {"identity": "commutation", "u": UNIT_FIELD, "sites": [2]},
         # budget 0 evaluates nothing, so the search exhibits nothing
-        {
-            "identity": "non_diffusion",
-            "phis": ["square"],
-            "Fs": linear,
-            "Gs": linear,
-            "budget": 0,
-            "sites": [1],
-        },
+        {"identity": "non_diffusion", "phis": ["square"], "Fs": linear, "Gs": linear, "budget": 0},
     )
     reports = run_suite(parse_config(cfg), "exact")
     assert [r.error for r in reports] == [None, None, None]
@@ -137,6 +130,10 @@ BAD_VALUES = [
     ("phis-string", dict(NON_DIFFUSION, phis="square"), "cases[0].phis: must be a list of scalar map names"),
     ("phis-int", dict(NON_DIFFUSION, phis=[1]), "cases[0].phis: must be a list of scalar map names"),
     ("Fs-spec", dict(NON_DIFFUSION, Fs=LINEAR[0]), "cases[0].Fs: must be a list of functional specs"),
+    ("key-site", {"identity": "commutation", "u": UNIT_FIELD, "site": [1]}, "cases[0]: unknown keys ['site']; known: ['identity', 'u', 'sites', 'gates', 'backend']"),
+    ("key-gate", {"identity": "mecke", "u": UNIT_FIELD, "gate": {"exact": 1.0}}, "cases[0]: unknown keys ['gate']; known: ['identity', 'u', 'gates', 'backend']"),
+    ("key-bakend", {"identity": "mecke", "u": UNIT_FIELD, "bakend": "mc"}, "cases[0]: unknown keys ['bakend']; known: ['identity', 'u', 'gates', 'backend']"),
+    ("key-of-another-identity", {"identity": "mecke", "u": UNIT_FIELD, "sites": [1], "budget": 3}, "cases[0]: unknown keys ['budget', 'sites']; known: ['identity', 'u', 'gates', 'backend']"),
 ]
 
 
@@ -285,6 +282,12 @@ BAD_SPEC_PARAMS = [
      {"identity": "mecke", "u": {"name": "functional_times_indicator", "B": [1],
                                  "F": {"name": "bounded_sigmoid", "B": [1], "scale": 10**400}}},
      f"functional spec 'bounded_sigmoid': 'scale' must be a number, got {10**400!r}"),
+    ("unknown-key", {"identity": "mecke", "u": {"name": "site_indicator", "B": [1], "b": [2]}},
+     "field spec 'site_indicator': unknown keys ['b']; known: ['name', 'B']"),
+    ("nested-unknown-key",
+     {"identity": "mecke", "u": {"name": "functional_times_indicator", "B": [1],
+                                 "F": {"name": "affine", "terms": [[1.0, LINEAR[0]]], "constnat": 5.0}}},
+     "functional spec 'affine': unknown keys ['constnat']; known: ['name', 'terms', 'constant']"),
 ]
 
 
@@ -429,8 +432,9 @@ def _json_cases(draw):
     case = {"identity": identity}
     for key in _IDENTITIES[identity].required:
         case[key] = draw(_json_spec(key))
+    ident = _IDENTITIES[identity]
     for key in _PER_CASE:
-        if draw(st.booleans()):
+        if key in ("gates", "backend", *ident.required, *ident.optional) and draw(st.booleans()):
             case[key] = draw(_JSON)
     return case
 
