@@ -39,7 +39,11 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--samples", type=int,
         help="override the sample count: one seeded stream, drawn and"
-        " deduplicated once per backend, so reruns match bitwise; one int64"
+        " deduplicated once per backend, so reruns match bitwise. Where the box"
+        " of each site's levels up to tail 1/SAMPLES has at most SAMPLES cells,"
+        " draws are counted block by block on that box, so memory does not grow"
+        " with SAMPLES; otherwise the whole draw and its keys, (sites + 1) x 8"
+        " bytes per sample, are held at once and refused past 1 GiB. One int64"
         " key and one weight per distinct row are held for the whole run, plus"
         " rank tables on spaces whose keys overflow int64",
     )

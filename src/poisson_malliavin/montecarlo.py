@@ -10,11 +10,19 @@ statistical batteries, and its Poisson sampler is exact (inversion for
 small means, transformed rejection above numpy's internal switchover near
 lambda = 10).
 
-A ``MonteCarloBackend`` draws its samples once, on first use, keys each
-draw by one int64 (``_keys``), frees the draw and keeps the sorted distinct
-keys with their multiplicities: nothing per sample and no counts rows;
-spaces whose keys overflow int64 also keep the plan's rank tables, each at
-most one entry per distinct row.
+A ``MonteCarloBackend`` draws its samples once, on first use, and keeps
+the sorted distinct keys of the draws (``_keys``), one int64 per distinct
+row, with their multiplicities: nothing per sample and no counts rows.
+Where the box of each site's smallest level whose Poisson tail is at most
+1 / samples has at most ``samples`` cells (``_grid_levels``), the stream is
+drawn block by block and counted on that box, so memory is the box and one
+block; otherwise the whole draw is keyed at once, freed and its keys
+sorted, ``samples * (n + 1) * 8`` bytes at the peak, and spaces whose keys
+overflow int64 also keep the plan's rank tables, each at most one entry per
+distinct row.  Sorted keys are lexicographic in (eta_{n-1}, ..., eta_0)
+whatever the radix, so both paths give the same keys and multiplicities.
+A draw of input-sized rows past ``DRAW_BUDGET`` bytes is refused before it
+is made (``_price_draw``).
 Kernels run once per stencil part of the distinct rows
 (``lattice.stencil_parts``), through the sweep loop both engines share
 (``functionals._sweep``); each part's rows are decoded from its keys
@@ -38,15 +46,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .exact import _smallest_cap
 from .functionals import Functional, _check_binding, _sweep, _sweep_step, _weighted_sum
 from .ground import GroundSpace, _is_int
 from .lattice import _empty_rows, stencil_parts
 from .operators import Mean
 
 __all__ = [
+    "DRAW_BUDGET",
     "SamplerConfig",
     "MonteCarloBackend",
 ]
+
+# bytes an input-sized draw may take at once: rows * columns * 8 for the
+# sorted path's draw and keys, and for the suite's seeded points
+DRAW_BUDGET = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -104,6 +118,17 @@ def draw_blocks(space: GroundSpace, seed: int, m: int):
         yield sample_counts(space, rng, min(_BLOCK, m - a))
 
 
+def _price_draw(what: str, rows: int, columns: int) -> None:
+    """A ``ConfigError`` naming ``what`` and its price when rows x columns
+    int64 values would take more than ``DRAW_BUDGET`` bytes."""
+    price = rows * columns * 8
+    if price > DRAW_BUDGET:
+        raise ConfigError(
+            f"{what}: {rows} x {columns} int64 values need {price} bytes at once,"
+            f" past the draw budget of {DRAW_BUDGET} bytes"
+        )
+
+
 def _keys(counts: np.ndarray) -> tuple[np.ndarray, list]:
     """One int64 key per row of an (m, n) counts block, equal for equal
     rows only, and the plan that decodes keys back to rows (``_decode``).
@@ -135,6 +160,49 @@ def _keys(counts: np.ndarray) -> tuple[np.ndarray, list]:
     return keys, plan[::-1]
 
 
+def _plan_keys(counts: np.ndarray, plan: list) -> np.ndarray:
+    """The keys of a block's rows under a plan already made (``_keys``),
+    whose radices, rank tables and ranked values cover the block's."""
+    keys = np.zeros(len(counts), dtype=np.int64)
+    for z in range(len(plan) - 1, -1, -1):
+        radix, values, table = plan[z]
+        column = counts[:, z]
+        if table is not None:
+            keys = np.searchsorted(table, keys)
+        if values is not None:
+            column = np.searchsorted(values, column)
+        keys *= radix
+        keys += column
+    return keys
+
+
+def _grid_levels(space: GroundSpace, samples: int) -> list[int] | None:
+    """Each site's smallest level whose Poisson tail is at most 1 / samples
+    (``exact._smallest_cap``), or None when the box of those levels holds
+    more than ``_grid_limit(samples)`` cells: the draws then take the
+    sorted path.  A weight >= samples alone makes the box too wide, and so
+    does one whose level the pmf walk refuses (past ``exact._MAX_CAP``)."""
+    levels, cells = [], 1
+    for lam in space.weights:
+        if lam >= samples:
+            return None
+        try:
+            level = _smallest_cap(lam, 1.0 / samples)[0]
+        except ConfigError:
+            return None
+        cells *= level + 1
+        if cells > _grid_limit(samples):
+            return None
+        levels.append(level)
+    return levels
+
+
+def _grid_limit(samples: int) -> int:
+    """The most cells a dense count grid may hold: ``samples``, so it never
+    outweighs the sorted path's keys, and at most ``DRAW_BUDGET`` bytes."""
+    return min(samples, DRAW_BUDGET // 8)
+
+
 def _decode(keys: np.ndarray, plan: list) -> np.ndarray:
     """The counts rows of ``keys`` under ``_keys``' ``plan``, one divmod per
     site written straight into the memo layout (``lattice._empty_rows``)."""
@@ -154,7 +222,9 @@ class MonteCarloBackend:
 
     The draws are made once, on first use, and kept as sorted distinct keys
     with their multiplicities, and the plan that decodes them (``_keys``),
-    for the backend's lifetime.  A check sweeps
+    for the backend's lifetime; the path that counts them is chosen at
+    construction (``_grid_levels``), where a sorted-path draw past
+    ``DRAW_BUDGET`` is a ``ConfigError``.  A check sweeps
     the distinct rows once and reduces each output (``mean``,
     ``expectation``).
     """
@@ -162,6 +232,9 @@ class MonteCarloBackend:
     def __init__(self, space: GroundSpace, cfg: SamplerConfig):
         self.space = space
         self.cfg = cfg
+        self._levels = _grid_levels(space, cfg.samples)
+        if self._levels is None:
+            self._price_sorted()
         self._keys: np.ndarray | None = None
         self._weights: np.ndarray | None = None
         self._plan: list | None = None
@@ -170,15 +243,52 @@ class MonteCarloBackend:
     def seed(self) -> int:
         return self.cfg.seed
 
+    def _price_sorted(self) -> None:
+        # the draw and its keys, held together while they are keyed
+        _price_draw("samples", self.cfg.samples, self.space.n + 1)
+
     def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
         """The sorted distinct keys (``_keys``) of the run's draws and their
-        multiplicities as float64 weights.  The draw is freed before the
-        sort."""
+        multiplicities as float64 weights, counted on the dense grid where
+        it holds (``_count_on_grid``), else keyed at once and sorted, the
+        draw freed before the sort."""
         if self._keys is None:
-            keys, self._plan = _keys(draw(self.space, self.cfg.seed, self.cfg.samples))
-            self._keys, multiplicity = np.unique(keys, return_counts=True)
+            counted = None if self._levels is None else self._count_on_grid(self._levels)
+            if counted is None:
+                keys, self._plan = _keys(draw(self.space, self.cfg.seed, self.cfg.samples))
+                self._keys, multiplicity = np.unique(keys, return_counts=True)
+            else:
+                self._keys, multiplicity, self._plan = counted
             self._weights = multiplicity.astype(np.float64)
         return self._keys, self._weights
+
+    def _count_on_grid(self, levels: list[int]):
+        """The run's distinct keys, multiplicities and plan, counted block by
+        block into one int64 count per cell of the box of ``levels``.  A
+        block past the box grows it to the block's column maxima; once the
+        box would pass ``_grid_limit(samples)`` cells the sorted path is
+        priced and None returned.  The box is cut to the drawn maxima at the
+        end, so keys and plan are ``_keys``' of the whole draw."""
+        radix = [level + 1 for level in levels]
+        plan = [(r, None, None) for r in radix]
+        grid = np.zeros(math.prod(radix), dtype=np.int64)
+        seen = [1] * len(radix)  # the drawn column maxima + 1
+        for block in draw_blocks(self.space, self.cfg.seed, self.cfg.samples):
+            # column by column: block.max(axis=0) costs several times more
+            seen = [max(t, int(block[:, z].max()) + 1) for z, t in enumerate(seen)]
+            if any(t > r for t, r in zip(seen, radix)):
+                top = [max(t, r) for t, r in zip(seen, radix)]
+                if math.prod(top) > _grid_limit(self.cfg.samples):
+                    self._price_sorted()
+                    return None
+                grown = np.zeros(top[::-1], dtype=np.int64)
+                grown[tuple(slice(r) for r in radix[::-1])] = grid.reshape(radix[::-1])
+                grid, radix = grown.reshape(-1), top
+                plan = [(r, None, None) for r in radix]
+            np.add.at(grid, _plan_keys(block, plan), 1)
+        grid = grid.reshape(radix[::-1])[tuple(slice(t) for t in seen[::-1])].reshape(-1)
+        keys = np.flatnonzero(grid)
+        return keys, grid[keys], [(t, None, None) for t in seen]
 
     def _rows_of(self, a: int, b: int) -> np.ndarray:
         """Distinct rows a to b, decoded from their keys."""
@@ -186,11 +296,14 @@ class MonteCarloBackend:
 
     def _first_draw(self, finite: np.ndarray) -> np.ndarray:
         """The first draw, in draw order, of a distinct row whose ``finite``
-        entry is False.  The stream is drawn and keyed again, so only this
-        error path pays a second draw."""
-        keys, plan = _keys(draw(self.space, self.cfg.seed, self.cfg.samples))
-        first = np.flatnonzero(np.isin(keys, self._distinct()[0][~finite]))[0]
-        return _decode(keys[first : first + 1], plan)[0]
+        entry is False.  The stream is walked again block by block, each
+        keyed with the run's plan, so only this error path draws twice, a
+        block at a time."""
+        bad = self._distinct()[0][~finite]
+        for block in draw_blocks(self.space, self.cfg.seed, self.cfg.samples):
+            hit = np.flatnonzero(np.isin(_plan_keys(block, self._plan), bad))
+            if hit.size:
+                return block[hit[0]]
 
     def sweep(self, kernel, names: tuple[str, ...]) -> tuple[np.ndarray, ...]:
         """Run ``kernel(counts) -> tuple of arrays`` over the distinct rows,

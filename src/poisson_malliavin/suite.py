@@ -28,7 +28,7 @@ from .errors import ConfigError, PoissonMalliavinError
 from .exact import DEFAULT_BUDGET, ExactBackend
 from .ground import GroundSpace, _is_int, _is_real
 from .identities import Gates, VerificationReport
-from .montecarlo import MonteCarloBackend, SamplerConfig
+from .montecarlo import MonteCarloBackend, SamplerConfig, _price_draw
 from .registry import _describe, _known_keys, field_from_spec, functional_from_spec
 
 __all__ = [
@@ -157,6 +157,8 @@ def parse_config(obj: dict) -> SuiteConfig:
         low = float(_scalar(rand, "randomized_space.low", 0.4, _is_real, 0, strict=True))
         high = float(_scalar(rand, "randomized_space.high", 1.6, _is_real, low))
         rand = {"sites": sites, "low": low, "high": high}
+    # each space's pathwise checks draw its seeded points at once
+    _price_draw("pointwise_samples", points, max(space.n, rand["sites"] if rand else 0))
 
     cases = obj.get("cases")
     if not isinstance(cases, list) or not cases:

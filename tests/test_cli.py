@@ -3,8 +3,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
+import resource
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -277,3 +281,61 @@ def test_readme_cli_lines_parse():
     for tokens in commands:
         argv = tokens[1 : tokens.index(">")] if ">" in tokens else tokens[1:]
         _build_parser().parse_args(argv)
+
+
+def _limited(argv: list[str]) -> subprocess.CompletedProcess:
+    """``main(argv)`` in a child process whose address space is capped at
+    3 GiB, so an allocation sized by an input fails there, not on the host."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import sys\nfrom poisson_malliavin.cli import main\nsys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, preexec_fn=cap,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "edit, argv, message",
+    [
+        (
+            {"pointwise_samples": 10**10},
+            ["verify", "--backend", "exact"],
+            "error: pointwise_samples: 10000000000 x 3 int64 values need 240000000000 bytes",
+        ),
+        # 6 sites at weight 8 take the sorted path: on the dense path 1e10
+        # samples cost time, not memory
+        (
+            {"space": {"weights": [8.0] * 6}},
+            ["verify", "--backend", "mc", "--samples", "10000000000"],
+            "error: samples: 10000000000 x 7 int64 values need 560000000000 bytes",
+        ),
+        (
+            {"space": {"weights": [8.0] * 6}},
+            ["estimate", "--functional", "linear_count", "--params", '{"B": [1]}',
+             "--samples", "10000000000"],
+            "error: samples: 10000000000 x 7 int64 values need 560000000000 bytes",
+        ),
+    ],
+    ids=["pointwise_samples", "verify-samples", "estimate-samples"],
+)
+def test_input_sized_draws_are_priced(tmp_path, edit, argv, message):
+    """A size-like input at 1e10 exits 2 with a one-line error naming the
+    input and its price, before anything is allocated: no traceback."""
+    cfg = default_config()
+    n = len(edit.get("space", cfg["space"])["weights"])
+    unit = {"name": "deterministic", "values": [1.0] * n}
+    cfg["cases"] = [{"identity": "mecke", "u": unit}, {"identity": "commutation", "u": unit}]
+    cfg["randomized_space"] = None
+    cfg.update(edit)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    proc = _limited([*argv[:1], "--config", str(path), *argv[1:]])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(message)
+    assert "Traceback" not in proc.stderr

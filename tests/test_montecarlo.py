@@ -142,18 +142,43 @@ class TestMeckeDefect:
 
 
 class TestNonFiniteAbort:
-    def test_offending_configuration_echoed(self, space):
+    @staticmethod
+    def _abort(space, sorted_path: bool) -> str:
         def fn(c):
             vals = c.sum(axis=-1).astype(float)
             return np.where(vals > 4, np.inf, vals)
 
         F = Functional(space, fn, "explodes")
+        be = MonteCarloBackend(space, SamplerConfig(seed=3, samples=5000))
+        assert (be._levels is None) == sorted_path
         with pytest.raises(NonFiniteValueError) as err:
-            MonteCarloBackend(space, SamplerConfig(seed=3, samples=5000)).expectation(F)
+            be.expectation(F)
+        return str(err.value)
+
+    def test_offending_configuration_echoed(self, space):
         # the first offending sample in draw order, not in distinct-row order
-        assert str(err.value) == (
+        assert self._abort(space, sorted_path=False) == (
             "explodes produced a non-finite value at configuration counts=[2, 1, 3]"
         )
+
+    def test_sorted_path_echoes_the_same_configuration(self, space, monkeypatch):
+        _sorted_path(monkeypatch)
+        assert self._abort(space, sorted_path=True) == (
+            "explodes produced a non-finite value at configuration counts=[2, 1, 3]"
+        )
+
+    def test_first_draw_walks_the_blocks(self, monkeypatch):
+        """Locating the first bad draw walks the stream block by block, each
+        keyed with the run's plan, up to the block holding it: here the
+        second, on 12 sites whose keys are ranked."""
+        be = MonteCarloBackend(WIDE, SamplerConfig(seed=3, samples=10_000))
+        keys, _ = be._distinct()
+        assert any(table is not None for *_, table in be._plan)
+        counts = draw(WIDE, 3, 10_000)
+        drawn = _record_draws(monkeypatch)
+        finite = keys != montecarlo._keys(counts)[0][5000]
+        assert same_bits(be._first_draw(finite), counts[5000])
+        assert [len(b) for b in drawn] == [4096, 4096]
 
 
 def test_engine_refuses_functional_of_another_space(space):
@@ -355,6 +380,51 @@ def test_distinct_frees_the_draw_before_the_sort():
     assert held <= 2 << 20
 
 
+def test_dense_distinct_holds_no_draw():
+    """Canonical space, 1e6 samples: the dense path holds one 4,096-row
+    block and an 880-cell count grid, never the 24 MiB (samples, n) draw or
+    its 8 MiB of keys (numpy 2.4: 0.22 MiB peak, 0.02 MiB kept)."""
+    be = MonteCarloBackend(GroundSpace((0.5, 1.0, 1.5)), SamplerConfig(seed=20260810, samples=10**6))
+    assert be._levels == [7, 9, 10]
+    tracemalloc.start()
+    try:
+        be._distinct()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+    assert held <= 64 << 10
+
+
+class TestDrawBudget:
+    """The sorted path holds samples x (n + 1) int64 values at once, the
+    draw and its keys; past ``DRAW_BUDGET`` bytes it is refused before
+    anything is drawn.  The dense path holds its grid and one block."""
+
+    def test_sorted_draw_past_the_budget_is_refused(self):
+        wide = GroundSpace((8.0,) * 7)
+        at = MonteCarloBackend(wide, SamplerConfig(seed=0, samples=2**24))
+        assert at._levels is None and 2**24 * 8 * 8 == montecarlo.DRAW_BUDGET
+        message = (
+            "samples: 16777217 x 8 int64 values need 1073741888 bytes at once,"
+            " past the draw budget of 1073741824 bytes"
+        )
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            MonteCarloBackend(wide, SamplerConfig(seed=0, samples=2**24 + 1))
+
+    def test_dense_path_is_not_priced_by_samples(self, space):
+        assert MonteCarloBackend(space, SamplerConfig(seed=0, samples=10**10))._levels is not None
+
+    def test_fallback_prices_the_sorted_draw(self, monkeypatch):
+        """A grid grown past its limit falls back to the sorted path only
+        within the budget: here the first block already overflows it."""
+        space = GroundSpace((30.0,) * 6)
+        monkeypatch.setattr(montecarlo, "_grid_levels", lambda sp, samples: [0] * sp.n)
+        be = MonteCarloBackend(space, SamplerConfig(seed=0, samples=10**10))
+        with pytest.raises(ConfigError, match="^samples: 10000000000 x 7 int64 values need "):
+            be._distinct()
+
+
 @pytest.mark.parametrize("weights", [(0.5,), (8.0,), (30.0,), (0.5, 8.0, 30.0)])
 def test_blocks_are_the_one_shot_draw(weights):
     """``draw_blocks`` cuts one stream into blocks whose rows are the one-shot
@@ -368,15 +438,11 @@ def test_blocks_are_the_one_shot_draw(weights):
 
 class TestDrawOnce:
     def test_one_draw_per_worker_and_distinct_rows_only(self, space, monkeypatch):
-        drawn = []
-        real = montecarlo.sample_counts
-
-        def counting(*args):
-            block = real(*args)
-            drawn.append(block)
-            return block
-
-        monkeypatch.setattr(montecarlo, "sample_counts", counting)
+        """The dense path draws the stream in blocks: together they are the
+        one-shot draw bit for bit, 30,000 rows across four sweeps, so the
+        stream is drawn once per backend."""
+        want = draw(space, 1, 30_000)
+        drawn = _record_draws(monkeypatch)
         seen = []
 
         def sized(kernel):
@@ -387,12 +453,91 @@ class TestDrawOnce:
             return wrapped
 
         be = MonteCarloBackend(space, SamplerConfig(seed=1, samples=30_000))
+        assert be._levels is not None
         F = poly_count(space, [1, 2, 3], 2)
         u = deterministic_field(space, [1.0, -0.5, 2.0])
         for _ in range(2):
             be.paired(sized(mecke_kernel(u)))
             be.expectation(Functional(space, sized(F.batch), "sized"))
 
-        (block,) = drawn
-        assert block.shape == (30_000, space.n)
-        assert seen == [len(np.unique(block, axis=0))] * 4
+        assert sum(len(b) for b in drawn) == 30_000
+        assert same_bits(np.concatenate(drawn), want)
+        assert seen == [len(np.unique(want, axis=0))] * 4
+
+
+def _record_draws(monkeypatch) -> list:
+    """Every block ``sample_counts`` draws from here on, in draw order."""
+    drawn, real = [], montecarlo.sample_counts
+    monkeypatch.setattr(montecarlo, "sample_counts", lambda *a: drawn.append(real(*a)) or drawn[-1])
+    return drawn
+
+
+def _sorted_path(monkeypatch):
+    """Send every backend made from here on down the sorted path."""
+    monkeypatch.setattr(montecarlo, "_grid_levels", lambda space, samples: None)
+
+
+class TestTwoPaths:
+    """The dense count grid and the sorted keys give the same keys, plan,
+    multiplicities and decoded rows: sorted keys are lexicographic in
+    (eta_{n-1}, ..., eta_0) whatever the radix, and the grid is cut to the
+    drawn maxima at the end."""
+
+    @staticmethod
+    def _both(space, cfg, monkeypatch):
+        dense = MonteCarloBackend(space, cfg)
+        with monkeypatch.context() as m:
+            _sorted_path(m)
+            ranked = MonteCarloBackend(space, cfg)
+        assert dense._levels is not None and ranked._levels is None
+        return dense, ranked
+
+    @staticmethod
+    def _assert_same(a, b):
+        (ka, wa), (kb, wb) = a._distinct(), b._distinct()
+        assert np.array_equal(ka, kb) and same_bits(wa, wb)
+        assert a._plan == b._plan
+        assert same_bits(mc_rows(a), mc_rows(b))
+
+    @pytest.mark.parametrize("weights", [(0.5,), (0.5, 1.0, 1.5), (0.2,) * 6])
+    @pytest.mark.parametrize("seed", [3, 20260810])
+    def test_paths_agree(self, weights, seed, monkeypatch):
+        space = GroundSpace(weights)
+        self._assert_same(*self._both(space, SamplerConfig(seed=seed, samples=20_000), monkeypatch))
+
+    def test_grid_grows_mid_stream(self, space, monkeypatch):
+        """At seed 0 the first block stays inside each site's level at tail
+        1 / samples, and a later one passes site 3's: the grid grows."""
+        cfg = SamplerConfig(seed=0, samples=20_000)
+        levels = montecarlo._grid_levels(space, cfg.samples)
+        assert levels == [5, 7, 8]
+        counts = draw(space, cfg.seed, cfg.samples)
+        assert (counts[:4096].max(axis=0) <= levels).all()
+        assert counts.max(axis=0).tolist() == [5, 7, 10]
+        dense, ranked = self._both(space, cfg, monkeypatch)
+        self._assert_same(dense, ranked)
+        assert dense._plan == [(6, None, None), (8, None, None), (11, None, None)]
+
+    def test_grid_past_samples_falls_back_to_sorted(self, monkeypatch):
+        """From a one-cell grid the first block grows the box to 9,500 cells;
+        the second would grow it past ``samples`` cells, so the grid is given
+        up and the stream drawn again, whole, on the sorted path."""
+        space = GroundSpace((8.0,) * 3)
+        cfg = SamplerConfig(seed=5, samples=10_000)
+        with monkeypatch.context() as m:
+            _sorted_path(m)
+            ranked = MonteCarloBackend(space, cfg)
+            ranked._distinct()
+        monkeypatch.setattr(montecarlo, "_grid_levels", lambda sp, samples: [0] * sp.n)
+        drawn = _record_draws(monkeypatch)
+        self._assert_same(MonteCarloBackend(space, cfg), ranked)
+        assert [len(b) for b in drawn] == [4096, 4096, 10_000]
+
+    @pytest.mark.parametrize(
+        "weights, samples",
+        [((8.0,) * 6, 100_000), ((0.5, 40.0), 40), ((0.01,) * 11, 100_000), ((2e5,), 10**7)],
+    )
+    def test_box_wider_than_samples_is_sorted(self, weights, samples):
+        """A box of more than ``samples`` cells, a weight >= samples, or a
+        weight whose level the pmf walk refuses takes the sorted path."""
+        assert montecarlo._grid_levels(GroundSpace(weights), samples) is None

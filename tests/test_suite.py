@@ -20,7 +20,7 @@ from poisson_malliavin import (
     reports_to_json,
     run_suite,
 )
-from poisson_malliavin import functionals
+from poisson_malliavin import functionals, montecarlo
 from poisson_malliavin.suite import _IDENTITIES, default_config
 
 # sha256 of the packaged config's case ids joined by newlines; pins the id
@@ -160,6 +160,9 @@ BAD_SCALARS = [
     ("truncation-string", {"truncation": "x"}, "truncation: must be an object, got 'x'"),
     ("points-string", {"pointwise_samples": "x"}, "pointwise_samples: must be an integer >= 1, got 'x'"),
     ("points-zero", {"pointwise_samples": 0}, "pointwise_samples: must be an integer >= 1, got 0"),
+    # seeded points are drawn at once: rows x sites int64 values, the random space's sites too
+    ("points-past-budget", {"pointwise_samples": 10**10}, "pointwise_samples: 10000000000 x 3 int64 values need 240000000000 bytes at once, past the draw budget of 1073741824 bytes"),
+    ("points-past-budget-random-sites", {"pointwise_samples": 2**24 + 1, "randomized_space": {"sites": 8}}, "pointwise_samples: 16777217 x 8 int64 values need 1073741888 bytes at once, past the draw budget of 1073741824 bytes"),
     ("random-sites-string", {"randomized_space": {"sites": "3"}}, "randomized_space.sites: must be an integer >= 1, got '3'"),
     ("random-low-zero", {"randomized_space": {"low": 0}}, "randomized_space.low: must be a number > 0, got 0"),
     ("random-high-bool", {"randomized_space": {"high": True}}, "randomized_space.high: must be a number >= 0.4, got True"),
@@ -172,6 +175,12 @@ def test_bad_top_level_scalar_is_config_error(name, top, message):
     with pytest.raises(ConfigError) as err:
         parse_config(dict(_config({"identity": "mecke", "u": UNIT_FIELD}), **top))
     assert str(err.value) == message
+
+
+def test_points_at_the_draw_budget_are_accepted():
+    base = _config({"identity": "mecke", "u": UNIT_FIELD})
+    cfg = parse_config(dict(base, pointwise_samples=2**24, randomized_space={"sites": 8}))
+    assert cfg.pointwise_samples * 8 * 8 == montecarlo.DRAW_BUDGET
 
 
 def test_legacy_workers_one_is_accepted():
