@@ -248,14 +248,6 @@ class StateTable:
     def state_count(self) -> int:
         return self.plan.state_count
 
-    @cached_property
-    def interior(self) -> np.ndarray:
-        """Mask of states with every site strictly below its cap."""
-        below = [np.arange(cap + 1) < cap for cap in self.plan.caps]
-        mask = reduce(np.logical_and.outer, below).reshape(-1)
-        mask.setflags(write=False)
-        return mask
-
     @property
     def total_prob(self) -> float:
         return float(self.probs.sum())
@@ -328,8 +320,9 @@ class GeneratorMatrix:
 
     ``killed`` is each state's dropped out-of-box birth rate (the summed
     weights of its capped sites); ``boundary_leak`` is its probability-
-    weighted sum; ``interior`` marks the rows equal to the exact untruncated
-    operator.
+    weighted sum; ``interior``, read-only, is ``killed == 0``: every weight
+    is > 0, so it marks the states with no site at its cap, whose rows equal
+    the exact untruncated operator.
     """
 
     matrix: sp.csr_matrix
@@ -376,8 +369,9 @@ def build_generator_matrix(table: StateTable) -> GeneratorMatrix:
     minus their killed rate) instead of being reflected back.
     """
     matrix, killed = _generator(table.space.weights, table.plan.caps)
-    leak = float(table.probs @ killed)
-    return GeneratorMatrix(matrix, leak, table.interior, killed)
+    interior = killed == 0.0
+    interior.setflags(write=False)
+    return GeneratorMatrix(matrix, float(table.probs @ killed), interior, killed)
 
 
 # minimum degree on the pattern of A + A^T with diagonal pivots, for the

@@ -110,14 +110,11 @@ class RandomField:
 
     def values(self, counts) -> np.ndarray:
         """Evaluate on counts of shape (..., n); returns shape (..., n).
-        DF on a sweep part's own rows is ``add_diff_all`` of F's memoised
-        shifts, and a factored field on any tagged rows is F's memoised
-        values times g, laid out like the rows.  Any other field's fn gets
-        tagged rows as they are, so the functionals inside it are memoised
-        (``lattice``); the field itself is not."""
+        A factored field on tagged rows is F's memoised values times g, laid
+        out like the rows.  Any other field's fn gets tagged rows as they
+        are, so the functionals inside it, F in DF's ``add_diff_all`` among
+        them, are memoised (``lattice``); the field itself is not."""
         arr = _as_counts(self.space, counts)
-        if lattice.is_slice(counts) and self.gradient_of is not None:
-            return add_diff_all(self.gradient_of, counts)
         if lattice.is_tagged(counts) and self.factors is not None:
             return _factored(self, counts)
         return np.asarray(self.fn(counts if lattice.is_tagged(counts) else arr), dtype=np.float64)

@@ -112,14 +112,18 @@ def constant(space: GroundSpace, value: float) -> Functional:
     return _named(Functional, space, fn, "constant", abs(v), value=v)
 
 
+def _count_functional(space: GroundSpace, B, name: str, fn, bound=None, **params) -> Functional:
+    """F(eta) = ``fn(c, B)`` with B's sorted members, named ``name(B=...,...)``; each ``fn``
+    spells eta(B) = ``_count_in(c, B)`` inside its expression, so the count stays a temporary."""
+    members = _members(space.site_mask(B))
+    return _named(Functional, space, lambda c: fn(c, members), name, bound, B=members, **params)
+
+
 def linear_count(space: GroundSpace, B) -> Functional:
     """F(eta) = eta(B), the point count inside B.  Unbounded."""
-    B = _members(space.site_mask(B))
-
-    def fn(c: np.ndarray) -> np.ndarray:
-        return _count_in(c, B).astype(np.float64)
-
-    return _named(Functional, space, fn, "linear_count", B=B)
+    return _count_functional(
+        space, B, "linear_count", lambda c, B: _count_in(c, B).astype(np.float64)
+    )
 
 
 def poly_count(space: GroundSpace, B, degree: int) -> Functional:
@@ -127,23 +131,17 @@ def poly_count(space: GroundSpace, B, degree: int) -> Functional:
     if not (_is_int(degree) and degree >= 1):
         raise ConfigError(f"poly_count degree must be an integer >= 1, got {degree!r}")
     d = int(degree)
-    B = _members(space.site_mask(B))
-
-    def fn(c: np.ndarray) -> np.ndarray:
-        return _count_in(c, B).astype(np.float64) ** d
-
-    return _named(Functional, space, fn, "poly_count", B=B, degree=d)
+    return _count_functional(
+        space, B, "poly_count", lambda c, B: _count_in(c, B).astype(np.float64) ** d, degree=d
+    )
 
 
 def bounded_sigmoid(space: GroundSpace, B, scale: float) -> Functional:
     """F(eta) = tanh(scale * eta(B)); member of the bounded algebra, |F| <= 1."""
     s = _real("bounded_sigmoid scale", scale)
-    B = _members(space.site_mask(B))
-
-    def fn(c: np.ndarray) -> np.ndarray:
-        return np.tanh(s * _count_in(c, B))
-
-    return _named(Functional, space, fn, "bounded_sigmoid", 1.0, B=B, scale=s)
+    return _count_functional(
+        space, B, "bounded_sigmoid", lambda c, B: np.tanh(s * _count_in(c, B)), 1.0, scale=s
+    )
 
 
 def indicator_leq(space: GroundSpace, B, m: int) -> Functional:
@@ -151,12 +149,9 @@ def indicator_leq(space: GroundSpace, B, m: int) -> Functional:
     if not _is_int(m):
         raise ConfigError(f"indicator_leq m must be an integer, got {m!r}")
     m = int(m)
-    B = _members(space.site_mask(B))
-
-    def fn(c: np.ndarray) -> np.ndarray:
-        return (_count_in(c, B) <= m).astype(np.float64)
-
-    return _named(Functional, space, fn, "indicator_leq", 1.0, B=B, m=m)
+    return _count_functional(
+        space, B, "indicator_leq", lambda c, B: (_count_in(c, B) <= m).astype(np.float64), 1.0, m=m
+    )
 
 
 def product_of(*factors: Functional) -> Functional:

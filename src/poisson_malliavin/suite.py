@@ -281,26 +281,16 @@ def _case_id(index: int, case: dict, backend_label: str, space_tag: str) -> str:
 # execution
 # ---------------------------------------------------------------------------
 
-def _failed_report(case_id: str, seed: int, exc: Exception) -> VerificationReport:
-    return VerificationReport(
-        case=case_id,
-        lhs=float("nan"),
-        rhs=float("nan"),
-        defect=float("inf"),
-        gate=0.0,
-        gate_kind="upper",
-        passed=False,
-        seed=seed,
-        n=0,
-        error=f"{type(exc).__name__}: {exc}",
-    )
-
-
 def _random_space(cfg: SuiteConfig) -> GroundSpace:
     rand = cfg.randomized_space
     rng = np.random.default_rng(np.random.SeedSequence([cfg.mc.seed, _RANDOM_SPACE_SALT]))
-    weights = rng.uniform(rand["low"], rand["high"], size=rand["sites"])
-    return GroundSpace(tuple(round(float(w), 6) for w in weights))
+    weights = tuple(round(float(w), 6) for w in rng.uniform(rand["low"], rand["high"], rand["sites"]))
+    if 0.0 in weights:  # a draw below 5e-7
+        raise ConfigError(
+            f"randomized_space: low {rand['low']!r} draws a weight that rounds to 0.0"
+            " at the 6 decimals random weights keep; use low >= 1e-06"
+        )
+    return GroundSpace(weights)
 
 
 def run_suite(cfg: SuiteConfig, backend: str = "both") -> list[VerificationReport]:
@@ -364,7 +354,11 @@ def run_suite(cfg: SuiteConfig, backend: str = "both") -> list[VerificationRepor
                     check = getattr(identities, identity.check)
                     report = check(**args, **run_args, gates=case_gates, case=case_id)
                 except PoissonMalliavinError as exc:
-                    report = _failed_report(case_id, cfg.mc.seed, exc)
+                    report = identities._report(
+                        case_id, None, lhs=np.nan, rhs=np.nan, defect=np.inf, gate=0.0,
+                        passed=False, n=0, seed=cfg.mc.seed,
+                    )
+                    report = replace(report, error=f"{type(exc).__name__}: {exc}")
                 reports.append(replace(report, wall_time=time.perf_counter() - t0))
     return reports
 

@@ -15,7 +15,7 @@ import pytest
 
 from poisson_malliavin import montecarlo
 from poisson_malliavin.cli import _build_parser, main
-from poisson_malliavin.suite import default_config, load_config
+from poisson_malliavin.suite import _random_space, default_config, load_config
 
 
 @pytest.fixture()
@@ -152,6 +152,25 @@ def test_weight_past_the_sampler_limit(tmp_path, capsys):
     rows = json.loads(report.read_text())
     assert [row["pass"] for row in rows] == [False, False]
     assert all(row["error"] == f"ConfigError: {message}" for row in rows)
+
+
+def test_random_weights_rounded_to_zero_name_their_key(tmp_path, capsys):
+    """Random-space weights keep 6 decimals, so a ``low`` far below 1e-6
+    draws a weight of 0.0: ``verify`` exits 2 naming ``randomized_space``
+    and the rounding, not a ``weights[0]`` the config never wrote.  The
+    suggested ``low`` draws weights that survive the rounding."""
+    cfg = default_config()
+    cfg["randomized_space"] = {"sites": 2, "low": 1e-9, "high": 1e-8}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: randomized_space: low 1e-09 draws a weight that rounds to 0.0"
+        " at the 6 decimals random weights keep; use low >= 1e-06\n"
+    )
+    cfg["randomized_space"] = {"sites": 2, "low": 1e-6, "high": 1e-5}
+    path.write_text(json.dumps(cfg))
+    assert min(_random_space(load_config(str(path))).weights) >= 1e-6
 
 
 class TestSample:

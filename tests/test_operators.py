@@ -4,9 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from poisson_malliavin import (
     BracketKind,
+    ExactBackend,
     Functional,
     RandomField,
     affine_of,
@@ -30,6 +32,7 @@ from poisson_malliavin import (
 )
 from poisson_malliavin import identities, operators
 from poisson_malliavin.functionals import add_diff_all
+from poisson_malliavin.suite import _random_space, load_config
 from conftest import d_minus, d_plus, functional_pool, sample_batch, shift
 
 
@@ -195,21 +198,33 @@ class TestGamma:
 
 
 class TestCarreDuChampAgainstGenerator:
-    """The paper's proposition, pathwise: the carre du champ of the OU
-    generator, 1/2 (L(FG) - F LG - G LF), equals gamma_batch's
-    1/2 int D+F D+G dnu + 1/2 int D-F D-G d eta at every interior state of
-    the canonical table.  L is the sparse matrix M of
-    ``build_generator_matrix``, written from the weights and caps alone, so
-    it shares no code with the add/drop differences.  Each defect is gated
-    at 4 eps times the state's rounding scale, the sum of the absolute
-    terms, with |M| the entrywise absolute matrix (Higham ch. 3)."""
+    """The paper's proposition, pathwise on every box state: the carre du
+    champ of the OU generator, 1/2 (L(FG) - F LG - G LF), equals
+    1/2 int D+F D+G dnu + 1/2 int D-F D-G d eta, on the canonical table and
+    on the packaged random space's.  L is the conservative generator
+    M_c = M + diag(killed), M the sparse matrix of ``build_generator_matrix``
+    written from the weights and caps alone, so it shares no code with the
+    add/drop differences.  M_c has no birth at a site's cap, so the add half
+    is censored there: gamma_batch minus 1/2 sum_z lam_z 1{eta_z = cap_z}
+    D+_zF D+_zG, exact at every state since D+(fg) = f D+g + g D+f + D+f D+g.
+    At interior states M_c equals M and the censoring term is 0.  Each
+    defect is gated at 4 eps times the state's rounding scale, the sum of
+    the absolute terms, with |M_c| the entrywise absolute matrix (Higham
+    ch. 3)."""
 
     EPS = np.finfo(np.float64).eps
 
     @pytest.fixture(scope="class")
-    def generator(self, exact):
-        gen = build_generator_matrix(exact.table)
-        return exact.table.states, gen.matrix, abs(gen.matrix), gen.interior
+    def table(self, exact):
+        return exact.table
+
+    @pytest.fixture(scope="class")
+    def generator(self, table):
+        """(space, states, M_c, |M_c|, lam_z 1{eta_z = cap_z}) of the table."""
+        gen = build_generator_matrix(table)
+        Mc = (gen.matrix + sp.diags(gen.killed)).tocsr()
+        capped = (table.states == table.plan.caps) * table.space.weights_array
+        return table.space, table.states, Mc, abs(Mc), capped
 
     @staticmethod
     def _functionals(space):
@@ -222,40 +237,61 @@ class TestCarreDuChampAgainstGenerator:
             poly_count(space, [1, 3], 3),
         ]
 
-    def _gamma_excess(self, space, generator) -> list[float]:
-        """Per pair of the 21, the most an interior |defect| exceeds its gate
-        4 eps scale by: not above 0 while the proposition holds."""
-        states, M, absM, interior = generator
+    def _gamma_excess(self, generator) -> list[float]:
+        """Per pair of the 21, the most a |defect| exceeds its gate
+        4 eps scale by, over every state: not above 0 while the proposition
+        holds."""
+        space, states, Mc, absMc, capped = generator
         Fs = self._functionals(space)
-        values = [F.batch(states) for F in Fs]
+        values = [(F.batch(states), add_diff_all(F, states)) for F in Fs]
         excess = []
-        for (F, f), (G, g) in itertools.combinations_with_replacement(zip(Fs, values), 2):
-            Mf, Mg = M @ f, M @ g
-            via_generator = 0.5 * (M @ (f * g) - f * Mg - g * Mf)
-            scale = absM @ np.abs(f * g) + np.abs(f) * (absM @ np.abs(g))
-            scale += np.abs(g) * (absM @ np.abs(f))
-            defect = np.abs(via_generator - gamma_batch(F, G, states))[interior]
-            excess.append(float((defect - 4 * self.EPS * scale[interior]).max()))
+        pairs = itertools.combinations_with_replacement(zip(Fs, values), 2)
+        for (F, (f, dF)), (G, (g, dG)) in pairs:
+            Mf, Mg = Mc @ f, Mc @ g
+            via_generator = 0.5 * (Mc @ (f * g) - f * Mg - g * Mf)
+            censored = gamma_batch(F, G, states) - 0.5 * (capped * dF * dG).sum(axis=-1)
+            scale = absMc @ np.abs(f * g) + np.abs(f) * (absMc @ np.abs(g))
+            scale += np.abs(g) * (absMc @ np.abs(f))
+            defect = np.abs(via_generator - censored)
+            excess.append(float((defect - 4 * self.EPS * scale).max()))
         assert len(excess) == 21
         return excess
 
-    def test_gamma_equals_generator_form(self, space, generator):
-        assert max(self._gamma_excess(space, generator)) <= 0.0
+    def test_every_state_is_checked(self, generator):
+        """Both tables hold states at a cap, so the censoring is exercised."""
+        space, states, Mc, absMc, capped = generator
+        assert Mc.shape == (len(states),) * 2
+        assert 0 < int((capped > 0).any(axis=1).sum()) < len(states)
 
-    def test_ou_generator_equals_matrix(self, space, generator):
-        states, M, absM, interior = generator
+    def test_gamma_equals_generator_form(self, generator):
+        assert max(self._gamma_excess(generator)) <= 0.0
+
+    def test_ou_generator_equals_matrix(self, generator):
+        """M_c f = L F - sum_z lam_z 1{eta_z = cap_z} D+_zF, L F from
+        ``ou_generator_batch``, at 4 eps of |M_c| |f|."""
+        space, states, Mc, absMc, capped = generator
         for F in self._functionals(space):
             f = F.batch(states)
-            defect = np.abs(M @ f - ou_generator_batch(F, states))[interior]
-            assert (defect <= 4 * self.EPS * (absM @ np.abs(f))[interior]).all(), F
+            censored = ou_generator_batch(F, states) - (capped * add_diff_all(F, states)).sum(axis=-1)
+            defect = np.abs(Mc @ f - censored)
+            assert (defect <= 4 * self.EPS * (absMc @ np.abs(f))).all(), F
 
-    def test_add_difference_in_drop_half_fails(self, monkeypatch, space, generator):
+    def test_add_difference_in_drop_half_fails(self, monkeypatch, generator):
         """With D+ in place of D- in Gamma's drop half, 1/2 int k_z D+F D+G,
         the generator form no longer matches: defects of order one."""
         monkeypatch.setattr(
             operators, "field_dropped_diag", lambda u, counts: add_diff_all(u.gradient_of, counts)
         )
-        assert max(self._gamma_excess(space, generator)) > 1.0
+        assert max(self._gamma_excess(generator)) > 1.0
+
+
+class TestCarreDuChampOnRandomSpace(TestCarreDuChampAgainstGenerator):
+    """The same checks on the packaged random space's table."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        cfg = load_config(None)
+        return ExactBackend(_random_space(cfg), tol=cfg.truncation_tol).table
 
 
 class TestDirichletEnergy:
